@@ -4,12 +4,21 @@ Everything is 64-bit float throughout: the solver diagnostics compare
 inequalities at tolerances (1e-9 and tighter) that single precision would
 break. All operations here are pure and deterministic, so repeated runs with
 the same seed produce bit-identical results.
+
+Both products run scipy's compiled CSR kernel directly, which sums each
+output entry over its row in ascending column order, starting from zero.
+The transposed product uses a CSR copy of ``A.T`` that the matrix builds
+once, on first use. Row ``j`` of that copy is column ``j`` of ``A`` in
+ascending row order, the same order in which a column sweep over ``A``
+accumulates ``(A.T @ y)[j]``; so the copy saves a transpose per call
+without moving an output bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "as_vector",
@@ -44,9 +53,13 @@ class CsrMatrix:
         Column indices, strictly increasing within each row and ``< n_cols``.
     vals : array of float
         Nonzero values (finite).
+
+    The CSR copy of the transpose that :func:`spmv_transpose` uses is
+    built on its first call, not here, so a matrix that is only parsed,
+    validated or multiplied forward never holds it.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "vals", "_csr")
+    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "vals", "_csr", "_csr_t")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, vals):
         row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
@@ -62,10 +75,14 @@ class CsrMatrix:
             raise ValueError("row_ptr must be nondecreasing")
         if len(col_idx) and (col_idx.min() < 0 or col_idx.max() >= n_cols):
             raise ValueError("column index out of range")
-        for i in range(n_rows):
-            cols = col_idx[row_ptr[i]:row_ptr[i + 1]]
-            if len(cols) > 1 and np.any(np.diff(cols) <= 0):
-                raise ValueError(f"row {i}: column indices not strictly increasing")
+        # One pass over all neighbouring pairs; a pair that straddles a row
+        # boundary (entry p + 1 starts a row) may decrease.
+        bad = np.diff(col_idx) <= 0
+        starts = row_ptr[1:-1]
+        bad[starts[(starts > 0) & (starts < len(col_idx))] - 1] = False
+        if bad.any():
+            i = int(np.searchsorted(row_ptr, int(np.argmax(bad)) + 1, side="right")) - 1
+            raise ValueError(f"row {i}: column indices not strictly increasing")
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix values contain NaN or Inf")
         object.__setattr__(self, "n_rows", int(n_rows))
@@ -79,6 +96,7 @@ class CsrMatrix:
             self, "_csr",
             sp.csr_matrix((vals, col_idx, row_ptr), shape=(n_rows, n_cols)),
         )
+        object.__setattr__(self, "_csr_t", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CsrMatrix is immutable")
@@ -101,6 +119,14 @@ class CsrMatrix:
         csr.sort_indices()
         return cls(a.shape[0], a.shape[1], csr.indptr, csr.indices, csr.data)
 
+    def _transpose_csr(self) -> sp.csr_matrix:
+        """CSR copy of ``A.T`` with sorted indices, built once on first use."""
+        if self._csr_t is None:
+            csr_t = self._csr.T.tocsr()
+            csr_t.sort_indices()
+            object.__setattr__(self, "_csr_t", csr_t)
+        return self._csr_t
+
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
@@ -121,18 +147,40 @@ class CsrMatrix:
         return f"CsrMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
 
 
+def _csr_matvec(M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``M @ x`` by scipy's compiled CSR kernel, without its dispatch layer.
+
+    This is the kernel ``M.dot(x)`` ends in for a float64 vector, with the
+    same zero-initialised output, so the result is bit-identical to it.
+    The caller has checked that ``x`` is a float64 vector of length
+    ``M.shape[1]``.
+    """
+    n_rows, n_cols = M.shape
+    out = np.zeros(n_rows)
+    _sparsetools.csr_matvec(n_rows, n_cols, M.indptr, M.indices, M.data, x, out)
+    return out
+
+
 def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse matrix-vector product ``A @ x``."""
-    if len(x) != A.n_cols:
-        raise ValueError(f"dimension mismatch: matrix has {A.n_cols} columns, vector has {len(x)}")
-    return A._csr.dot(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (A.n_cols,):
+        raise ValueError(f"dimension mismatch: matrix has {A.n_cols} columns, "
+                         f"vector has shape {x.shape}")
+    return _csr_matvec(A._csr, x)
 
 
 def spmv_transpose(A: CsrMatrix, y: np.ndarray) -> np.ndarray:
-    """Transposed product ``A.T @ y`` (row-major sweep over A)."""
-    if len(y) != A.n_rows:
-        raise ValueError(f"dimension mismatch: matrix has {A.n_rows} rows, vector has {len(y)}")
-    return A._csr.T.dot(np.asarray(y, dtype=np.float64))
+    """Transposed product ``A.T @ y`` through the cached CSR copy of ``A.T``.
+
+    Each output entry sums its column of ``A`` in ascending row order,
+    exactly as a column sweep over ``A`` would.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (A.n_rows,):
+        raise ValueError(f"dimension mismatch: matrix has {A.n_rows} rows, "
+                         f"vector has shape {y.shape}")
+    return _csr_matvec(A._transpose_csr(), y)
 
 
 def spectral_norm_sq(A: CsrMatrix, iters: int = 100, seed: int = 0) -> float:

@@ -12,10 +12,18 @@ Three families cover the benchmark problems:
   and lasso-style composite instances.
 
 Losses are averaged with ``1/n`` so the gradient-Lipschitz constant does
-not grow with the number of rows. The Lipschitz estimates are curvature
-upper bounds built on a power-iteration estimate of ``||A||_2^2``; an
-upper bound is what the solver's stepsize rule needs, so slack is safe
-where an exact Hessian norm would not be.
+not grow with the number of rows. The Lipschitz estimates combine
+curvature bounds of each loss with a power-iteration estimate of
+``||A||_2^2``. That estimate approaches the true value from below, so
+``lipschitz`` is an estimate, not a proven upper bound, even though the
+solver's theory stepsizes assume one. Certifying it is an open item in
+``ROADMAP.md``.
+
+Each objective remembers the last product ``A @ x`` it computed, keyed by
+the exact bytes of ``x``. The solvers ask for the gradient at the point
+whose value they just computed (every restart and every proximal-gradient
+iteration), and the memo then saves that forward product. A hit returns
+the same bits the product would, so results do not depend on it.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ __all__ = [
 
 
 class _DataObjective:
-    """Shared plumbing: dimension checks and a cached Lipschitz estimate."""
+    """Shared plumbing: dimension checks, the ``A @ x`` memo and cached Lipschitz estimates."""
 
     def __init__(self, A: CsrMatrix, b):
         b = np.ascontiguousarray(b, dtype=np.float64)
@@ -44,6 +52,8 @@ class _DataObjective:
         self.n = A.n_rows
         self.dim = A.n_cols
         self._lipschitz_cache: dict[int, float] = {}
+        self._ax_key: bytes | None = None
+        self._ax: np.ndarray | None = None
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -51,8 +61,27 @@ class _DataObjective:
             raise ValueError(f"objective expects dimension {self.dim}, got shape {x.shape}")
         return x
 
+    def _Ax(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x``, reusing the previous product when ``x`` has the same bytes.
+
+        The key is a snapshot of the bytes, so ``-0.0`` and ``0.0`` differ
+        and changing the caller's array in place cannot return a stale
+        product. The result is shared with the memo: callers must not
+        change it in place.
+        """
+        key = x.tobytes()
+        if key != self._ax_key:
+            self._ax = spmv(self.A, x)
+            self._ax_key = key
+        return self._ax
+
     def lipschitz(self, seed: int = 0) -> float:
-        """Upper bound on the gradient's Lipschitz constant (cached per seed)."""
+        """Estimate of the gradient's Lipschitz constant (cached per seed).
+
+        Built on the power-iteration estimate of ``||A||_2^2``, which
+        approaches the true value from below, so it may fall slightly
+        short of the true constant.
+        """
         L = self._lipschitz_cache.get(seed)
         if L is None:
             L = self._lipschitz_from_spectrum(spectral_norm_sq(self.A, iters=200, seed=seed))
@@ -83,15 +112,15 @@ class LogisticObjective(_DataObjective):
 
     def value(self, x) -> float:
         x = self._check_x(x)
-        margins = self.b * spmv(self.A, x)
+        margins = self.b * self._Ax(x)
         # log(1 + exp(-m)) evaluated stably for both signs of m.
-        loss = float(np.sum(np.logaddexp(0.0, -margins))) / self.n
+        loss = float(np.logaddexp(0.0, -margins).sum()) / self.n
         xsq = x * x
-        return loss + self.alpha * float(np.sum(xsq / (1.0 + xsq)))
+        return loss + self.alpha * float((xsq / (1.0 + xsq)).sum())
 
     def gradient(self, x) -> np.ndarray:
         x = self._check_x(x)
-        margins = self.b * spmv(self.A, x)
+        margins = self.b * self._Ax(x)
         w = -self.b * expit(-margins)
         grad = spmv_transpose(self.A, w) / self.n
         grad += self.alpha * 2.0 * x / (1.0 + x * x) ** 2
@@ -111,12 +140,12 @@ class RobustRegressionObjective(_DataObjective):
 
     def value(self, x) -> float:
         x = self._check_x(x)
-        s = spmv(self.A, x) - self.b
-        return float(np.sum(np.log1p(0.5 * s * s))) / self.n
+        s = self._Ax(x) - self.b
+        return float(np.log1p(0.5 * s * s).sum()) / self.n
 
     def gradient(self, x) -> np.ndarray:
         x = self._check_x(x)
-        s = spmv(self.A, x) - self.b
+        s = self._Ax(x) - self.b
         return spmv_transpose(self.A, s / (0.5 * s * s + 1.0)) / self.n
 
     def _lipschitz_from_spectrum(self, spec_sq: float) -> float:
@@ -129,12 +158,12 @@ class QuadraticObjective(_DataObjective):
 
     def value(self, x) -> float:
         x = self._check_x(x)
-        r = spmv(self.A, x) - self.b
+        r = self._Ax(x) - self.b
         return 0.5 * float(np.dot(r, r)) / self.n
 
     def gradient(self, x) -> np.ndarray:
         x = self._check_x(x)
-        return spmv_transpose(self.A, spmv(self.A, x) - self.b) / self.n
+        return spmv_transpose(self.A, self._Ax(x) - self.b) / self.n
 
     def _lipschitz_from_spectrum(self, spec_sq: float) -> float:
         return spec_sq / self.n

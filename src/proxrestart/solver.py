@@ -39,7 +39,7 @@ to its upper end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -509,12 +509,8 @@ def run_baseline(kind: str, objective, regularizer, cfg: SolverConfig, x_init,
     if kind == "ag":
         return _run_ag(objective, regularizer, cfg, x_init, record_iterates)
     if kind == "apg_never":
-        never_cfg = SolverConfig(
-            max_iters=cfg.max_iters, stepsize_mode=cfg.stepsize_mode,
-            lambda_factor=cfg.lambda_factor, beta=cfg.beta,
-            tolerance=cfg.tolerance, seed=cfg.seed, scheme=NeverRestart(),
-        )
-        trace = run(objective, regularizer, never_cfg, x_init, record_iterates)
+        trace = run(objective, regularizer, replace(cfg, scheme=NeverRestart()), x_init,
+                    record_iterates)
         trace.algorithm = "apg_never"
         return trace
     raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")

@@ -37,19 +37,65 @@ def test_dimension_mismatch_raises():
         spmv(A, np.ones(3))
     with pytest.raises(ValueError, match="dimension mismatch"):
         spmv_transpose(A, np.ones(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        spmv(A, np.ones((2, 1)))
 
 
-@pytest.mark.parametrize("bad", [
-    dict(n_rows=2, n_cols=2, row_ptr=[0, 1], col_idx=[0], vals=[1.0]),   # short row_ptr
-    dict(n_rows=2, n_cols=2, row_ptr=[0, 2, 1], col_idx=[0], vals=[1.0]),  # decreasing
-    dict(n_rows=1, n_cols=2, row_ptr=[0, 2], col_idx=[1, 0], vals=[1.0, 2.0]),  # unsorted cols
-    dict(n_rows=1, n_cols=2, row_ptr=[0, 2], col_idx=[0, 0], vals=[1.0, 2.0]),  # duplicate col
-    dict(n_rows=1, n_cols=2, row_ptr=[0, 1], col_idx=[2], vals=[1.0]),   # col out of range
-    dict(n_rows=1, n_cols=1, row_ptr=[0, 1], col_idx=[0], vals=[np.nan]),  # nonfinite
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(dict(n_rows=2, n_cols=2, row_ptr=[0, 1], col_idx=[0], vals=[1.0]),
+                 "row_ptr must have length", id="bad0"),
+    pytest.param(dict(n_rows=2, n_cols=2, row_ptr=[0, 2, 1], col_idx=[0], vals=[1.0]),
+                 "nondecreasing", id="bad1"),
+    pytest.param(dict(n_rows=1, n_cols=2, row_ptr=[0, 2], col_idx=[1, 0], vals=[1.0, 2.0]),
+                 "row 0: column indices not strictly increasing", id="bad2"),  # unsorted
+    pytest.param(dict(n_rows=1, n_cols=2, row_ptr=[0, 2], col_idx=[0, 0], vals=[1.0, 2.0]),
+                 "row 0: column indices not strictly increasing", id="bad3"),  # duplicate
+    pytest.param(dict(n_rows=1, n_cols=2, row_ptr=[0, 1], col_idx=[2], vals=[1.0]),
+                 "column index out of range", id="bad4"),
+    pytest.param(dict(n_rows=1, n_cols=1, row_ptr=[0, 1], col_idx=[0], vals=[np.nan]),
+                 "NaN or Inf", id="bad5"),
+    # rows 0-2 are fine (row 1 empty, and indices drop across each row
+    # boundary); rows 3 and 4 are both bad, and the first one is named
+    pytest.param(dict(n_rows=5, n_cols=3, row_ptr=[0, 2, 2, 3, 5, 7],
+                      col_idx=[1, 2, 0, 2, 1, 0, 0], vals=np.ones(7)),
+                 "^row 3: column indices not strictly increasing$", id="bad6"),
 ])
-def test_csr_invariants_rejected(bad):
-    with pytest.raises(ValueError):
+def test_csr_invariants_rejected(bad, message):
+    with pytest.raises(ValueError, match=message):
         CsrMatrix(**bad)
+
+
+def test_csr_accepts_decrease_across_rows_and_empty_rows():
+    A = CsrMatrix(5, 3, [0, 0, 2, 2, 3, 3], [1, 2, 0], [1.0, 2.0, 3.0])
+    assert np.array_equal(A.to_dense(), [[0, 0, 0], [0, 1, 2], [0, 0, 0], [3, 0, 0], [0, 0, 0]])
+
+
+def _random_csr(rng, n, d, density):
+    dense = np.where(rng.random((n, d)) < density, rng.standard_normal((n, d)), 0.0)
+    if n > 1:
+        dense[rng.integers(n)] = 0.0     # an empty row
+    if d > 1:
+        dense[:, rng.integers(d)] = 0.0  # an empty column
+    return CsrMatrix.from_dense(dense)
+
+
+@pytest.mark.parametrize("n, d, density", [
+    (1, 1, 1.0), (1, 1, 0.0), (3, 4, 0.0), (1, 9, 0.5), (9, 1, 0.5),
+    (17, 6, 0.3), (6, 17, 0.3), (40, 25, 0.1), (25, 40, 0.9),
+])
+def test_products_match_scipy_bytes(n, d, density):
+    rng = np.random.default_rng(n * 1000 + d)
+    for _ in range(5):
+        A = _random_csr(rng, n, d, density)
+        x = rng.standard_normal(d)
+        y = rng.standard_normal(n)
+        y[rng.random(n) < 0.3] = -0.0
+        assert spmv(A, x).tobytes() == (A._csr @ x).tobytes()
+        assert spmv_transpose(A, y).tobytes() == (A._csr.T @ y).tobytes()
+        # the cached transpose serves repeated calls unchanged
+        assert spmv_transpose(A, y).tobytes() == (A._csr.T @ y).tobytes()
+        strided = rng.standard_normal(2 * d)[::2]
+        assert spmv(A, strided).tobytes() == (A._csr @ strided).tobytes()
 
 
 def test_as_vector_rejects_nonfinite():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from proxrestart import (
     run,
     run_baseline,
 )
+from proxrestart import objectives
 
 
 def one_dim_quadratic():
@@ -245,3 +248,38 @@ def test_subdiff_recorded_at_checkpoints(small_quadratic):
         grad = small_quadratic.gradient(point)
         assert period.subdiff_dist == pytest.approx(reg.subdiff_distance(grad, point), rel=1e-12)
         assert np.array_equal(point, trace.iterates[period.checkpoint])
+
+
+def _count_matvecs(monkeypatch):
+    counts = {"forward": 0, "transposed": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(objectives, "spmv", counted("forward", objectives.spmv))
+    monkeypatch.setattr(objectives, "spmv_transpose",
+                        counted("transposed", objectives.spmv_transpose))
+    return counts
+
+
+@pytest.mark.parametrize("n_iters", [1, 7, 40])
+def test_prox_grad_reuses_the_forward_product(small_quadratic, monkeypatch, n_iters):
+    # the gradient is always asked for at the point whose value was just computed
+    counts = _count_matvecs(monkeypatch)
+    cfg = SolverConfig(max_iters=n_iters, stepsize_mode="theory")
+    run_baseline("prox_grad", small_quadratic, L1(0.02), cfg, np.ones(6))
+    assert counts == {"forward": n_iters + 1, "transposed": n_iters}
+
+
+@pytest.mark.parametrize("n_iters, q", [(1, 1), (20, 1), (30, 10), (31, 10), (47, 7)])
+def test_restart_iterations_reuse_the_forward_product(small_quadratic, monkeypatch, n_iters, q):
+    # a restart sets z = x, so its gradient reuses the product of the value
+    # computed at x one step earlier
+    counts = _count_matvecs(monkeypatch)
+    cfg = SolverConfig(max_iters=n_iters, stepsize_mode="theory", scheme=FixedRestart(q))
+    run(small_quadratic, Zero(), cfg, np.ones(6))
+    assert counts == {"forward": 2 * n_iters + 1 - math.ceil(n_iters / q),
+                      "transposed": n_iters}
