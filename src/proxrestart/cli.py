@@ -39,10 +39,6 @@ TRACE_COLUMNS = ("k", "F", "grad_map_norm", "step_norm", "restart", "lambda", "b
 SUMMARY_COLUMNS = ("solver", "algorithm", "scheme", "stepsize_mode", "seed",
                    "iterations", "restarts", "prox_calls", "final_F", "loss_gap", "status")
 
-# Test hook: when set, applied to every freshly produced trace before the
-# checks run (used to inject faults into otherwise-valid traces).
-_TRACE_HOOK = None
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
@@ -89,7 +85,8 @@ def _require(mapping, key, path, types, default=None, required=True):
             raise ConfigError(f"{path}.{key}: missing required field")
         return default
     value = mapping[key]
-    if types is not None and not isinstance(value, types):
+    # YAML booleans pass isinstance(value, int), and no field takes one
+    if types is not None and (not isinstance(value, types) or isinstance(value, bool)):
         raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
     return value
 
@@ -152,7 +149,7 @@ class SolverSpec:
         self.scheme = _parse_scheme(node.get("scheme", {"kind": "never"}), f"{path}.scheme")
         self.stepsize_mode = _require(node, "stepsize_mode", path, str, default="theory", required=False)
         self.lambda_factor = float(_require(node, "lambda_factor", path, _NUM, default=1.0, required=False))
-        self.beta = node.get("beta")
+        self.beta = _require(node, "beta", path, _NUM, default=None, required=False)
         self.max_iters = _require(node, "max_iters", path, int)
         self.tolerance = float(_require(node, "tolerance", path, _NUM, default=0.0, required=False))
         seeds = _require(node, "seeds", path, list)
@@ -170,18 +167,6 @@ class SolverSpec:
             lambda_factor=self.lambda_factor, beta=self.beta,
             tolerance=self.tolerance, seed=seed, scheme=self.scheme,
         )
-
-    def scheme_label(self) -> str:
-        s = self.scheme
-        if isinstance(s, restart.FixedRestart):
-            return f"fixed(q={s.q})"
-        if isinstance(s, restart.FunctionValueRestart):
-            return f"function_value(rho={s.rho})"
-        if isinstance(s, restart.GradientMappingRestart):
-            return f"gradient_mapping(tau={s.tau})"
-        if isinstance(s, restart.NonMonotoneRestart):
-            return f"non_monotone(tau={s.tau})"
-        return "never"
 
 
 class ProblemSpec:
@@ -264,12 +249,8 @@ def _run_cell(config: ExperimentConfig, spec: SolverSpec, seed: int):
     x_init = np.zeros(dataset.n_cols)
     cfg = spec.solver_config(seed)
     if spec.algorithm == "apg_restart":
-        trace = run(objective, config.problem.regularizer, cfg, x_init)
-    else:
-        trace = run_baseline(spec.algorithm, objective, config.problem.regularizer, cfg, x_init)
-    if _TRACE_HOOK is not None:
-        trace = _TRACE_HOOK(trace) or trace
-    return trace
+        return run(objective, config.problem.regularizer, cfg, x_init)
+    return run_baseline(spec.algorithm, objective, config.problem.regularizer, cfg, x_init)
 
 
 def _trace_rows(trace):
@@ -310,7 +291,7 @@ def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=
     f_ref = min(min(float(t.F.min()) if len(t) else t.final_F, t.final_F)
                 for _, _, t, _ in results)
     summary_rows = [
-        (spec.name, spec.algorithm, spec.scheme_label(), spec.stepsize_mode, seed,
+        (spec.name, spec.algorithm, spec.scheme.label, spec.stepsize_mode, seed,
          len(trace), trace.num_restarts, trace.prox_calls, trace.final_F,
          trace.final_F - f_ref, status)
         for spec, seed, trace, status in results
@@ -370,10 +351,10 @@ def compare_experiment(config: ExperimentConfig, out_dir, seed_override=None, qu
     count_rows = []
     for spec, seed, trace in cells:
         long_rows.extend(
-            (spec.name, spec.scheme_label(), seed, k, trace.F[k] - f_ref)
+            (spec.name, spec.scheme.label, seed, k, trace.F[k] - f_ref)
             for k in range(len(trace))
         )
-        count_rows.append((spec.name, spec.scheme_label(), seed, trace.num_restarts))
+        count_rows.append((spec.name, spec.scheme.label, seed, trace.num_restarts))
     _write_atomic(os.path.join(out_dir, "compare.csv"),
                   _csv_text(("solver", "scheme", "seed", "k", "loss_gap"), long_rows))
     _write_atomic(os.path.join(out_dir, "restart_counts.csv"),

@@ -1,6 +1,6 @@
 """Post-hoc trace analysis: invariant verdicts, path lengths, rate fits.
 
-``check_invariants`` re-derives, from trace data alone, the three
+``check_invariants`` re-derives, from trace data alone, the four
 guarantees a theory-mode run of the restart solver must satisfy:
 
 * ``period_descent``   -- between consecutive checkpoints the objective

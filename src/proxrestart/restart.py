@@ -73,6 +73,11 @@ def _cosine_fire(a: np.ndarray, b: np.ndarray, tau: float) -> bool:
 
 class _Scheme:
     min_period: int
+    label: str  # names the scheme and its parameter in the CLI's CSVs
+
+    def __post_init__(self):
+        if self.min_period < 1:
+            raise ValueError("min_period must be >= 1")
 
     def _fire(self, obs: RestartObservation) -> bool:
         raise NotImplementedError
@@ -94,8 +99,11 @@ class FixedRestart(_Scheme):
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("period length q must be >= 1")
-        if self.min_period < 1:
-            raise ValueError("min_period must be >= 1")
+        super().__post_init__()
+
+    @property
+    def label(self) -> str:
+        return f"fixed(q={self.q})"
 
     def _fire(self, obs: RestartObservation) -> bool:
         return obs.since_restart + 1 == self.q
@@ -109,8 +117,11 @@ class FunctionValueRestart(_Scheme):
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must be in (0, 1]")
-        if self.min_period < 1:
-            raise ValueError("min_period must be >= 1")
+        super().__post_init__()
+
+    @property
+    def label(self) -> str:
+        return f"function_value(rho={self.rho})"
 
     def _fire(self, obs: RestartObservation) -> bool:
         return obs.F_curr > self.rho * obs.F_prev
@@ -124,8 +135,11 @@ class GradientMappingRestart(_Scheme):
     def __post_init__(self):
         if not -1.0 <= self.tau <= 0.0:
             raise ValueError("tau must be in [-1, 0]")
-        if self.min_period < 1:
-            raise ValueError("min_period must be >= 1")
+        super().__post_init__()
+
+    @property
+    def label(self) -> str:
+        return f"gradient_mapping(tau={self.tau})"
 
     def _fire(self, obs: RestartObservation) -> bool:
         return _cosine_fire(obs.z_k - obs.y_k, obs.y_next - obs.z_k, self.tau)
@@ -139,8 +153,11 @@ class NonMonotoneRestart(_Scheme):
     def __post_init__(self):
         if not -1.0 <= self.tau <= 0.0:
             raise ValueError("tau must be in [-1, 0]")
-        if self.min_period < 1:
-            raise ValueError("min_period must be >= 1")
+        super().__post_init__()
+
+    @property
+    def label(self) -> str:
+        return f"non_monotone(tau={self.tau})"
 
     def _fire(self, obs: RestartObservation) -> bool:
         target = obs.y_next - 0.5 * (obs.z_k + obs.x_k)
@@ -152,6 +169,7 @@ class NeverRestart(_Scheme):
     """Single period: plain accelerated proximal gradient."""
 
     min_period: int = 1
+    label = "never"
 
     def _fire(self, obs: RestartObservation) -> bool:
         return False

@@ -39,7 +39,9 @@ to its upper end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,11 +185,12 @@ def momentum_coefficient(k: int, checkpoint: int) -> float:
 
 @dataclass
 class SolverState:
-    """Mutable position of the restart solver between iterations.
+    """Position of a solver between iterations.
 
     ``pending_restart`` marks that the next call to
     :func:`apg_restart_step` must execute the restart branch; it starts
-    True so iteration 0 opens the first period.
+    True so iteration 0 opens the first period. The baselines use only
+    ``x``, ``y``, ``F`` and ``k``.
     """
 
     x: np.ndarray
@@ -199,15 +202,15 @@ class SolverState:
     pending_restart: bool = True
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Everything one iteration produced, ready for trace assembly.
 
     ``F`` is the objective at the iterate the step started from and
     ``F_new`` at the one it produced. ``checkpoint_subdiff`` is only set
-    when the step executed the restart branch (it is the exact
-    subdifferential distance at the fresh checkpoint, a free by-product
-    of the shared gradient evaluation there).
+    when the step opened a period (it is the exact subdifferential
+    distance at the fresh checkpoint, a free by-product of the gradient
+    evaluation there). The first seven fields are the trace's iteration
+    columns, in :class:`SolverTrace` order.
     """
 
     F: float
@@ -279,58 +282,35 @@ def apg_restart_step(state: SolverState, objective, regularizer,
 
 
 class _TraceBuilder:
-    def __init__(self, algorithm, mode, seed, lipschitz, record_iterates=False):
+    def __init__(self, algorithm, mode, seed, lipschitz, prox_per_iter, record_iterates):
         self.algorithm = algorithm
         self.mode = mode
         self.seed = seed
         self.lipschitz = lipschitz
-        self.F = []
-        self.grad_map_norm = []
-        self.step_norm = []
-        self.restart_flags = []
-        self.lam = []
-        self.beta = []
-        self.alpha_next = []
-        self.periods = []
+        self.prox_per_iter = prox_per_iter
+        self.rows = []
+        self.openings = []  # (checkpoint, F, subdiff) of each period
         self.checkpoint_points = []
-        self.prox_calls = 0
-        self.gradient_calls = 0
         self.iterates = [] if record_iterates else None
-        self._open = None  # (checkpoint, F, subdiff)
-        self._sq_sum = 0.0
 
     def open_period(self, k, F, subdiff, point):
-        self._close_period()
-        self._open = (k, F, subdiff)
+        self.openings.append((k, F, subdiff))
         self.checkpoint_points.append(np.array(point, copy=True))
 
-    def _close_period(self):
-        if self._open is None:
-            return
-        checkpoint, F, subdiff = self._open
-        t = len(self.periods)
-        self.periods.append(PeriodRecord(t, checkpoint, F, float(np.sqrt(self._sq_sum)), subdiff))
-        self._open = None
-        self._sq_sum = 0.0
-
-    def add_row(self, F, gnorm, step, flag, lam, beta, alpha):
-        self.F.append(F)
-        self.grad_map_norm.append(gnorm)
-        self.step_norm.append(step)
-        self.restart_flags.append(flag)
-        self.lam.append(lam)
-        self.beta.append(beta)
-        self.alpha_next.append(alpha)
-        self._sq_sum += step * step
-
     def build(self, final_x, final_F):
-        self._close_period()
+        n = len(self.rows)
+        columns = list(zip(*self.rows))[:7] if n else [()] * 7
+        ends = [k for k, _, _ in self.openings[1:]] + [n]
+        periods = []
+        for t, ((checkpoint, F, subdiff), end) in enumerate(zip(self.openings, ends)):
+            sq_sum = 0.0  # summed in row order, not by np.dot, so the bits stay fixed
+            for step in columns[2][checkpoint:end]:
+                sq_sum += step * step
+            periods.append(PeriodRecord(t, checkpoint, F, float(np.sqrt(sq_sum)), subdiff))
         return SolverTrace(
-            self.algorithm, self.mode, self.seed, self.lipschitz,
-            self.F, self.grad_map_norm, self.step_norm, self.restart_flags,
-            self.lam, self.beta, self.alpha_next, self.periods,
+            self.algorithm, self.mode, self.seed, self.lipschitz, *columns, periods,
             self.checkpoint_points, final_x, final_F,
-            self.prox_calls, self.gradient_calls, self.iterates,
+            self.prox_per_iter * n, n, self.iterates,
         )
 
 
@@ -346,13 +326,47 @@ def _resolve_beta(objective, cfg: SolverConfig):
     return float(cfg.beta), None
 
 
-def _guard_divergence(F_new, F_cap, builder, x, message="objective diverged"):
-    if np.isfinite(F_new) and F_new <= F_cap:
-        return
-    raise DivergenceError(
-        f"{message}: objective reached {F_new!r}, aborting with partial trace",
-        builder.build(x, F_new),
-    )
+def _drive(algorithm, step, prox_per_iter, beta, lipschitz, objective, regularizer,
+           cfg: SolverConfig, x_init, record_iterates) -> SolverTrace:
+    """Iterate ``step`` from ``x_init`` and assemble the trace.
+
+    ``step(state, objective, regularizer, cfg, beta)`` returns
+    ``(next_state, record)`` like :func:`apg_restart_step`. Everything
+    outside the update lives here: the divergence guard, the tolerance
+    stop, period bookkeeping and the recorded iterates.
+    """
+    x = np.array(x_init, dtype=np.float64, copy=True)
+    F_0 = objective.value(x) + regularizer.value(x)
+    F_cap = 1e12 * (1.0 + abs(F_0))
+    state = SolverState(x, x.copy(), F_0)
+    builder = _TraceBuilder(algorithm, cfg.stepsize_mode, cfg.seed, lipschitz, prox_per_iter,
+                            record_iterates)
+
+    for k in range(cfg.max_iters):
+        x = state.x
+        state, rec = step(state, objective, regularizer, cfg, beta)
+        if rec.restarted:
+            builder.open_period(k, rec.F, rec.checkpoint_subdiff, x)
+        if record_iterates:
+            builder.iterates.append(x.copy())
+        builder.rows.append(rec)
+        if not (math.isfinite(rec.F_new) and rec.F_new <= F_cap):
+            raise DivergenceError(
+                f"objective diverged: objective reached {rec.F_new!r}, "
+                "aborting with partial trace",
+                builder.build(x, rec.F_new),
+            )
+        if cfg.tolerance > 0.0 and rec.grad_map_norm <= cfg.tolerance:
+            break
+
+    if record_iterates:
+        builder.iterates.append(state.x.copy())
+    if cfg.max_iters == 0:
+        # record the initial checkpoint anyway
+        builder.open_period(0, state.F,
+                            regularizer.subdiff_distance(objective.gradient(state.x), state.x),
+                            state.x)
+    return builder.build(state.x, state.F)
 
 
 def run(objective, regularizer, cfg: SolverConfig, x_init,
@@ -380,119 +394,43 @@ def run(objective, regularizer, cfg: SolverConfig, x_init,
         If the objective exceeds ``1e12 * (1 + |F(x_init)|)`` or turns
         nonfinite. The partial trace rides on the exception.
     """
-    x = np.array(x_init, dtype=np.float64, copy=True)
     beta, L = _resolve_beta(objective, cfg)
-
-    builder = _TraceBuilder("apg_restart", cfg.stepsize_mode, cfg.seed, L, record_iterates)
-    F_0 = objective.value(x) + regularizer.value(x)
-    F_cap = 1e12 * (1.0 + abs(F_0))
-    state = SolverState(x=x, y=x.copy(), F=F_0)
-
-    for _ in range(cfg.max_iters):
-        prev_x = state.x
-        state, rec = apg_restart_step(state, objective, regularizer, cfg, beta)
-        builder.gradient_calls += 1
-        builder.prox_calls += 1
-        if rec.restarted:
-            builder.open_period(state.k - 1, rec.F, rec.checkpoint_subdiff, prev_x)
-        if record_iterates:
-            builder.iterates.append(prev_x.copy())
-        builder.add_row(rec.F, rec.grad_map_norm, rec.step_norm, rec.restarted,
-                        rec.lam, rec.beta, rec.alpha_next)
-        _guard_divergence(rec.F_new, F_cap, builder, prev_x)
-        if cfg.tolerance > 0.0 and rec.grad_map_norm <= cfg.tolerance:
-            break
-
-    if record_iterates:
-        builder.iterates.append(state.x.copy())
-    if builder._open is None and not builder.periods:
-        # max_iters == 0: record the initial checkpoint anyway
-        builder.open_period(0, state.F,
-                            regularizer.subdiff_distance(objective.gradient(state.x), state.x),
-                            state.x)
-    return builder.build(state.x, state.F)
+    return _drive("apg_restart", apg_restart_step, 1, beta, L, objective, regularizer, cfg,
+                  x_init, record_iterates)
 
 
-def _run_prox_grad(objective, regularizer, cfg, x_init, record_iterates):
-    """Plain proximal gradient with stepsize 1/L (the unaccelerated baseline)."""
-    x = np.array(x_init, dtype=np.float64, copy=True)
-    L = objective.lipschitz(cfg.seed)
-    if L <= 0:
-        raise ValueError("proximal gradient baseline needs a positive Lipschitz estimate")
-    eta = 1.0 / L
-
-    builder = _TraceBuilder("prox_grad", cfg.stepsize_mode, cfg.seed, L, record_iterates)
-    F_x = objective.value(x) + regularizer.value(x)
-    F_cap = 1e12 * (1.0 + abs(F_x))
-
-    for k in range(cfg.max_iters):
-        grad = objective.gradient(x)
-        builder.gradient_calls += 1
-        if k == 0:
-            builder.open_period(0, F_x, regularizer.subdiff_distance(grad, x), x)
-        if record_iterates:
-            builder.iterates.append(x.copy())
-        x_new = regularizer.prox(x - eta * grad, eta)
-        builder.prox_calls += 1
-        step = float(np.linalg.norm(x_new - x))
-        gnorm = step / eta
-        F_new = objective.value(x_new) + regularizer.value(x_new)
-        builder.add_row(F_x, gnorm, step, k == 0, eta, eta, 0.0)
-        _guard_divergence(F_new, F_cap, builder, x)
-        x, F_x = x_new, F_new
-        if cfg.tolerance > 0.0 and gnorm <= cfg.tolerance:
-            break
-
-    if record_iterates:
-        builder.iterates.append(x.copy())
-    if not builder.periods and builder._open is None:
-        builder.open_period(0, F_x, regularizer.subdiff_distance(objective.gradient(x), x), x)
-    return builder.build(x, F_x)
+def _prox_grad_step(state, objective, regularizer, cfg, eta):
+    """One proximal gradient step with stepsize ``eta`` (the unaccelerated baseline)."""
+    x, k = state.x, state.k
+    grad = objective.gradient(x)
+    subdiff = regularizer.subdiff_distance(grad, x) if k == 0 else None
+    x_new = regularizer.prox(x - eta * grad, eta)
+    step = float(np.linalg.norm(x_new - x))
+    F_new = objective.value(x_new) + regularizer.value(x_new)
+    return (SolverState(x_new, x_new, F_new, k + 1),
+            StepRecord(state.F, step / eta, step, k == 0, eta, eta, 0.0, F_new, False, subdiff))
 
 
-def _run_ag(objective, regularizer, cfg, x_init, record_iterates):
+def _ag_step(state, objective, regularizer, cfg, beta):
     """Classical accelerated gradient: two proximal updates per iteration.
 
     Same extrapolation and momentum schedule as the restart solver with
     restarts disabled, but ``x`` and ``y`` are updated through separate
     proximal steps instead of sharing one gradient-mapping evaluation.
     """
-    x = np.array(x_init, dtype=np.float64, copy=True)
-    beta, L = _resolve_beta(objective, cfg)
-    c = cfg.lambda_factor
-
-    builder = _TraceBuilder("ag", cfg.stepsize_mode, cfg.seed, L, record_iterates)
-    y = x.copy()
-    F_x = objective.value(x) + regularizer.value(x)
-    F_cap = 1e12 * (1.0 + abs(F_x))
-
-    for k in range(cfg.max_iters):
-        alpha = momentum_coefficient(k + 1, 0)
-        lam = beta * (1.0 + c * alpha)
-        z = y + alpha * (x - y)
-        grad_z = objective.gradient(z)
-        builder.gradient_calls += 1
-        if k == 0:
-            builder.open_period(0, F_x, regularizer.subdiff_distance(grad_z, x), x)
-        if record_iterates:
-            builder.iterates.append(x.copy())
-        gnorm = float(np.linalg.norm(gradient_mapping(regularizer, lam, z, grad_z)))
-        x_new = regularizer.prox(x - lam * grad_z, lam)
-        builder.prox_calls += 1
-        y_new = regularizer.prox(z - beta * grad_z, lam)
-        builder.prox_calls += 1
-        F_new = objective.value(x_new) + regularizer.value(x_new)
-        builder.add_row(F_x, gnorm, float(np.linalg.norm(x_new - x)), k == 0, lam, beta, alpha)
-        _guard_divergence(F_new, F_cap, builder, x)
-        x, y, F_x = x_new, y_new, F_new
-        if cfg.tolerance > 0.0 and gnorm <= cfg.tolerance:
-            break
-
-    if record_iterates:
-        builder.iterates.append(x.copy())
-    if not builder.periods and builder._open is None:
-        builder.open_period(0, F_x, regularizer.subdiff_distance(objective.gradient(x), x), x)
-    return builder.build(x, F_x)
+    x, y, k = state.x, state.y, state.k
+    alpha = momentum_coefficient(k + 1, 0)
+    lam = beta * (1.0 + cfg.lambda_factor * alpha)
+    z = y + alpha * (x - y)
+    grad_z = objective.gradient(z)
+    subdiff = regularizer.subdiff_distance(grad_z, x) if k == 0 else None
+    gnorm = float(np.linalg.norm(gradient_mapping(regularizer, lam, z, grad_z)))
+    x_new = regularizer.prox(x - lam * grad_z, lam)
+    y_new = regularizer.prox(z - beta * grad_z, lam)
+    F_new = objective.value(x_new) + regularizer.value(x_new)
+    step = float(np.linalg.norm(x_new - x))
+    return (SolverState(x_new, y_new, F_new, k + 1),
+            StepRecord(state.F, gnorm, step, k == 0, lam, beta, alpha, F_new, False, subdiff))
 
 
 def run_baseline(kind: str, objective, regularizer, cfg: SolverConfig, x_init,
@@ -505,12 +443,18 @@ def run_baseline(kind: str, objective, regularizer, cfg: SolverConfig, x_init,
     proximal gradient with stepsize 1/L.
     """
     if kind == "prox_grad":
-        return _run_prox_grad(objective, regularizer, cfg, x_init, record_iterates)
+        L = objective.lipschitz(cfg.seed)
+        if L <= 0:
+            raise ValueError("proximal gradient baseline needs a positive Lipschitz estimate")
+        return _drive(kind, _prox_grad_step, 1, 1.0 / L, L, objective, regularizer, cfg,
+                      x_init, record_iterates)
     if kind == "ag":
-        return _run_ag(objective, regularizer, cfg, x_init, record_iterates)
+        beta, L = _resolve_beta(objective, cfg)
+        return _drive(kind, _ag_step, 2, beta, L, objective, regularizer, cfg,
+                      x_init, record_iterates)
     if kind == "apg_never":
-        trace = run(objective, regularizer, replace(cfg, scheme=NeverRestart()), x_init,
-                    record_iterates)
-        trace.algorithm = "apg_never"
-        return trace
+        cfg = replace(cfg, scheme=NeverRestart())
+        beta, L = _resolve_beta(objective, cfg)
+        return _drive(kind, apg_restart_step, 1, beta, L, objective, regularizer, cfg,
+                      x_init, record_iterates)
     raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")

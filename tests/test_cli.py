@@ -142,6 +142,8 @@ def test_seed_override(tmp_path):
     (lambda d: d["solvers"][0].update(algorithm="sgd"), "solvers[0].algorithm"),
     (lambda d: d["solvers"][0]["scheme"].update(kind="sometimes"), "solvers[0].scheme.kind"),
     (lambda d: d["solvers"][0]["scheme"].update(q=0), "solvers[0].scheme"),
+    (lambda d: d["solvers"][0].update(stepsize_mode="custom", beta="fast"), "solvers[0].beta"),
+    (lambda d: d["solvers"][0].update(stepsize_mode="custom", beta=True), "solvers[0].beta"),
     (lambda d: d["problem"].update(objective="hinge"), "problem.objective"),
     (lambda d: d["problem"]["regularizer"].pop("mu"), "problem.regularizer.mu"),
     (lambda d: d["problem"]["dataset"].update(kind="surprise"), "problem.dataset.kind"),
@@ -205,12 +207,15 @@ def test_check_detects_injected_fault(tmp_path, monkeypatch, capsys):
     cfg = check_config(tmp_path)
     out = tmp_path / "out"
 
-    def corrupt(trace):
+    clean_run = cli.run
+
+    def corrupted_run(*args, **kwargs):
+        trace = clean_run(*args, **kwargs)
         if len(trace.periods) > 3:
             trace.F[trace.periods[2].checkpoint] += 10.0
         return trace
 
-    monkeypatch.setattr(cli, "_TRACE_HOOK", corrupt)
+    monkeypatch.setattr(cli, "run", corrupted_run)
     assert main(["check", "--config", cfg, "--out", str(out), "--quiet"]) == 1
     report = (out / "report.csv").read_text(encoding="utf-8")
     rows = [r for r in report.splitlines() if ",period_descent," in r]

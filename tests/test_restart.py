@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,8 +116,23 @@ def test_parameter_validation():
         GradientMappingRestart(tau=0.5)
     with pytest.raises(ValueError):
         NonMonotoneRestart(tau=-1.5)
-    with pytest.raises(ValueError):
-        FixedRestart(5, min_period=0)
+    for scheme in (FixedRestart(5), FunctionValueRestart(), GradientMappingRestart(),
+                   NonMonotoneRestart(), NeverRestart()):
+        with pytest.raises(ValueError, match="min_period"):
+            replace(scheme, min_period=0)
+
+
+@pytest.mark.parametrize("scheme, label", [
+    (FixedRestart(3), "fixed(q=3)"),
+    (FunctionValueRestart(), "function_value(rho=0.8)"),
+    (FunctionValueRestart(rho=1), "function_value(rho=1)"),
+    (GradientMappingRestart(), "gradient_mapping(tau=-0.2)"),
+    (NonMonotoneRestart(tau=0.0), "non_monotone(tau=0.0)"),
+    (NeverRestart(), "never"),
+])
+def test_scheme_labels(scheme, label):
+    # the labels name the scheme in summary.csv, compare.csv and restart_counts.csv
+    assert scheme.label == label
 
 
 # --- behavior inside real runs ----------------------------------------------

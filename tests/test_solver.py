@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -190,11 +191,16 @@ def test_period_path_lengths_recomputable(small_quadratic):
             np.sqrt(trace.period_step_sq_sum(t)), abs=1e-12)
 
 
-def test_divergence_guard_carries_partial_trace(small_quadratic):
+@pytest.mark.parametrize("algorithm", ["apg_restart", "ag", "apg_never"])
+def test_divergence_guard_carries_partial_trace(small_quadratic, algorithm):
     cfg = SolverConfig(max_iters=2000, stepsize_mode="custom", beta=1e9)
     with pytest.raises(DivergenceError) as info:
-        run(small_quadratic, Zero(), cfg, np.ones(6))
+        if algorithm == "apg_restart":
+            run(small_quadratic, Zero(), cfg, np.ones(6))
+        else:
+            run_baseline(algorithm, small_quadratic, Zero(), cfg, np.ones(6))
     assert len(info.value.trace) >= 1
+    assert info.value.trace.algorithm == algorithm
 
 
 def test_experiment_mode_uses_unit_beta(small_quadratic):
@@ -283,3 +289,53 @@ def test_restart_iterations_reuse_the_forward_product(small_quadratic, monkeypat
     run(small_quadratic, Zero(), cfg, np.ones(6))
     assert counts == {"forward": 2 * n_iters + 1 - math.ceil(n_iters / q),
                       "transposed": n_iters}
+
+
+def _trace_fingerprint(trace):
+    h = hashlib.sha256()
+    for name in ("F", "grad_map_norm", "step_norm", "restart_flags", "lam", "beta",
+                 "alpha_next", "final_x"):
+        h.update(getattr(trace, name).tobytes())
+    for period, point in zip(trace.periods, trace.checkpoint_points, strict=True):
+        h.update(np.array([period.t, period.checkpoint], dtype=np.int64).tobytes())
+        h.update(np.array([period.F, period.path_length, period.subdiff_dist]).tobytes())
+        h.update(point.tobytes())
+    h.update(np.array([trace.final_F, trace.lipschitz]).tobytes())
+    h.update(np.array([trace.prox_calls, trace.gradient_calls], dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+BASELINE_FINGERPRINTS = {
+    ("prox_grad", "theory", 0.0):
+        "f252b14b470c41ae9c72683e1e4253a50628dd944399b684ce34dadb914bcab2",
+    ("prox_grad", "theory", 0.001):
+        "e10b2d6b946306c7feb3bd05c8f350b46ba7a8213516cc58315347d385fca1df",
+    ("prox_grad", "experiment", 0.0):
+        "f252b14b470c41ae9c72683e1e4253a50628dd944399b684ce34dadb914bcab2",
+    ("prox_grad", "experiment", 0.001):
+        "e10b2d6b946306c7feb3bd05c8f350b46ba7a8213516cc58315347d385fca1df",
+    ("ag", "theory", 0.0):
+        "de2a80dded07e93b36ec3f9d095d19c3aa4d20876c0d8e70a76d50d4cfad8b3f",
+    ("ag", "theory", 0.001):
+        "3df9665be566e4236a67915d68e370392d65435944a606e84e55c13078d60671",
+    ("ag", "experiment", 0.0):
+        "e5425cbd32b944f8b47562e4ca3668b3a93efe09751c1f5be0e48e75c0b1653e",
+    ("ag", "experiment", 0.001):
+        "9ff1c1908b1360d6717320c1cc583b500d54d54061c679f023ec264609e72b0b",
+    ("apg_never", "theory", 0.0):
+        "a7d18f30390d478d03974bf0f24ab30fbd8fcd6775f618c7a1b1084c6fc8e1d0",
+    ("apg_never", "theory", 0.001):
+        "ab5e7fa9f871b8d879c226309736af5e6c0ee0d4e156efd73f652d72ba0696a3",
+    ("apg_never", "experiment", 0.0):
+        "8ea2ade8bc33f9a5baed42eb2cc59c744cc1d2e563fd417ac723e7af81260fa5",
+    ("apg_never", "experiment", 0.001):
+        "47b4b699f5586829bde29cdea5acf4f6a6af28ea55ce567e2164e4e9108792b9",
+}
+
+
+@pytest.mark.parametrize("kind, mode, tolerance", sorted(BASELINE_FINGERPRINTS))
+def test_baseline_traces_are_pinned(small_quadratic, kind, mode, tolerance):
+    # bit-for-bit pins of every trace column, period and counter of the baselines
+    cfg = SolverConfig(max_iters=200, stepsize_mode=mode, tolerance=tolerance)
+    trace = run_baseline(kind, small_quadratic, L1(0.02), cfg, np.ones(6))
+    assert _trace_fingerprint(trace) == BASELINE_FINGERPRINTS[kind, mode, tolerance]
