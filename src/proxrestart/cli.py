@@ -30,7 +30,7 @@ from . import dataio, objectives, regularizers, restart
 from .diagnostics import check_invariants, path_length_summary
 from .solver import BASELINES, DivergenceError, SolverConfig, run, run_baseline
 
-__all__ = ["ConfigError", "load_config", "run_experiment", "check_experiment",
+__all__ = ["ConfigError", "DataError", "load_config", "run_experiment", "check_experiment",
            "compare_experiment", "main"]
 
 SCHEMA_VERSION = 1
@@ -42,6 +42,10 @@ SUMMARY_COLUMNS = ("solver", "algorithm", "scheme", "stepsize_mode", "seed",
 
 class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
+
+
+class DataError(ValueError):
+    """Unusable problem data (malformed file, wrong labels); the message names the source."""
 
 
 def _fmt(value) -> str:
@@ -99,19 +103,23 @@ def _parse_scheme(node, path):
     kind = _require(node, "kind", path, str)
     if kind not in _SCHEME_KINDS:
         raise ConfigError(f"{path}.kind: unknown scheme {kind!r}; expected one of {_SCHEME_KINDS}")
+
+    def field(key, types, default):
+        return _require(node, key, path, types, default=default, required=False)
+
     try:
         if kind == "fixed":
             q = _require(node, "q", path, int)
-            return restart.FixedRestart(q, min_period=node.get("min_period", 1))
+            return restart.FixedRestart(q, min_period=field("min_period", int, 1))
         if kind == "function_value":
             return restart.FunctionValueRestart(
-                rho=node.get("rho", 0.8), min_period=node.get("min_period", 2))
+                rho=field("rho", _NUM, 0.8), min_period=field("min_period", int, 2))
         if kind == "gradient_mapping":
             return restart.GradientMappingRestart(
-                tau=node.get("tau", -0.2), min_period=node.get("min_period", 2))
+                tau=field("tau", _NUM, -0.2), min_period=field("min_period", int, 2))
         if kind == "non_monotone":
             return restart.NonMonotoneRestart(
-                tau=node.get("tau", -0.2), min_period=node.get("min_period", 2))
+                tau=field("tau", _NUM, -0.2), min_period=field("min_period", int, 2))
         return restart.NeverRestart()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -153,8 +161,10 @@ class SolverSpec:
         self.max_iters = _require(node, "max_iters", path, int)
         self.tolerance = float(_require(node, "tolerance", path, _NUM, default=0.0, required=False))
         seeds = _require(node, "seeds", path, list)
-        if not seeds or not all(isinstance(s, int) for s in seeds):
-            raise ConfigError(f"{path}.seeds: must be a nonempty list of integers")
+        # numpy generators take nonnegative seeds only
+        if not seeds or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                                for s in seeds):
+            raise ConfigError(f"{path}.seeds: must be a nonempty list of nonnegative integers")
         self.seeds = list(seeds)
         try:
             self.solver_config(seeds[0])
@@ -175,6 +185,9 @@ class ProblemSpec:
         if self.objective not in _OBJECTIVES:
             raise ConfigError(f"{path}.objective: unknown objective {self.objective!r}")
         self.alpha = float(_require(node, "alpha", path, _NUM, default=0.01, required=False))
+        # only the logistic objective reads alpha
+        if self.objective == "logistic_ncvx" and self.alpha < 0:
+            raise ConfigError(f"{path}.alpha: must be nonnegative (got {self.alpha!r})")
         self.regularizer = _parse_regularizer(node.get("regularizer"), f"{path}.regularizer")
         ds = _require(node, "dataset", path, dict)
         dpath = f"{path}.dataset"
@@ -186,6 +199,8 @@ class ProblemSpec:
             self.n = _require(ds, "n", dpath, int)
             self.d = _require(ds, "d", dpath, int)
             self.dataset_seed = _require(ds, "seed", dpath, int, default=None, required=False)
+            if self.dataset_seed is not None and self.dataset_seed < 0:
+                raise ConfigError(f"{dpath}.seed: must be nonnegative (got {self.dataset_seed})")
             if self.n < 1 or self.d < 1:
                 raise ConfigError(f"{dpath}: n and d must be >= 1")
         elif self.source == "libsvm":
@@ -196,13 +211,28 @@ class ProblemSpec:
         else:
             raise ConfigError(f"{dpath}.source: expected 'synthetic' or 'libsvm'")
 
-    def dataset(self, seed: int) -> dataio.Dataset:
-        """Resolve the dataset for a cell; synthetic sources regenerate per seed."""
-        if self.source == "libsvm":
-            return dataio.load_libsvm(self.path, expected_dim=self.expected_dim)
-        use_seed = self.dataset_seed if self.dataset_seed is not None else seed
-        generated = dataio.generate_synthetic(self.kind, self.n, self.d, use_seed)
-        return generated[0] if isinstance(generated, tuple) else generated
+    def instance(self, seed: int):
+        """Build the ``(dataset, objective)`` pair for a cell.
+
+        A libsvm source is parsed from its file; a synthetic one is
+        generated at the config's ``dataset.seed`` if set, else at the cell
+        seed. Each call builds a fresh instance.
+
+        Raises :class:`DataError` naming the source when the data cannot
+        be read or does not suit the objective.
+        """
+        try:
+            if self.source == "libsvm":
+                source = self.path
+                ds = dataio.load_libsvm(self.path, expected_dim=self.expected_dim)
+            else:
+                seed = self.dataset_seed if self.dataset_seed is not None else seed
+                source = f"synthetic {self.kind} {self.n}x{self.d} seed {seed}"
+                ds = dataio.generate_synthetic(self.kind, self.n, self.d, seed)
+                ds = ds[0] if isinstance(ds, tuple) else ds
+            return ds, self.build_objective(ds)
+        except (OSError, ValueError) as exc:
+            raise DataError(f"{source}: {exc}") from None
 
     def build_objective(self, dataset: dataio.Dataset):
         if self.objective == "logistic_ncvx":
@@ -244,8 +274,7 @@ def load_config(path) -> ExperimentConfig:
 # execution
 
 def _run_cell(config: ExperimentConfig, spec: SolverSpec, seed: int):
-    dataset = config.problem.dataset(seed)
-    objective = config.problem.build_objective(dataset)
+    dataset, objective = config.problem.instance(seed)
     x_init = np.zeros(dataset.n_cols)
     cfg = spec.solver_config(seed)
     if spec.algorithm == "apg_restart":
@@ -383,6 +412,8 @@ def main(argv=None) -> int:
                        help="run every solver with this single seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
+    if args.seed_override is not None and args.seed_override < 0:
+        parser.error(f"--seed-override: must be nonnegative (got {args.seed_override})")
 
     try:
         config = load_config(args.config)
@@ -392,6 +423,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ and one 200x30 instance per kind ships with the package.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from dataclasses import dataclass
 
@@ -169,12 +170,24 @@ def dump_libsvm(dataset: Dataset, path) -> None:
         fh.write(serialize_libsvm(dataset))
 
 
-@dataclass(frozen=True)
 class LassoGroundTruth:
-    """Reference solution of a generated lasso instance."""
+    """Reference solution of a generated lasso instance.
 
-    x_ref: np.ndarray
-    l1_weight: float
+    ``x_ref`` minimises the instance's least squares + ``L1(l1_weight)``
+    objective. It comes from a long proximal gradient run that is made on
+    the first read of ``x_ref`` and cached, so later reads return the same
+    array and callers that never read it pay nothing. The arguments are
+    keyword-only, so a call in the old ``(x_ref, l1_weight)`` form fails
+    at once.
+    """
+
+    def __init__(self, *, dataset: Dataset, l1_weight: float):
+        self.dataset = dataset
+        self.l1_weight = l1_weight
+
+    @functools.cached_property
+    def x_ref(self) -> np.ndarray:
+        return _lasso_reference(self.dataset, self.l1_weight)
 
 
 def _sparse_gaussian(rng, n, d, density, scale) -> np.ndarray:
@@ -257,10 +270,11 @@ def generate_synthetic(kind: str, n: int, d: int, seed: int, *,
         made for (regression).
     ``"lasso_known"``
         A least-squares + L1 instance with spectrum spread over
-        ``[1/condition, 1]``. Returns ``(dataset, LassoGroundTruth)``
-        where the reference solution comes from a long proximal gradient
-        run; every other kind returns just the dataset. ``l1_weight``
-        defaults to 5% of the smallest weight that zeroes the solution.
+        ``[1/condition, 1]``. Returns ``(dataset, LassoGroundTruth)``;
+        every other kind returns just the dataset. The reference solution
+        is solved, by a long proximal gradient run, on the first read of
+        ``truth.x_ref``. ``l1_weight`` defaults to 5% of the smallest
+        weight that zeroes the solution.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
@@ -280,8 +294,7 @@ def generate_synthetic(kind: str, n: int, d: int, seed: int, *,
                      f"lasso_known-{n}x{d}-seed{seed}", "regression")
         if l1_weight is None:
             l1_weight = 0.05 * float(np.max(np.abs(A.T @ b))) / n
-        x_ref = _lasso_reference(ds, l1_weight)
-        return ds, LassoGroundTruth(x_ref, l1_weight)
+        return ds, LassoGroundTruth(dataset=ds, l1_weight=l1_weight)
     raise ValueError(f"unknown synthetic kind {kind!r}; expected one of {SYNTHETIC_KINDS}")
 
 

@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 import proxrestart.cli as cli
+import proxrestart.dataio as dataio
 from proxrestart.cli import (
     ConfigError,
     SUMMARY_COLUMNS,
@@ -129,6 +130,29 @@ def test_seed_override(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--seed-override", "9", "--quiet"]) == 0
     assert sorted(f for f in os.listdir(out) if f.startswith("demo")) == ["demo_seed9.csv"]
+    for bad in ("-1", "x"):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", cfg, "--out", str(out), "--seed-override", bad, "--quiet"])
+        assert info.value.code == 2
+
+
+def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,)):
+    doc = base_config()
+    doc["problem"]["dataset"] = {"source": "libsvm", "path": str(path)}
+    doc["problem"]["objective"] = objective
+    doc["solvers"][0].update({"max_iters": 30, "seeds": list(seeds)})
+    return write_config(tmp_path, doc)
+
+
+def test_check_never_solves_a_lasso_reference(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(dataio, "_lasso_reference", lambda *args: calls.append(args))
+    doc = base_config()
+    doc["problem"]["dataset"] = {"source": "synthetic", "kind": "lasso_known", "n": 40, "d": 8}
+    doc["solvers"][0].update({"max_iters": 40, "seeds": [0, 1]})
+    cfg = write_config(tmp_path, doc)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert calls == []
 
 
 # --- config validation ----------------------------------------------------------
@@ -144,6 +168,13 @@ def test_seed_override(tmp_path):
     (lambda d: d["solvers"][0]["scheme"].update(q=0), "solvers[0].scheme"),
     (lambda d: d["solvers"][0].update(stepsize_mode="custom", beta="fast"), "solvers[0].beta"),
     (lambda d: d["solvers"][0].update(stepsize_mode="custom", beta=True), "solvers[0].beta"),
+    (lambda d: d["solvers"][0].update(scheme={"kind": "function_value", "rho": "fast"}),
+     "solvers[0].scheme.rho"),
+    (lambda d: d["solvers"][0]["scheme"].update(min_period="x"), "solvers[0].scheme.min_period"),
+    (lambda d: d["solvers"][0].update(seeds=[True]), "solvers[0].seeds: must be"),
+    (lambda d: d["solvers"][0].update(seeds=[1, -1]), "solvers[0].seeds: must be a nonempty"),
+    (lambda d: d["problem"]["dataset"].update(seed=-3), "problem.dataset.seed"),
+    (lambda d: d["problem"].update(objective="logistic_ncvx", alpha=-1.0), "problem.alpha"),
     (lambda d: d["problem"].update(objective="hinge"), "problem.objective"),
     (lambda d: d["problem"]["regularizer"].pop("mu"), "problem.regularizer.mu"),
     (lambda d: d["problem"]["dataset"].update(kind="surprise"), "problem.dataset.kind"),
@@ -160,12 +191,38 @@ def test_config_errors_name_the_field(tmp_path, mutate, fragment):
     assert fragment in str(info.value)
 
 
+def test_alpha_is_checked_only_where_it_is_read(tmp_path):
+    doc = base_config()
+    doc["problem"]["alpha"] = -1.0  # the quadratic objective ignores alpha
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
 def test_invalid_config_exit_code(tmp_path, capsys):
     doc = base_config()
     doc["solvers"] = []
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,objective,fragment", [
+    ("1 1:0.5\n-1 2:a\n", "quadratic", "line 2: nonnumeric value in token '2:a'"),
+    ("1 1:0.5\n0 2:1.0\n", "logistic_ncvx", "logistic labels must be -1 or +1"),
+    (None, "quadratic", "Is a directory"),
+], ids=["bad_token", "wrong_labels", "directory"])
+def test_bad_data_exit_code(tmp_path, capsys, text, objective, fragment):
+    path = tmp_path / "bad.libsvm"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text, encoding="utf-8")
+    cfg = libsvm_config(tmp_path, path, objective=objective)
+    for command in ("run", "check"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+        assert fragment in err
 
 
 def test_duplicate_solver_names_rejected(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -16,6 +17,7 @@ from proxrestart import (
     run,
     serialize_libsvm,
 )
+import proxrestart.dataio as dataio
 from proxrestart.dataio import SYNTHETIC_KINDS, fixture_dataset, fixture_path, load_libsvm
 
 
@@ -134,6 +136,33 @@ def test_lasso_reference_is_stationary():
     obj = QuadraticObjective(ds.features, ds.labels)
     reg = L1(truth.l1_weight)
     assert reg.subdiff_distance(obj.gradient(truth.x_ref), truth.x_ref) <= 1e-8
+
+
+def test_lasso_reference_is_solved_once_on_first_read(monkeypatch):
+    calls = []
+    solve = dataio._lasso_reference
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(dataio, "_lasso_reference", counting)
+    ds, truth = generate_synthetic("lasso_known", 40, 8, seed=3)
+    assert calls == []
+    first = truth.x_ref
+    assert truth.x_ref is first
+    assert len(calls) == 1
+    assert calls[0][0] is ds and calls[0][1] == truth.l1_weight
+    with pytest.raises(TypeError):
+        dataio.LassoGroundTruth(first, truth.l1_weight)  # the old (x_ref, l1_weight) form
+
+
+def test_lasso_reference_bits_are_pinned():
+    # taken from the eager solve, so the lazy one must give the same bits
+    _, truth = generate_synthetic("lasso_known", 200, 30, seed=0)
+    assert truth.l1_weight == float.fromhex("0x1.1528925de34d3p-5")
+    assert hashlib.sha256(truth.x_ref.tobytes()).hexdigest() == (
+        "23effd358db2b6b3748537eb6a09bc5bd60bc1d361dc6999a755760c7b09a867")
 
 
 def test_load_libsvm_reads_files(tmp_path):
