@@ -211,6 +211,15 @@ class ProblemSpec:
         else:
             raise ConfigError(f"{dpath}.source: expected 'synthetic' or 'libsvm'")
 
+    def _data_seed(self, seed: int) -> int:
+        return self.dataset_seed if self.dataset_seed is not None else seed
+
+    def describe(self, seed: int) -> str:
+        """Name the data a cell with this seed runs on, for error messages."""
+        if self.source == "libsvm":
+            return self.path
+        return f"synthetic {self.kind} {self.n}x{self.d} seed {self._data_seed(seed)}"
+
     def instance(self, seed: int):
         """Build the ``(dataset, objective)`` pair for a cell.
 
@@ -223,16 +232,13 @@ class ProblemSpec:
         """
         try:
             if self.source == "libsvm":
-                source = self.path
                 ds = dataio.load_libsvm(self.path, expected_dim=self.expected_dim)
             else:
-                seed = self.dataset_seed if self.dataset_seed is not None else seed
-                source = f"synthetic {self.kind} {self.n}x{self.d} seed {seed}"
-                ds = dataio.generate_synthetic(self.kind, self.n, self.d, seed)
+                ds = dataio.generate_synthetic(self.kind, self.n, self.d, self._data_seed(seed))
                 ds = ds[0] if isinstance(ds, tuple) else ds
             return ds, self.build_objective(ds)
         except (OSError, ValueError) as exc:
-            raise DataError(f"{source}: {exc}") from None
+            raise DataError(f"{self.describe(seed)}: {exc}") from None
 
     def build_objective(self, dataset: dataio.Dataset):
         if self.objective == "logistic_ncvx":
@@ -277,6 +283,13 @@ def _run_cell(config: ExperimentConfig, spec: SolverSpec, seed: int):
     dataset, objective = config.problem.instance(seed)
     x_init = np.zeros(dataset.n_cols)
     cfg = spec.solver_config(seed)
+    # theory stepsizes and prox_grad divide by L; an all-zero matrix under
+    # the quadratic or robust loss gives L = 0 (cached, so no extra work)
+    if spec.stepsize_mode == "theory" or spec.algorithm == "prox_grad":
+        L = objective.lipschitz(seed)
+        if L <= 0:
+            raise DataError(f"{config.problem.describe(seed)}: gradient Lipschitz estimate "
+                            f"is {L!r}; solver {spec.name!r} needs a positive one")
     if spec.algorithm == "apg_restart":
         return run(objective, config.problem.regularizer, cfg, x_init)
     return run_baseline(spec.algorithm, objective, config.problem.regularizer, cfg, x_init)

@@ -19,6 +19,15 @@ curvature bounds of each loss with a power-iteration estimate of
 solver's theory stepsizes assume one. Certifying it is an open item in
 ``ROADMAP.md``.
 
+The logistic loss is evaluated as ``log(1 + e^t) = max(t, 0) +
+log1p(e^(-|t|))`` with ``t = -b * (A x)``, which is stable for both signs
+of ``t`` and runs on numpy's vectorised ``exp`` and ``log1p`` loops
+(``np.logaddexp`` computes the same identity one scalar at a time through
+libm). Its value may differ from ``np.logaddexp`` by a few ulps, and which
+SIMD loop numpy dispatches to depends on the CPU: ``F`` is the same across
+reruns on one machine but not across CPUs. The logistic gradient goes
+through ``scipy.special.expit`` and does not depend on that dispatch.
+
 Each objective remembers the last product ``A @ x`` it computed, keyed by
 the exact bytes of ``x``. The solvers ask for the gradient at the point
 whose value they just computed (every restart and every proximal-gradient
@@ -100,6 +109,12 @@ class LogisticObjective(_DataObjective):
 
     Labels must be -1/+1. ``alpha`` is the nonconvex penalty weight; with
     ``alpha = 0`` this is plain averaged logistic regression.
+
+    Each loss term is computed as ``max(t, 0) + log1p(exp(-|t|))`` with
+    ``t = -b_i <a_i, x>``. The value can differ from ``np.logaddexp`` by a
+    few ulps and depends on numpy's SIMD dispatch for ``exp``/``log1p``, so
+    it is reproducible on one machine but not across CPUs; the gradient
+    (``expit``) does not depend on it.
     """
 
     def __init__(self, A: CsrMatrix, labels, alpha: float = 0.01):
@@ -109,19 +124,25 @@ class LogisticObjective(_DataObjective):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         self.alpha = float(alpha)
+        self._neg_b = -self.b  # t = -b * Ax has the bits of -(b * Ax)
 
     def value(self, x) -> float:
         x = self._check_x(x)
-        margins = self.b * self._Ax(x)
-        # log(1 + exp(-m)) evaluated stably for both signs of m.
-        loss = float(np.logaddexp(0.0, -margins).sum()) / self.n
+        t = self._neg_b * self._Ax(x)
+        # log(1 + e^t) = max(t, 0) + log1p(e^-|t|), stable for both signs of
+        # t; computed in place so the 50 000-row case keeps two temporaries
+        loss = np.abs(t)
+        np.negative(loss, out=loss)
+        np.exp(loss, out=loss)
+        np.log1p(loss, out=loss)
+        loss += np.maximum(t, 0.0, out=t)
         xsq = x * x
-        return loss + self.alpha * float((xsq / (1.0 + xsq)).sum())
+        return float(loss.sum()) / self.n + self.alpha * float((xsq / (1.0 + xsq)).sum())
 
     def gradient(self, x) -> np.ndarray:
         x = self._check_x(x)
-        margins = self.b * self._Ax(x)
-        w = -self.b * expit(-margins)
+        w = expit(self._neg_b * self._Ax(x))
+        w *= self._neg_b
         grad = spmv_transpose(self.A, w) / self.n
         grad += self.alpha * 2.0 * x / (1.0 + x * x) ** 2
         return grad

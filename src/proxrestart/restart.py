@@ -25,6 +25,7 @@ are degenerate, so the adaptive schemes default to ``min_period = 2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,9 @@ def _cosine_fire(a: np.ndarray, b: np.ndarray, tau: float) -> bool:
     A zero factor leaves the angle undefined; that must not trigger a
     reset, so the predicate returns False.
     """
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    # the bits of np.linalg.norm without its dispatch overhead
+    na = math.sqrt(a.dot(a))
+    nb = math.sqrt(b.dot(b))
     if na == 0.0 or nb == 0.0:
         return False
     return float(np.dot(a, b)) >= tau * na * nb

@@ -176,6 +176,15 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array, with the bits of ``np.linalg.norm``.
+
+    ``np.linalg.norm`` computes ``sqrt(v.dot(v))`` too, and both square
+    roots are correctly rounded; this form skips its dispatch overhead.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def momentum_coefficient(k: int, checkpoint: int) -> float:
     """Momentum weight 2 / (k - checkpoint + 2); equals 1 at the checkpoint."""
     if k < checkpoint:
@@ -258,16 +267,16 @@ def apg_restart_step(state: SolverState, objective, regularizer,
     if restarted:
         # z == x at a checkpoint, so grad_z doubles as the gradient at the
         # checkpoint iterate and the stationarity diagnostics come free.
-        gnorm = float(np.linalg.norm(G))
+        gnorm = _norm(G)
         subdiff = regularizer.subdiff_distance(grad_z, x)
     else:
-        gnorm = float(np.linalg.norm(gradient_mapping(regularizer, lam, z, grad_z)))
+        gnorm = _norm(gradient_mapping(regularizer, lam, z, grad_z))
         subdiff = None
 
     x_new = x - lam * G
     y_new = z - beta * G
     F_new = objective.value(x_new) + regularizer.value(x_new)
-    step = float(np.linalg.norm(x_new - x))
+    step = _norm(x_new - x)
 
     fire = cfg.scheme.should_restart(RestartObservation(
         k=k, since_restart=k - checkpoint, F_curr=F_new, F_prev=F_x,
@@ -405,7 +414,7 @@ def _prox_grad_step(state, objective, regularizer, cfg, eta):
     grad = objective.gradient(x)
     subdiff = regularizer.subdiff_distance(grad, x) if k == 0 else None
     x_new = regularizer.prox(x - eta * grad, eta)
-    step = float(np.linalg.norm(x_new - x))
+    step = _norm(x_new - x)
     F_new = objective.value(x_new) + regularizer.value(x_new)
     return (SolverState(x_new, x_new, F_new, k + 1),
             StepRecord(state.F, step / eta, step, k == 0, eta, eta, 0.0, F_new, False, subdiff))
@@ -424,11 +433,11 @@ def _ag_step(state, objective, regularizer, cfg, beta):
     z = y + alpha * (x - y)
     grad_z = objective.gradient(z)
     subdiff = regularizer.subdiff_distance(grad_z, x) if k == 0 else None
-    gnorm = float(np.linalg.norm(gradient_mapping(regularizer, lam, z, grad_z)))
+    gnorm = _norm(gradient_mapping(regularizer, lam, z, grad_z))
     x_new = regularizer.prox(x - lam * grad_z, lam)
     y_new = regularizer.prox(z - beta * grad_z, lam)
     F_new = objective.value(x_new) + regularizer.value(x_new)
-    step = float(np.linalg.norm(x_new - x))
+    step = _norm(x_new - x)
     return (SolverState(x_new, y_new, F_new, k + 1),
             StepRecord(state.F, gnorm, step, k == 0, lam, beta, alpha, F_new, False, subdiff))
 

@@ -136,11 +136,11 @@ def test_seed_override(tmp_path):
         assert info.value.code == 2
 
 
-def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,)):
+def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solver):
     doc = base_config()
     doc["problem"]["dataset"] = {"source": "libsvm", "path": str(path)}
     doc["problem"]["objective"] = objective
-    doc["solvers"][0].update({"max_iters": 30, "seeds": list(seeds)})
+    doc["solvers"][0].update({"max_iters": 30, "seeds": list(seeds)}, **solver)
     return write_config(tmp_path, doc)
 
 
@@ -206,19 +206,28 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text,objective,fragment", [
-    ("1 1:0.5\n-1 2:a\n", "quadratic", "line 2: nonnumeric value in token '2:a'"),
-    ("1 1:0.5\n0 2:1.0\n", "logistic_ncvx", "logistic labels must be -1 or +1"),
-    (None, "quadratic", "Is a directory"),
-], ids=["bad_token", "wrong_labels", "directory"])
-def test_bad_data_exit_code(tmp_path, capsys, text, objective, fragment):
+ZERO_LIPSCHITZ = "gradient Lipschitz estimate is 0.0; solver 'demo' needs a positive one"
+
+
+@pytest.mark.parametrize("text,objective,solver,fragment", [
+    ("1 1:0.5\n-1 2:a\n", "quadratic", {}, "line 2: nonnumeric value in token '2:a'"),
+    ("1 1:0.5\n0 2:1.0\n", "logistic_ncvx", {}, "logistic labels must be -1 or +1"),
+    (None, "quadratic", {}, "Is a directory"),
+    ("1 1:0\n-1 2:0\n", "quadratic", {}, ZERO_LIPSCHITZ),
+    ("1 1:0\n-1 2:0\n", "quadratic", {"algorithm": "prox_grad", "stepsize_mode": "experiment"},
+     ZERO_LIPSCHITZ),
+], ids=["bad_token", "wrong_labels", "directory", "zero_lipschitz_theory",
+        "zero_lipschitz_prox_grad"])
+def test_bad_data_exit_code(tmp_path, capsys, text, objective, solver, fragment):
     path = tmp_path / "bad.libsvm"
     if text is None:
         path.mkdir()
     else:
         path.write_text(text, encoding="utf-8")
-    cfg = libsvm_config(tmp_path, path, objective=objective)
-    for command in ("run", "check"):
+    cfg = libsvm_config(tmp_path, path, objective=objective, **solver)
+    # check runs theory-mode solvers only
+    commands = ("run", "check") if solver.get("stepsize_mode", "theory") == "theory" else ("run",)
+    for command in commands:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1

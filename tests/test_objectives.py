@@ -1,12 +1,20 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
 from oracles import fd_gradient
 from proxrestart import (
+    L1,
     CsrMatrix,
+    GradientMappingRestart,
     LogisticObjective,
     QuadraticObjective,
     RobustRegressionObjective,
+    SolverConfig,
+    generate_synthetic,
+    run,
     spmv,
 )
 
@@ -140,6 +148,74 @@ def test_logistic_value_stable_on_extreme_margins():
     assert np.isfinite(obj.value(np.array([5000.0])))
     assert obj.value(np.array([-5000.0])) == pytest.approx(5000.0, rel=1e-12)
     assert np.all(np.isfinite(obj.gradient(np.array([5000.0]))))
+
+
+def logistic_with_margins(margins):
+    """Plain logistic objective whose margins ``b * A x`` at ``x = [1]`` are ``margins``.
+
+    Row ``i`` holds ``|m_i|`` and its label is the sign of ``m_i``, so the
+    margins come out exactly, signed zeros included.
+    """
+    margins = np.asarray(margins, dtype=np.float64)
+    labels = np.where(np.signbit(margins), -1.0, 1.0)
+    obj = LogisticObjective(CsrMatrix.from_dense(np.abs(margins)[:, None]), labels, alpha=0.0)
+    assert (labels * spmv(obj.A, np.ones(1))).tobytes() == margins.tobytes()
+    return obj
+
+
+EXTREME_MARGINS = [0.0, 1e-300, 36.7, 40.0, 700.0, 5000.0]
+
+
+@pytest.mark.parametrize("margin", [s * m for m in EXTREME_MARGINS for s in (1.0, -1.0)])
+def test_logistic_value_matches_logaddexp_on_extreme_margins(margin):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logistic_with_margins([margin]).value(np.ones(1))
+        want = float(np.logaddexp(0.0, -margin))
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_logistic_value_matches_logaddexp_on_random_margins():
+    rng = np.random.default_rng(2024)
+    margins = np.concatenate([
+        rng.standard_normal(4000) * 3.0,
+        rng.standard_normal(3000) * 300.0,
+        rng.uniform(-1e-8, 1e-8, 3000),
+        [s * m for m in EXTREME_MARGINS for s in (1.0, -1.0)],
+    ])
+    assert len(margins) == 10_012
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logistic_with_margins(margins).value(np.ones(1))
+        want = float(np.logaddexp(0.0, -margins).sum()) / len(margins)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def _logistic_sep_objective():
+    ds = generate_synthetic("logistic_sep", 200, 30, 0)
+    return LogisticObjective(ds.features, ds.labels, alpha=0.01)
+
+
+def test_logistic_gradient_bits_are_pinned():
+    # the gradient keeps its exact bits whatever happens to the loss value
+    obj = _logistic_sep_objective()
+    rng = np.random.default_rng(1)
+    h = hashlib.sha256()
+    for x in (np.zeros(30), rng.standard_normal(30), 50.0 * rng.standard_normal(30)):
+        h.update(obj.gradient(x).tobytes())
+    assert h.hexdigest() == "a1d72d94233a627828bbd6c5802231004d387012d8f3a9d4fe4960a5eac7f776"
+
+
+def test_logistic_run_iterates_are_pinned():
+    # F may move by a few ulps with the loss formula; the iterates, step
+    # and gradient-mapping norms and the restart decisions must not
+    cfg = SolverConfig(max_iters=400, stepsize_mode="experiment", scheme=GradientMappingRestart())
+    trace = run(_logistic_sep_objective(), L1(1e-3), cfg, np.zeros(30))
+    h = hashlib.sha256()
+    for name in ("final_x", "grad_map_norm", "step_norm", "restart_flags"):
+        h.update(getattr(trace, name).tobytes())
+    assert trace.num_restarts == 198
+    assert h.hexdigest() == "b025a7d85b9fb0770aa5f25774f52ed513c39409ca32da1c0c2a366a9c23e577"
 
 
 def test_quadratic_value_and_gradient_consistent(rng):

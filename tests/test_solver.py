@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxrestart import (
     CsrMatrix,
     DivergenceError,
     FixedRestart,
+    FunctionValueRestart,
+    GradientMappingRestart,
     L1,
     NeverRestart,
+    NonMonotoneRestart,
     QuadraticObjective,
     SolverConfig,
     SolverState,
@@ -244,6 +249,62 @@ def test_step_restart_branch(small_quadratic):
     assert not plain_rec.restarted and plain_rec.checkpoint_subdiff is None
     assert plain_state.period == 0 and plain_state.checkpoint == 0
     assert plain_rec.alpha_next == 0.5  # 2 / (k - checkpoint + 3) at k = 1
+
+
+class RecordingScheme:
+    """Delegates to ``inner`` and keeps every observation it is shown."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def should_restart(self, obs):
+        self.seen.append(obs)
+        return self.inner.should_restart(obs)
+
+
+SCHEMES = st.one_of(
+    st.integers(1, 12).map(FixedRestart),
+    st.floats(0.5, 1.0).map(lambda rho: FunctionValueRestart(rho=rho)),
+    st.floats(-1.0, 0.0).map(lambda tau: GradientMappingRestart(tau=tau)),
+    st.floats(-1.0, 0.0).map(lambda tau: NonMonotoneRestart(tau=tau)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), SCHEMES, st.floats(0.0, 1.0))
+def test_restart_branch_queries_at_the_iterate(seed, scheme, lambda_factor):
+    rng = np.random.default_rng(seed)
+    objective = QuadraticObjective(CsrMatrix.from_dense(rng.standard_normal((12, 4))),
+                                   rng.standard_normal(12))
+    recorder = RecordingScheme(scheme)
+    cfg = SolverConfig(max_iters=40, stepsize_mode="theory", lambda_factor=lambda_factor,
+                       scheme=recorder)
+    trace = run(objective, L1(0.01), cfg, rng.standard_normal(4))
+    assert len(recorder.seen) == len(trace) and trace.restart_flags[0]
+    for restarted, obs in zip(trace.restart_flags, recorder.seen):
+        if restarted:
+            assert obs.z_k.tobytes() == obs.x_k.tobytes()
+            assert obs.y_k.tobytes() == obs.x_k.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(1e-6, 1e3), st.integers(0, 60), st.booleans())
+def test_step_lam_stays_in_its_interval(lambda_factor, beta, since_restart, pending):
+    objective = one_dim_quadratic()
+    cfg = SolverConfig(max_iters=1, stepsize_mode="custom", beta=beta,
+                       lambda_factor=lambda_factor)
+    x = np.array([0.3])
+    state = SolverState(x=x, y=np.array([0.1]), F=objective.value(x), k=7 + since_restart,
+                        checkpoint=7, period=0, pending_restart=pending)
+    _, rec = apg_restart_step(state, objective, Zero(), cfg)
+    alpha = rec.alpha_next
+    assert rec.beta == beta and 0.0 < alpha <= 1.0
+    assert beta <= rec.lam <= (1.0 + alpha) * beta
+    if lambda_factor == 0.0:
+        assert rec.lam == beta
+    if lambda_factor == 1.0:
+        assert rec.lam == (1.0 + alpha) * beta
 
 
 def test_subdiff_recorded_at_checkpoints(small_quadratic):
