@@ -8,11 +8,11 @@ guarantees, and a small benchmark CLI (``proxrestart``).
 
 from .dataio import (
     Dataset,
-    LassoGroundTruth,
     ParseError,
     dump_libsvm,
     fixture_dataset,
     generate_synthetic,
+    lasso_l1_weight,
     load_libsvm,
     parse_libsvm,
     serialize_libsvm,
@@ -65,6 +65,6 @@ __all__ = [
     "RateFit", "fit_rate", "checkpoint_value_gaps", "checkpoint_distances",
     "Dataset", "ParseError", "parse_libsvm", "load_libsvm",
     "serialize_libsvm", "dump_libsvm", "generate_synthetic",
-    "LassoGroundTruth", "fixture_dataset",
+    "lasso_l1_weight", "fixture_dataset",
     "__version__",
 ]

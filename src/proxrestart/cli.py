@@ -235,7 +235,6 @@ class ProblemSpec:
                 ds = dataio.load_libsvm(self.path, expected_dim=self.expected_dim)
             else:
                 ds = dataio.generate_synthetic(self.kind, self.n, self.d, self._data_seed(seed))
-                ds = ds[0] if isinstance(ds, tuple) else ds
             return ds, self.build_objective(ds)
         except (OSError, ValueError) as exc:
             raise DataError(f"{self.describe(seed)}: {exc}") from None

@@ -10,7 +10,6 @@ and one 200x30 instance per kind ships with the package.
 
 from __future__ import annotations
 
-import functools
 import importlib.resources
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ __all__ = [
     "serialize_libsvm",
     "dump_libsvm",
     "generate_synthetic",
-    "LassoGroundTruth",
+    "lasso_l1_weight",
     "SYNTHETIC_KINDS",
     "fixture_path",
     "fixture_dataset",
@@ -170,26 +169,6 @@ def dump_libsvm(dataset: Dataset, path) -> None:
         fh.write(serialize_libsvm(dataset))
 
 
-class LassoGroundTruth:
-    """Reference solution of a generated lasso instance.
-
-    ``x_ref`` minimises the instance's least squares + ``L1(l1_weight)``
-    objective. It comes from a long proximal gradient run that is made on
-    the first read of ``x_ref`` and cached, so later reads return the same
-    array and callers that never read it pay nothing. The arguments are
-    keyword-only, so a call in the old ``(x_ref, l1_weight)`` form fails
-    at once.
-    """
-
-    def __init__(self, *, dataset: Dataset, l1_weight: float):
-        self.dataset = dataset
-        self.l1_weight = l1_weight
-
-    @functools.cached_property
-    def x_ref(self) -> np.ndarray:
-        return _lasso_reference(self.dataset, self.l1_weight)
-
-
 def _sparse_gaussian(rng, n, d, density, scale) -> np.ndarray:
     mask = rng.random((n, d)) < density
     return np.where(mask, rng.standard_normal((n, d)) * scale, 0.0)
@@ -240,23 +219,10 @@ def _make_lasso(rng, n, d, condition, noise):
     return A, b
 
 
-def _lasso_reference(dataset: Dataset, l1_weight: float) -> np.ndarray:
-    # Local import: the solver package depends on this module's siblings,
-    # not on dataio itself, so there is no cycle.
-    from .objectives import QuadraticObjective
-    from .regularizers import L1
-    from .solver import SolverConfig, run_baseline
-
-    obj = QuadraticObjective(dataset.features, dataset.labels)
-    cfg = SolverConfig(max_iters=100_000, stepsize_mode="theory", tolerance=1e-14)
-    trace = run_baseline("prox_grad", obj, L1(l1_weight), cfg, np.zeros(dataset.n_cols))
-    return trace.final_x
-
-
 def generate_synthetic(kind: str, n: int, d: int, seed: int, *,
                        label_noise: float = 0.1, margin: float = 1.0,
                        outlier_frac: float = 0.1, condition: float = 100.0,
-                       noise: float = 0.01, l1_weight: float | None = None):
+                       noise: float = 0.01) -> Dataset:
     """Generate a desk-scale synthetic dataset, deterministic per seed.
 
     Kinds
@@ -270,32 +236,35 @@ def generate_synthetic(kind: str, n: int, d: int, seed: int, *,
         made for (regression).
     ``"lasso_known"``
         A least-squares + L1 instance with spectrum spread over
-        ``[1/condition, 1]``. Returns ``(dataset, LassoGroundTruth)``;
-        every other kind returns just the dataset. The reference solution
-        is solved, by a long proximal gradient run, on the first read of
-        ``truth.x_ref``. ``l1_weight`` defaults to 5% of the smallest
-        weight that zeroes the solution.
+        ``[1/condition, 1]`` (regression); :func:`lasso_l1_weight` gives
+        its default L1 weight.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     rng = np.random.default_rng(seed)
     if kind == "logistic_sep":
         features, labels = _make_logistic(rng, n, d, label_noise, margin)
-        ds = Dataset(CsrMatrix.from_dense(features), labels,
-                     f"logistic_sep-{n}x{d}-seed{seed}", "classification")
-        return ds
+        return Dataset(CsrMatrix.from_dense(features), labels,
+                       f"logistic_sep-{n}x{d}-seed{seed}", "classification")
     if kind == "robust_outliers":
         features, targets = _make_robust(rng, n, d, outlier_frac)
         return Dataset(CsrMatrix.from_dense(features), targets,
                        f"robust_outliers-{n}x{d}-seed{seed}", "regression")
     if kind == "lasso_known":
         A, b = _make_lasso(rng, n, d, condition, noise)
-        ds = Dataset(CsrMatrix.from_dense(A), b,
-                     f"lasso_known-{n}x{d}-seed{seed}", "regression")
-        if l1_weight is None:
-            l1_weight = 0.05 * float(np.max(np.abs(A.T @ b))) / n
-        return ds, LassoGroundTruth(dataset=ds, l1_weight=l1_weight)
+        return Dataset(CsrMatrix.from_dense(A), b,
+                       f"lasso_known-{n}x{d}-seed{seed}", "regression")
     raise ValueError(f"unknown synthetic kind {kind!r}; expected one of {SYNTHETIC_KINDS}")
+
+
+def lasso_l1_weight(dataset: Dataset) -> float:
+    """Default L1 weight of a least-squares + L1 instance.
+
+    ``0.05 * max|A.T b| / n``: 5% of the smallest weight ``mu`` at which
+    zero solves ``min (1/2n) ||A x - b||^2 + mu ||x||_1``.
+    """
+    A = dataset.features.to_dense()
+    return 0.05 * float(np.max(np.abs(A.T @ dataset.labels))) / dataset.n_rows
 
 
 def fixture_path(kind: str):

@@ -1,4 +1,4 @@
-"""Dense vectors and CSR sparse matrices with the few kernels the solvers need.
+"""CSR sparse matrices with the few kernels the solvers need.
 
 Everything is 64-bit float throughout: the solver diagnostics compare
 inequalities at tolerances (1e-9 and tighter) that single precision would
@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 __all__ = [
-    "as_vector",
     "CsrMatrix",
     "spmv",
     "spmv_transpose",
@@ -29,18 +28,8 @@ __all__ = [
 ]
 
 
-def as_vector(values) -> np.ndarray:
-    """Coerce ``values`` to a finite, contiguous float64 1-D array."""
-    x = np.ascontiguousarray(values, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector contains NaN or Inf entries")
-    return x
-
-
 class CsrMatrix:
-    """Immutable row-compressed sparse matrix.
+    """Immutable row-compressed sparse matrix over a scipy CSR matrix.
 
     Parameters
     ----------
@@ -54,23 +43,34 @@ class CsrMatrix:
     vals : array of float
         Nonzero values (finite).
 
-    The CSR copy of the transpose that :func:`spmv_transpose` uses is
-    built on its first call, not here, so a matrix that is only parsed,
-    validated or multiplied forward never holds it.
+    ``row_ptr``, ``col_idx`` and ``vals`` are the scipy matrix's own arrays
+    (int32 indices whenever they fit). The CSR copy of the transpose that
+    :func:`spmv_transpose` uses is built on its first call, not here, so a
+    matrix that is only parsed, validated or multiplied forward never
+    holds it.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "vals", "_csr", "_csr_t")
+    __slots__ = ("_csr", "_csr_t")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, vals):
-        row_ptr = np.ascontiguousarray(row_ptr, dtype=np.int64)
-        col_idx = np.ascontiguousarray(col_idx, dtype=np.int64)
-        vals = np.ascontiguousarray(vals, dtype=np.float64)
         if n_rows < 0 or n_cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
+        row_ptr = np.asarray(row_ptr, dtype=np.int64)
         if row_ptr.shape != (n_rows + 1,):
             raise ValueError("row_ptr must have length n_rows + 1")
+        # Checked before scipy sees the arrays: it would silently drop the
+        # entries past a short row_ptr[-1].
         if row_ptr[0] != 0 or row_ptr[-1] != len(vals) or len(vals) != len(col_idx):
             raise ValueError("row_ptr endpoints inconsistent with data length")
+        # Converting lists with a fixed dtype is faster than scipy's dtype
+        # discovery; scipy then downcasts the indices to int32 if they fit.
+        col_idx = np.asarray(col_idx, dtype=np.int64)
+        vals = np.ascontiguousarray(vals, dtype=np.float64)
+        # scipy backs the actual products; its CSR matvec walks each row in
+        # ascending column order, which fixes the accumulation order.
+        self._csr = sp.csr_matrix((vals, col_idx, row_ptr), shape=(n_rows, n_cols))
+        self._csr_t = None
+        row_ptr, col_idx = self.row_ptr, self.col_idx
         if np.any(np.diff(row_ptr) < 0):
             raise ValueError("row_ptr must be nondecreasing")
         if len(col_idx) and (col_idx.min() < 0 or col_idx.max() >= n_cols):
@@ -83,31 +83,36 @@ class CsrMatrix:
         if bad.any():
             i = int(np.searchsorted(row_ptr, int(np.argmax(bad)) + 1, side="right")) - 1
             raise ValueError(f"row {i}: column indices not strictly increasing")
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(self.vals)):
             raise ValueError("matrix values contain NaN or Inf")
-        object.__setattr__(self, "n_rows", int(n_rows))
-        object.__setattr__(self, "n_cols", int(n_cols))
-        object.__setattr__(self, "row_ptr", row_ptr)
-        object.__setattr__(self, "col_idx", col_idx)
-        object.__setattr__(self, "vals", vals)
-        # scipy backs the actual products; its CSR matvec walks each row in
-        # ascending column order, which fixes the accumulation order.
-        object.__setattr__(
-            self, "_csr",
-            sp.csr_matrix((vals, col_idx, row_ptr), shape=(n_rows, n_cols)),
-        )
-        object.__setattr__(self, "_csr_t", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CsrMatrix is immutable")
+    @property
+    def n_rows(self) -> int:
+        return self._csr.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self._csr.shape[1]
 
     @property
     def shape(self):
-        return (self.n_rows, self.n_cols)
+        return self._csr.shape
 
     @property
     def nnz(self) -> int:
-        return len(self.vals)
+        return len(self._csr.data)
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        return self._csr.indptr
+
+    @property
+    def col_idx(self) -> np.ndarray:
+        return self._csr.indices
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self._csr.data
 
     @classmethod
     def from_dense(cls, dense) -> "CsrMatrix":
@@ -115,8 +120,7 @@ class CsrMatrix:
         a = np.asarray(dense, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("from_dense expects a 2-D array")
-        csr = sp.csr_matrix(a)
-        csr.sort_indices()
+        csr = sp.csr_matrix(a)  # built row by row, so its indices are sorted
         return cls(a.shape[0], a.shape[1], csr.indptr, csr.indices, csr.data)
 
     def _transpose_csr(self) -> sp.csr_matrix:
@@ -124,14 +128,11 @@ class CsrMatrix:
         if self._csr_t is None:
             csr_t = self._csr.T.tocsr()
             csr_t.sort_indices()
-            object.__setattr__(self, "_csr_t", csr_t)
+            self._csr_t = csr_t
         return self._csr_t
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
-
-    def frobenius_norm_sq(self) -> float:
-        return float(np.dot(self.vals, self.vals))
 
     def __eq__(self, other):
         if not isinstance(other, CsrMatrix):

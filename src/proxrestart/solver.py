@@ -6,15 +6,18 @@ One iteration, with ``Q`` the checkpoint that opened the current period:
 
     restart branch (iff this iteration starts a period):  y_k = x_k, Q = k
     alpha = 2 / (k - Q + 3)            # momentum weight used at this step
-    z_k   = y_k + alpha * (x_k - y_k)
-    G     = (x_k - prox(x_k - lam * grad_f(z_k), lam)) / lam
-    x_{k+1} = x_k - lam * G
+    z_k   = y_k + alpha * (x_k - y_k)  # is x_k itself on the restart branch
+    x_{k+1} = prox(x_k - lam * grad_f(z_k), lam)
+    G     = (x_k - x_{k+1}) / lam
     y_{k+1} = z_k - beta * G
 
 Both updates share the single proximal/gradient evaluation ``G`` -- one
 prox call and one gradient call per iteration, which is the efficiency
 edge over the classical accelerated method (``run_baseline("ag")``) that
-performs two independent proximal updates.
+performs two independent proximal updates. The next iterate is the prox
+output itself, not ``x_k - lam * G``: in floating point the latter turns
+coordinates the prox set to exactly zero into residues such as 1e-20,
+which the exact subdifferential distance then charges as nonzero.
 
 Restart scheduling is decided online: the configured scheme inspects each
 finished iteration and, when it fires, the next iteration executes the
@@ -45,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .regularizers import gradient_mapping
+from .regularizers import _norm, gradient_mapping
 from .restart import NeverRestart, RestartObservation
 
 __all__ = [
@@ -176,15 +179,6 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D array, with the bits of ``np.linalg.norm``.
-
-    ``np.linalg.norm`` computes ``sqrt(v.dot(v))`` too, and both square
-    roots are correctly rounded; this form skips its dispatch overhead.
-    """
-    return math.sqrt(v.dot(v))
-
-
 def momentum_coefficient(k: int, checkpoint: int) -> float:
     """Momentum weight 2 / (k - checkpoint + 2); equals 1 at the checkpoint."""
     if k < checkpoint:
@@ -251,7 +245,7 @@ def apg_restart_step(state: SolverState, objective, regularizer,
     k = state.k
     x, y, F_x = state.x, state.y, state.F
     if state.pending_restart:
-        y = x.copy()          # re-synchronize: x_k = y_k exactly
+        y = x                 # re-synchronize: x_k = y_k exactly
         checkpoint = k
         period = state.period + 1
         restarted = True
@@ -261,9 +255,11 @@ def apg_restart_step(state: SolverState, objective, regularizer,
         restarted = False
     alpha = momentum_coefficient(k + 1, checkpoint)
     lam = beta * (1.0 + cfg.lambda_factor * alpha)
-    z = y + alpha * (x - y)   # equals x bit-exactly right after a restart
+    # Right after a restart z is x itself, signed zeros included.
+    z = x if restarted else y + alpha * (x - y)
     grad_z = objective.gradient(z)
-    G = gradient_mapping(regularizer, lam, x, grad_z)
+    x_new = regularizer.prox(x - lam * grad_z, lam)
+    G = (x - x_new) / lam
     if restarted:
         # z == x at a checkpoint, so grad_z doubles as the gradient at the
         # checkpoint iterate and the stationarity diagnostics come free.
@@ -273,7 +269,6 @@ def apg_restart_step(state: SolverState, objective, regularizer,
         gnorm = _norm(gradient_mapping(regularizer, lam, z, grad_z))
         subdiff = None
 
-    x_new = x - lam * G
     y_new = z - beta * G
     F_new = objective.value(x_new) + regularizer.value(x_new)
     step = _norm(x_new - x)

@@ -34,6 +34,7 @@ from proxrestart import (
     fit_rate,
     generate_synthetic,
     gradient_mapping,
+    lasso_l1_weight,
     momentum_coefficient,
     parse_libsvm,
     run,
@@ -57,8 +58,8 @@ def make_problem(objective_kind, seed):
     if objective_kind == "robust":
         ds = generate_synthetic("robust_outliers", N, D, seed)
         return RobustRegressionObjective(ds.features, ds.labels), Zero()
-    ds, truth = generate_synthetic("lasso_known", N, D, seed)
-    return QuadraticObjective(ds.features, ds.labels), L1(truth.l1_weight)
+    ds = generate_synthetic("lasso_known", N, D, seed)
+    return QuadraticObjective(ds.features, ds.labels), L1(lasso_l1_weight(ds))
 
 
 SCHEMES = {
@@ -130,11 +131,11 @@ def test_criterion_03_global_rate_constant(theory_grid):
 
 def test_criterion_04_finite_path_length():
     t0 = time.perf_counter()
-    ds, truth = generate_synthetic("lasso_known", N, D, seed=0)
+    ds = generate_synthetic("lasso_known", N, D, seed=0)
     objective = QuadraticObjective(ds.features, ds.labels)
     cfg = SolverConfig(max_iters=50000, stepsize_mode="theory",
                        scheme=FixedRestart(10), seed=0)
-    trace = run(objective, L1(truth.l1_weight), cfg, np.zeros(D))
+    trace = run(objective, L1(lasso_l1_weight(ds)), cfg, np.zeros(D))
     lengths = [np.sqrt(trace.period_step_sq_sum(t)) for t in range(len(trace.periods))]
     tail_increment = float(np.sum(lengths[-50:]))
     elapsed = time.perf_counter() - t0
@@ -144,9 +145,9 @@ def test_criterion_04_finite_path_length():
 
 
 def test_criterion_05_linear_rate_regime():
-    ds, truth = generate_synthetic("lasso_known", N, D, seed=0)
+    ds = generate_synthetic("lasso_known", N, D, seed=0)
     objective = QuadraticObjective(ds.features, ds.labels)
-    regularizer = L1(truth.l1_weight)
+    regularizer = L1(lasso_l1_weight(ds))
     cfg = SolverConfig(max_iters=K, stepsize_mode="theory", scheme=FixedRestart(10), seed=0)
     trace = run(objective, regularizer, cfg, np.zeros(D))
     reference = run(objective, regularizer,

@@ -6,7 +6,6 @@ import pytest
 import yaml
 
 import proxrestart.cli as cli
-import proxrestart.dataio as dataio
 from proxrestart.cli import (
     ConfigError,
     SUMMARY_COLUMNS,
@@ -144,17 +143,6 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
     return write_config(tmp_path, doc)
 
 
-def test_check_never_solves_a_lasso_reference(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(dataio, "_lasso_reference", lambda *args: calls.append(args))
-    doc = base_config()
-    doc["problem"]["dataset"] = {"source": "synthetic", "kind": "lasso_known", "n": 40, "d": 8}
-    doc["solvers"][0].update({"max_iters": 40, "seeds": [0, 1]})
-    cfg = write_config(tmp_path, doc)
-    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert calls == []
-
-
 # --- config validation ----------------------------------------------------------
 
 @pytest.mark.parametrize("mutate,fragment", [
@@ -258,6 +246,21 @@ def test_check_passes_on_theory_grid(tmp_path):
     assert report.splitlines()[0] == "solver,seed,check,worst_margin,passed,location"
     assert ",period_descent," in report
     assert (out / "path_lengths.csv").exists()
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("seed", ["13", "21"])
+def test_check_passes_on_shipped_grid_at_seed(tmp_path, capsys, seed):
+    # seeds where an iterate rebuilt as x - lam * G left 1e-20 residues in
+    # coordinates the prox had zeroed, failing subdiff_bound
+    cfg = os.path.join(CONFIGS, "check.yaml")
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out), "--seed-override", seed,
+                 "--quiet"]) == 0, capsys.readouterr().err
+    report = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(report) == 5 * 4 and all(row.split(",")[4] == "1" for row in report)
 
 
 def test_check_refuses_experiment_mode(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from proxrestart import (
+    Dataset,
     FunctionValueRestart,
     L1,
     LogisticObjective,
@@ -13,11 +14,12 @@ from proxrestart import (
     SolverConfig,
     Zero,
     generate_synthetic,
+    lasso_l1_weight,
     parse_libsvm,
     run,
+    run_baseline,
     serialize_libsvm,
 )
-import proxrestart.dataio as dataio
 from proxrestart.dataio import SYNTHETIC_KINDS, fixture_dataset, fixture_path, load_libsvm
 
 
@@ -92,22 +94,14 @@ def test_roundtrip_preserves_awkward_floats():
 def test_generation_deterministic(kind):
     a = generate_synthetic(kind, 40, 8, seed=9)
     b = generate_synthetic(kind, 40, 8, seed=9)
-    if isinstance(a, tuple):
-        assert a[0] == b[0]
-        assert np.array_equal(a[1].x_ref, b[1].x_ref)
-        assert a[1].l1_weight == b[1].l1_weight
-    else:
-        assert a == b
-    c = generate_synthetic(kind, 40, 8, seed=10)
-    c = c[0] if isinstance(c, tuple) else c
-    assert (a[0] if isinstance(a, tuple) else a) != c
+    assert a == b
+    assert a != generate_synthetic(kind, 40, 8, seed=10)
 
 
 def test_fixtures_match_generator_output():
     # drift guard: the committed files are exactly what the generator emits
     for kind in SYNTHETIC_KINDS:
-        generated = generate_synthetic(kind, 200, 30, seed=0)
-        dataset = generated[0] if isinstance(generated, tuple) else generated
+        dataset = generate_synthetic(kind, 200, 30, seed=0)
         with fixture_path(kind).open("r", encoding="utf-8") as fh:
             assert fh.read() == serialize_libsvm(dataset)
 
@@ -119,6 +113,9 @@ def test_generated_kinds_and_shapes():
     rob = generate_synthetic("robust_outliers", 50, 7, seed=2)
     assert rob.kind == "regression"
     assert rob.features.shape == (50, 7)
+    lasso = generate_synthetic("lasso_known", 50, 7, seed=2)
+    assert isinstance(lasso, Dataset) and lasso.kind == "regression"
+    assert lasso.features.shape == (50, 7)
     with pytest.raises(ValueError):
         generate_synthetic("mystery", 10, 2, seed=0)
     with pytest.raises(ValueError):
@@ -131,37 +128,27 @@ def test_robust_outliers_present():
     assert np.sum(spread > 4.0) >= 5  # the gross corruptions
 
 
+def _prox_grad_reference(ds, weight):
+    # a long proximal gradient run to machine precision
+    cfg = SolverConfig(max_iters=100_000, stepsize_mode="theory", tolerance=1e-14)
+    objective = QuadraticObjective(ds.features, ds.labels)
+    return run_baseline("prox_grad", objective, L1(weight), cfg, np.zeros(ds.n_cols)).final_x
+
+
 def test_lasso_reference_is_stationary():
-    ds, truth = generate_synthetic("lasso_known", 80, 10, seed=5)
+    ds = generate_synthetic("lasso_known", 80, 10, seed=5)
+    reg = L1(lasso_l1_weight(ds))
+    x_ref = _prox_grad_reference(ds, reg.mu)
     obj = QuadraticObjective(ds.features, ds.labels)
-    reg = L1(truth.l1_weight)
-    assert reg.subdiff_distance(obj.gradient(truth.x_ref), truth.x_ref) <= 1e-8
-
-
-def test_lasso_reference_is_solved_once_on_first_read(monkeypatch):
-    calls = []
-    solve = dataio._lasso_reference
-
-    def counting(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(dataio, "_lasso_reference", counting)
-    ds, truth = generate_synthetic("lasso_known", 40, 8, seed=3)
-    assert calls == []
-    first = truth.x_ref
-    assert truth.x_ref is first
-    assert len(calls) == 1
-    assert calls[0][0] is ds and calls[0][1] == truth.l1_weight
-    with pytest.raises(TypeError):
-        dataio.LassoGroundTruth(first, truth.l1_weight)  # the old (x_ref, l1_weight) form
+    assert reg.subdiff_distance(obj.gradient(x_ref), x_ref) <= 1e-8
 
 
 def test_lasso_reference_bits_are_pinned():
-    # taken from the eager solve, so the lazy one must give the same bits
-    _, truth = generate_synthetic("lasso_known", 200, 30, seed=0)
-    assert truth.l1_weight == float.fromhex("0x1.1528925de34d3p-5")
-    assert hashlib.sha256(truth.x_ref.tobytes()).hexdigest() == (
+    # the default weight and the reference solution at it, bit for bit
+    ds = generate_synthetic("lasso_known", 200, 30, seed=0)
+    weight = lasso_l1_weight(ds)
+    assert weight == float.fromhex("0x1.1528925de34d3p-5")
+    assert hashlib.sha256(_prox_grad_reference(ds, weight).tobytes()).hexdigest() == (
         "23effd358db2b6b3748537eb6a09bc5bd60bc1d361dc6999a755760c7b09a867")
 
 

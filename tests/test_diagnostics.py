@@ -13,6 +13,7 @@ from proxrestart import (
     checkpoint_value_gaps,
     fit_rate,
     generate_synthetic,
+    lasso_l1_weight,
     path_length_summary,
     run,
 )
@@ -20,10 +21,10 @@ from proxrestart import (
 
 @pytest.fixture(scope="module")
 def lasso_trace():
-    ds, truth = generate_synthetic("lasso_known", 120, 15, seed=4)
+    ds = generate_synthetic("lasso_known", 120, 15, seed=4)
     obj = QuadraticObjective(ds.features, ds.labels)
     cfg = SolverConfig(max_iters=400, stepsize_mode="theory", scheme=FixedRestart(10), seed=4)
-    trace = run(obj, L1(truth.l1_weight), cfg, np.zeros(15))
+    trace = run(obj, L1(lasso_l1_weight(ds)), cfg, np.zeros(15))
     return trace
 
 

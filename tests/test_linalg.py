@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxrestart import CsrMatrix, spectral_norm_sq, spmv, spmv_transpose
-from proxrestart.linalg import as_vector
 
 
 def test_spmv_identity():
@@ -59,6 +58,11 @@ def test_dimension_mismatch_raises():
     pytest.param(dict(n_rows=5, n_cols=3, row_ptr=[0, 2, 2, 3, 5, 7],
                       col_idx=[1, 2, 0, 2, 1, 0, 0], vals=np.ones(7)),
                  "^row 3: column indices not strictly increasing$", id="bad6"),
+    # scipy alone would drop the entry past row_ptr[-1] without a word
+    pytest.param(dict(n_rows=1, n_cols=2, row_ptr=[0, 1], col_idx=[0, 1], vals=[1.0, 2.0]),
+                 "endpoints inconsistent", id="bad7"),
+    pytest.param(dict(n_rows=1, n_cols=2, row_ptr=[0, 2], col_idx=[0], vals=[1.0, 2.0]),
+                 "endpoints inconsistent", id="bad8"),
 ])
 def test_csr_invariants_rejected(bad, message):
     with pytest.raises(ValueError, match=message):
@@ -98,13 +102,6 @@ def test_products_match_scipy_bytes(n, d, density):
         assert spmv(A, strided).tobytes() == (A._csr @ strided).tobytes()
 
 
-def test_as_vector_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        as_vector([1.0, np.inf])
-    with pytest.raises(ValueError):
-        as_vector([[1.0, 2.0]])
-
-
 def test_spectral_norm_identity():
     for n in (1, 3, 7):
         assert spectral_norm_sq(CsrMatrix.from_dense(np.eye(n)), iters=50, seed=0) == pytest.approx(1.0, abs=1e-9)
@@ -130,7 +127,7 @@ def test_spectral_norm_bounds_random(rng):
         n, d = rng.integers(2, 12, size=2)
         A = CsrMatrix.from_dense(rng.standard_normal((n, d)))
         est = spectral_norm_sq(A, iters=60, seed=3)
-        assert est <= A.frobenius_norm_sq() + 1e-9
+        assert est <= A.vals.dot(A.vals) + 1e-9
         max_row_sq = max(
             float(np.dot(A.vals[s:e], A.vals[s:e]))
             for s, e in zip(A.row_ptr[:-1], A.row_ptr[1:])
@@ -170,5 +167,17 @@ def test_csr_equality_and_repr():
 
 def test_csr_immutable():
     A = CsrMatrix.from_dense(np.eye(2))
-    with pytest.raises(AttributeError):
-        A.n_rows = 5
+    for name in ("n_rows", "n_cols", "shape", "nnz", "row_ptr", "col_idx", "vals", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(A, name, 5)
+
+
+def test_csr_keeps_only_scipys_arrays():
+    A = CsrMatrix(3, 4, [0, 2, 2, 3], [1, 3, 0], [1.0, -2.0, 5.0])
+    assert CsrMatrix.__slots__ == ("_csr", "_csr_t")
+    assert A.vals is A._csr.data
+    assert A.col_idx is A._csr.indices and A.col_idx.dtype == np.int32
+    assert A.row_ptr is A._csr.indptr and A.row_ptr.dtype == np.int32
+    assert (A.n_rows, A.n_cols, A.shape, A.nnz) == (3, 4, (3, 4), 3)
+    assert list(A.row_ptr) == [0, 2, 2, 3] and list(A.col_idx) == [1, 3, 0]
+    assert list(A.vals) == [1.0, -2.0, 5.0]

@@ -15,8 +15,10 @@ from proxrestart import (
     SolverConfig,
     generate_synthetic,
     run,
+    spectral_norm_sq,
     spmv,
 )
+from proxrestart import objectives
 
 
 def random_instance(rng, family, n=12, d=5):
@@ -121,9 +123,21 @@ def test_values_bounded_below_by_zero(family, rng):
         assert obj.value(rng.standard_normal(obj.dim) * 5) >= 0.0
 
 
-def test_lipschitz_cached_per_seed(rng):
+def test_lipschitz_cached_per_seed(rng, monkeypatch):
+    seeds = []
+
+    def counting(A, iters, seed):
+        seeds.append(seed)
+        return spectral_norm_sq(A, iters=iters, seed=seed)
+
+    monkeypatch.setattr(objectives, "spectral_norm_sq", counting)
     obj = random_instance(rng, "quadratic")
-    assert obj.lipschitz(3) is obj.lipschitz(3) or obj.lipschitz(3) == obj.lipschitz(3)
+    first = obj.lipschitz(3)
+    assert obj.lipschitz(3) == first and seeds == [3]
+    obj.lipschitz(5)
+    obj.lipschitz(5)
+    obj.lipschitz(3)
+    assert seeds == [3, 5]
 
 
 def test_label_validation():
@@ -215,7 +229,7 @@ def test_logistic_run_iterates_are_pinned():
     for name in ("final_x", "grad_map_norm", "step_norm", "restart_flags"):
         h.update(getattr(trace, name).tobytes())
     assert trace.num_restarts == 198
-    assert h.hexdigest() == "b025a7d85b9fb0770aa5f25774f52ed513c39409ca32da1c0c2a366a9c23e577"
+    assert h.hexdigest() == "3a4d6834fd8a23ae300d25e9022b000cdfe29cd8d8472817c2f58b3e76983215"
 
 
 def test_quadratic_value_and_gradient_consistent(rng):

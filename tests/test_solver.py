@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from proxrestart import (
     CsrMatrix,
     DivergenceError,
+    ElasticNet,
     FixedRestart,
     FunctionValueRestart,
     GradientMappingRestart,
@@ -18,9 +19,11 @@ from proxrestart import (
     QuadraticObjective,
     SolverConfig,
     SolverState,
+    SquaredL2,
     Zero,
     apg_restart_step,
     generate_synthetic,
+    lasso_l1_weight,
     momentum_coefficient,
     run,
     run_baseline,
@@ -154,10 +157,10 @@ def test_acceleration_beats_plain_prox_grad():
 
 
 def test_checkpoint_values_strictly_decrease_on_lasso():
-    ds, truth = generate_synthetic("lasso_known", 100, 12, seed=1)
+    ds = generate_synthetic("lasso_known", 100, 12, seed=1)
     obj = QuadraticObjective(ds.features, ds.labels)
     cfg = SolverConfig(max_iters=300, stepsize_mode="theory", scheme=FixedRestart(10))
-    trace = run(obj, L1(truth.l1_weight), cfg, np.zeros(12))
+    trace = run(obj, L1(lasso_l1_weight(ds)), cfg, np.zeros(12))
     values = [p.F for p in trace.periods]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -288,6 +291,60 @@ def test_restart_branch_queries_at_the_iterate(seed, scheme, lambda_factor):
             assert obs.y_k.tobytes() == obs.x_k.tobytes()
 
 
+class RecordingRegularizer:
+    """Delegates to ``inner`` and keeps the bytes of every prox output."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.outputs = []
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def subdiff_distance(self, grad_f, x):
+        return self.inner.subdiff_distance(grad_f, x)
+
+    def prox(self, x, eta):
+        out = self.inner.prox(x, eta)
+        self.outputs.append(out.tobytes())
+        return out
+
+
+class StepMarks:
+    """Notes how many prox outputs exist when each step asks its scheme."""
+
+    def __init__(self, inner, regularizer):
+        self.inner = inner
+        self.regularizer = regularizer
+        self.marks = [0]
+
+    def should_restart(self, obs):
+        self.marks.append(len(self.regularizer.outputs))
+        return self.inner.should_restart(obs)
+
+
+@pytest.mark.parametrize("regularizer", [L1(0.3), ElasticNet(0.3, 0.1), SquaredL2(0.1), Zero()],
+                         ids=["l1", "elastic_net", "squared_l2", "none"])
+@pytest.mark.parametrize("scheme", [FixedRestart(7), FunctionValueRestart(), GradientMappingRestart(),
+                                    NonMonotoneRestart(), NeverRestart()],
+                         ids=lambda scheme: scheme.label)
+def test_iterates_are_prox_outputs(regularizer, scheme):
+    # x_{k+1} is the prox output of step k itself, so a coordinate the
+    # soft-threshold zeroes stays exactly zero
+    rng = np.random.default_rng(3)
+    objective = QuadraticObjective(CsrMatrix.from_dense(rng.standard_normal((12, 4))),
+                                   rng.standard_normal(12))
+    recorder = RecordingRegularizer(regularizer)
+    marks = StepMarks(scheme, recorder)
+    cfg = SolverConfig(max_iters=60, stepsize_mode="theory", scheme=marks)
+    trace = run(objective, recorder, cfg, rng.standard_normal(4), record_iterates=True)
+    assert len(marks.marks) == len(trace) + 1 == len(trace.iterates)
+    for k, x_next in enumerate(trace.iterates[1:]):
+        assert x_next.tobytes() in recorder.outputs[marks.marks[k]:marks.marks[k + 1]]
+    if isinstance(regularizer, L1):
+        assert np.count_nonzero(trace.final_x == 0.0) > 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(1e-6, 1e3), st.integers(0, 60), st.booleans())
 def test_step_lam_stays_in_its_interval(lambda_factor, beta, since_restart, pending):
@@ -384,13 +441,13 @@ BASELINE_FINGERPRINTS = {
     ("ag", "experiment", 0.001):
         "9ff1c1908b1360d6717320c1cc583b500d54d54061c679f023ec264609e72b0b",
     ("apg_never", "theory", 0.0):
-        "a7d18f30390d478d03974bf0f24ab30fbd8fcd6775f618c7a1b1084c6fc8e1d0",
+        "4edf1f6a8fb3a1df32e9abd8943c817de22a18c9d11113e7b158a7fc400aa006",
     ("apg_never", "theory", 0.001):
-        "ab5e7fa9f871b8d879c226309736af5e6c0ee0d4e156efd73f652d72ba0696a3",
+        "742cd910fffdfa1b965af90818d23ceb29e647e57a51ee1f21205dbb68caed81",
     ("apg_never", "experiment", 0.0):
-        "8ea2ade8bc33f9a5baed42eb2cc59c744cc1d2e563fd417ac723e7af81260fa5",
+        "d3af3c59cee3933ae733c9421b8bc1e474d7cb0f3b02f595f60a6a3b1b60b622",
     ("apg_never", "experiment", 0.001):
-        "47b4b699f5586829bde29cdea5acf4f6a6af28ea55ce567e2164e4e9108792b9",
+        "5963084ae6299a3b380d78f4a675f63519bacf847ac2e4415215e1ef3b7288b3",
 }
 
 

@@ -14,8 +14,7 @@ OUT = os.path.join(os.path.dirname(__file__), "..", "src", "proxrestart", "data"
 def main():
     os.makedirs(OUT, exist_ok=True)
     for kind in dataio.SYNTHETIC_KINDS:
-        generated = dataio.generate_synthetic(kind, 200, 30, seed=0)
-        dataset = generated[0] if isinstance(generated, tuple) else generated
+        dataset = dataio.generate_synthetic(kind, 200, 30, seed=0)
         path = os.path.join(OUT, f"{kind}.libsvm")
         dataio.dump_libsvm(dataset, path)
         print(f"wrote {path} ({dataset.n_rows}x{dataset.n_cols}, nnz={dataset.features.nnz})")
