@@ -22,7 +22,6 @@ the objective induces.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +66,6 @@ class InvariantReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("check,worst_margin,passed,location\n")
-        for c in self.checks:
-            buf.write(f"{c.name},{float(c.worst_margin)!r},{int(c.passed)},{c.location}\n")
-        return buf.getvalue()
 
     def summary(self) -> str:
         lines = []

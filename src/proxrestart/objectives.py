@@ -28,11 +28,16 @@ SIMD loop numpy dispatches to depends on the CPU: ``F`` is the same across
 reruns on one machine but not across CPUs. The logistic gradient goes
 through ``scipy.special.expit`` and does not depend on that dispatch.
 
-Each objective remembers the last product ``A @ x`` it computed, keyed by
-the exact bytes of ``x``. The solvers ask for the gradient at the point
-whose value they just computed (every restart and every proximal-gradient
-iteration), and the memo then saves that forward product. A hit returns
-the same bits the product would, so results do not depend on it.
+Every loss has the form ``h(A x)``, so each objective offers
+``value_at(x, Ax)`` and ``gradient_at(x, Ax)``, which start from a
+product the caller already holds: the value then costs no matrix product
+and the gradient one transposed product. ``x`` is still passed because
+the logistic penalty reads it. ``value(x)`` and ``gradient(x)`` take
+``A @ x`` themselves. The restart solver carries ``A x`` and ``A y``
+through its iterations, so the ``A z`` it passes to ``gradient_at`` is a
+linear combination that can differ from a fresh product in the last
+bits; :mod:`proxrestart.solver` states why that error stays damped and
+how small it measured.
 """
 
 from __future__ import annotations
@@ -50,7 +55,12 @@ __all__ = [
 
 
 class _DataObjective:
-    """Shared plumbing: dimension checks, the ``A @ x`` memo and cached Lipschitz estimates."""
+    """Shared plumbing: dimension checks, ``A @ x`` and cached Lipschitz estimates.
+
+    Subclasses implement ``value_at(x, Ax)`` and ``gradient_at(x, Ax)``,
+    which trust ``Ax`` to be ``A @ x`` for a float64 ``x`` of length
+    ``dim``.
+    """
 
     def __init__(self, A: CsrMatrix, b):
         b = np.ascontiguousarray(b, dtype=np.float64)
@@ -61,8 +71,6 @@ class _DataObjective:
         self.n = A.n_rows
         self.dim = A.n_cols
         self._lipschitz_cache: dict[int, float] = {}
-        self._ax_key: bytes | None = None
-        self._ax: np.ndarray | None = None
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -70,19 +78,13 @@ class _DataObjective:
             raise ValueError(f"objective expects dimension {self.dim}, got shape {x.shape}")
         return x
 
-    def _Ax(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x``, reusing the previous product when ``x`` has the same bytes.
+    def value(self, x) -> float:
+        x = self._check_x(x)
+        return self.value_at(x, spmv(self.A, x))
 
-        The key is a snapshot of the bytes, so ``-0.0`` and ``0.0`` differ
-        and changing the caller's array in place cannot return a stale
-        product. The result is shared with the memo: callers must not
-        change it in place.
-        """
-        key = x.tobytes()
-        if key != self._ax_key:
-            self._ax = spmv(self.A, x)
-            self._ax_key = key
-        return self._ax
+    def gradient(self, x) -> np.ndarray:
+        x = self._check_x(x)
+        return self.gradient_at(x, spmv(self.A, x))
 
     def lipschitz(self, seed: int = 0) -> float:
         """Estimate of the gradient's Lipschitz constant (cached per seed).
@@ -126,9 +128,8 @@ class LogisticObjective(_DataObjective):
         self.alpha = float(alpha)
         self._neg_b = -self.b  # t = -b * Ax has the bits of -(b * Ax)
 
-    def value(self, x) -> float:
-        x = self._check_x(x)
-        t = self._neg_b * self._Ax(x)
+    def value_at(self, x, Ax) -> float:
+        t = self._neg_b * Ax
         # log(1 + e^t) = max(t, 0) + log1p(e^-|t|), stable for both signs of
         # t; computed in place so the 50 000-row case keeps two temporaries
         loss = np.abs(t)
@@ -139,9 +140,8 @@ class LogisticObjective(_DataObjective):
         xsq = x * x
         return float(loss.sum()) / self.n + self.alpha * float((xsq / (1.0 + xsq)).sum())
 
-    def gradient(self, x) -> np.ndarray:
-        x = self._check_x(x)
-        w = expit(self._neg_b * self._Ax(x))
+    def gradient_at(self, x, Ax) -> np.ndarray:
+        w = expit(self._neg_b * Ax)
         w *= self._neg_b
         grad = spmv_transpose(self.A, w) / self.n
         grad += self.alpha * 2.0 * x / (1.0 + x * x) ** 2
@@ -159,14 +159,12 @@ class RobustRegressionObjective(_DataObjective):
     f(x) = (1/n) sum_i log((<a_i, x> - b_i)^2 / 2 + 1)
     """
 
-    def value(self, x) -> float:
-        x = self._check_x(x)
-        s = self._Ax(x) - self.b
+    def value_at(self, x, Ax) -> float:
+        s = Ax - self.b
         return float(np.log1p(0.5 * s * s).sum()) / self.n
 
-    def gradient(self, x) -> np.ndarray:
-        x = self._check_x(x)
-        s = self._Ax(x) - self.b
+    def gradient_at(self, x, Ax) -> np.ndarray:
+        s = Ax - self.b
         return spmv_transpose(self.A, s / (0.5 * s * s + 1.0)) / self.n
 
     def _lipschitz_from_spectrum(self, spec_sq: float) -> float:
@@ -177,14 +175,12 @@ class RobustRegressionObjective(_DataObjective):
 class QuadraticObjective(_DataObjective):
     """Averaged least squares: f(x) = ||A x - b||^2 / (2 n)."""
 
-    def value(self, x) -> float:
-        x = self._check_x(x)
-        r = self._Ax(x) - self.b
+    def value_at(self, x, Ax) -> float:
+        r = Ax - self.b
         return 0.5 * float(np.dot(r, r)) / self.n
 
-    def gradient(self, x) -> np.ndarray:
-        x = self._check_x(x)
-        return spmv_transpose(self.A, self._Ax(x) - self.b) / self.n
+    def gradient_at(self, x, Ax) -> np.ndarray:
+        return spmv_transpose(self.A, Ax - self.b) / self.n
 
     def _lipschitz_from_spectrum(self, spec_sq: float) -> float:
         return spec_sq / self.n

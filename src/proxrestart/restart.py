@@ -26,7 +26,8 @@ are degenerate, so the adaptive schemes default to ``min_period = 2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RestartObservation:
+class RestartObservation(NamedTuple):
     """End-of-iteration snapshot the predicates look at.
 
     ``F_curr`` is the objective at the just-computed iterate and ``F_prev``

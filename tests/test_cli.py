@@ -1,5 +1,7 @@
 import filecmp
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -50,8 +52,8 @@ k,F,grad_map_norm,step_norm,restart,lambda,beta,alpha_next
 1,4.034489674645399,0.646599991096647,0.2333478626084146,0,0.36088441976723784,0.24058961317815855,0.5
 2,3.8965693204368566,0.5804258216763022,0.1955021934820029,0,0.33682545844942197,0.24058961317815855,0.4
 3,3.7939975960559686,0.49536933925307636,0.19863452951869603,1,0.4009826886302642,0.24058961317815855,0.6666666666666666
-4,3.7014553380476594,0.4484748614830852,0.16184759016651565,0,0.36088441976723784,0.24058961317815855,0.5
-5,3.634556178728218,0.40648847648222963,0.13691566744553404,0,0.33682545844942197,0.24058961317815855,0.4
+4,3.7014553380476594,0.4484748614830852,0.1618475901665156,0,0.36088441976723784,0.24058961317815855,0.5
+5,3.634556178728218,0.40648847648222963,0.1369156674455341,0,0.33682545844942197,0.24058961317815855,0.4
 """
 
 GOLDEN_SUMMARY = """\
@@ -261,6 +263,26 @@ def test_check_passes_on_shipped_grid_at_seed(tmp_path, capsys, seed):
                  "--quiet"]) == 0, capsys.readouterr().err
     report = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert len(report) == 5 * 4 and all(row.split(",")[4] == "1" for row in report)
+
+
+def test_check_passes_on_seed_sweep(tmp_path, capsys):
+    # 200 theory cells; the carried products A y and A z must not cost a check
+    cfg = os.path.join(CONFIGS, "check_seeds.yaml")
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out), "--quiet"]) == 0, \
+        capsys.readouterr().err
+    report = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(report) == 200 * 4 and all(row.split(",")[4] == "1" for row in report)
+
+
+def test_module_runs_as_a_script():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "proxrestart", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: proxrestart")
 
 
 def test_check_refuses_experiment_mode(tmp_path, capsys):

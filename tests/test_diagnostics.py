@@ -75,9 +75,6 @@ def test_single_period_trace_still_checks_rate(small_quadratic):
 
 def test_report_serialization(lasso_trace):
     report = check_invariants(lasso_trace, lasso_trace.lipschitz)
-    csv = report.to_csv()
-    assert csv.splitlines()[0] == "check,worst_margin,passed,location"
-    assert len(csv.splitlines()) == 5
     assert "pass" in report.summary()
 
 

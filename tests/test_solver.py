@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -14,9 +13,11 @@ from proxrestart import (
     FunctionValueRestart,
     GradientMappingRestart,
     L1,
+    LogisticObjective,
     NeverRestart,
     NonMonotoneRestart,
     QuadraticObjective,
+    RobustRegressionObjective,
     SolverConfig,
     SolverState,
     SquaredL2,
@@ -27,8 +28,9 @@ from proxrestart import (
     momentum_coefficient,
     run,
     run_baseline,
+    spmv,
 )
-from proxrestart import objectives
+from proxrestart import objectives, solver
 
 
 def one_dim_quadratic():
@@ -237,7 +239,9 @@ def test_config_validation():
 def test_step_restart_branch(small_quadratic):
     x0 = np.full(6, 0.5)
     cfg = SolverConfig(max_iters=10, stepsize_mode="theory")
-    state = SolverState(x=x0.copy(), y=np.zeros(6), F=small_quadratic.value(x0))
+    y0 = np.zeros(6)
+    state = SolverState(x=x0.copy(), y=y0, F=small_quadratic.value(x0),
+                        Ax=spmv(small_quadratic.A, x0), Ay=spmv(small_quadratic.A, y0))
 
     new_state, rec = apg_restart_step(state, small_quadratic, Zero(), cfg)
     assert rec.restarted and rec.checkpoint_subdiff is not None
@@ -351,8 +355,9 @@ def test_step_lam_stays_in_its_interval(lambda_factor, beta, since_restart, pend
     objective = one_dim_quadratic()
     cfg = SolverConfig(max_iters=1, stepsize_mode="custom", beta=beta,
                        lambda_factor=lambda_factor)
-    x = np.array([0.3])
-    state = SolverState(x=x, y=np.array([0.1]), F=objective.value(x), k=7 + since_restart,
+    x, y = np.array([0.3]), np.array([0.1])
+    state = SolverState(x=x, y=y, F=objective.value(x), Ax=spmv(objective.A, x),
+                        Ay=spmv(objective.A, y), k=7 + since_restart,
                         checkpoint=7, period=0, pending_restart=pending)
     _, rec = apg_restart_step(state, objective, Zero(), cfg)
     alpha = rec.alpha_next
@@ -375,6 +380,7 @@ def test_subdiff_recorded_at_checkpoints(small_quadratic):
 
 
 def _count_matvecs(monkeypatch):
+    # products are counted at every binding the package calls them through
     counts = {"forward": 0, "transposed": 0}
 
     def counted(key, fn):
@@ -386,27 +392,70 @@ def _count_matvecs(monkeypatch):
     monkeypatch.setattr(objectives, "spmv", counted("forward", objectives.spmv))
     monkeypatch.setattr(objectives, "spmv_transpose",
                         counted("transposed", objectives.spmv_transpose))
+    monkeypatch.setattr(solver, "spmv", counted("forward", solver.spmv))
     return counts
 
 
 @pytest.mark.parametrize("n_iters", [1, 7, 40])
 def test_prox_grad_reuses_the_forward_product(small_quadratic, monkeypatch, n_iters):
-    # the gradient is always asked for at the point whose value was just computed
+    # the gradient starts from the product the previous value computed
     counts = _count_matvecs(monkeypatch)
     cfg = SolverConfig(max_iters=n_iters, stepsize_mode="theory")
     run_baseline("prox_grad", small_quadratic, L1(0.02), cfg, np.ones(6))
     assert counts == {"forward": n_iters + 1, "transposed": n_iters}
 
 
-@pytest.mark.parametrize("n_iters, q", [(1, 1), (20, 1), (30, 10), (31, 10), (47, 7)])
+@pytest.mark.parametrize("n_iters, q", [(1, 1), (20, 1), (30, 10), (31, 10), (47, 7),
+                                        pytest.param(47, None, id="47-never")])
 def test_restart_iterations_reuse_the_forward_product(small_quadratic, monkeypatch, n_iters, q):
-    # a restart sets z = x, so its gradient reuses the product of the value
-    # computed at x one step earlier
+    # A z and A y are carried, so each step forms only A x_{k+1} and the
+    # transposed product of its gradient, whether or not it restarts
     counts = _count_matvecs(monkeypatch)
-    cfg = SolverConfig(max_iters=n_iters, stepsize_mode="theory", scheme=FixedRestart(q))
+    scheme = NeverRestart() if q is None else FixedRestart(q)
+    cfg = SolverConfig(max_iters=n_iters, stepsize_mode="theory", scheme=scheme)
     run(small_quadratic, Zero(), cfg, np.ones(6))
-    assert counts == {"forward": 2 * n_iters + 1 - math.ceil(n_iters / q),
-                      "transposed": n_iters}
+    assert counts == {"forward": n_iters + 1, "transposed": n_iters}
+
+
+@pytest.mark.parametrize("n_iters", [1, 25])
+def test_ag_forms_both_forward_products(small_quadratic, monkeypatch, n_iters):
+    # ag's y is a prox output, so it takes A z directly besides A x_{k+1}
+    counts = _count_matvecs(monkeypatch)
+    cfg = SolverConfig(max_iters=n_iters, stepsize_mode="theory")
+    run_baseline("ag", small_quadratic, L1(0.02), cfg, np.ones(6))
+    assert counts == {"forward": 2 * n_iters + 1, "transposed": n_iters}
+
+
+def _drift_instance(family):
+    if family == "quadratic":
+        ds = generate_synthetic("lasso_known", 200, 30, seed=0)
+        return QuadraticObjective(ds.features, ds.labels)
+    if family == "robust":
+        ds = generate_synthetic("robust_outliers", 200, 30, seed=0)
+        return RobustRegressionObjective(ds.features, ds.labels)
+    ds = generate_synthetic("logistic_sep", 200, 30, seed=0)
+    return LogisticObjective(ds.features, ds.labels, alpha=0.01)
+
+
+@pytest.mark.parametrize("mode", ["theory", "experiment"])
+@pytest.mark.parametrize("family", ["quadratic", "robust", "logistic"])
+def test_carried_product_does_not_drift(monkeypatch, family, mode):
+    # without restarts nothing resynchronizes A y with A x; the carried A z
+    # must still match a fresh product at every one of 5 000 steps
+    objective = _drift_instance(family)
+    gradient_at = type(objective).gradient_at
+    errors = []  # (max-norm error, max-norm of the fresh product) per step
+
+    def checked(self, z, Az):
+        fresh = spmv(self.A, z)
+        errors.append((np.max(np.abs(Az - fresh)), np.max(np.abs(fresh))))
+        return gradient_at(self, z, Az)
+
+    monkeypatch.setattr(type(objective), "gradient_at", checked)
+    cfg = SolverConfig(max_iters=5000, stepsize_mode=mode, scheme=NeverRestart())
+    trace = run(objective, L1(1e-3), cfg, np.zeros(30))
+    assert len(errors) == len(trace) == 5000
+    assert all(error <= 1e-12 * scale for error, scale in errors)
 
 
 def _trace_fingerprint(trace):
@@ -441,13 +490,13 @@ BASELINE_FINGERPRINTS = {
     ("ag", "experiment", 0.001):
         "9ff1c1908b1360d6717320c1cc583b500d54d54061c679f023ec264609e72b0b",
     ("apg_never", "theory", 0.0):
-        "4edf1f6a8fb3a1df32e9abd8943c817de22a18c9d11113e7b158a7fc400aa006",
+        "ba1342d527aa32fff0edf2d67e8263165618d058e9dd38eb09ef148a2c7e145c",
     ("apg_never", "theory", 0.001):
-        "742cd910fffdfa1b965af90818d23ceb29e647e57a51ee1f21205dbb68caed81",
+        "09bc955ddf04bbf8db69ae2b96ecf0cf5a8cb5d318ef13f33f49d6c7624f7322",
     ("apg_never", "experiment", 0.0):
-        "d3af3c59cee3933ae733c9421b8bc1e474d7cb0f3b02f595f60a6a3b1b60b622",
+        "87c9f7d0f4c597d7d63a688bbadb3fcaa752a566916e653ca7b2bf7ff316aad1",
     ("apg_never", "experiment", 0.001):
-        "5963084ae6299a3b380d78f4a675f63519bacf847ac2e4415215e1ef3b7288b3",
+        "40733c877bf78125f90c8c6aea34b8a8f4c0104cf3b804b6a4e19cd07cfb4eee",
 }
 
 
