@@ -78,7 +78,6 @@ def _csv_text(columns, rows) -> str:
 # ---------------------------------------------------------------------------
 # config parsing
 
-_SCHEME_KINDS = ("fixed", "function_value", "gradient_mapping", "non_monotone", "never")
 _ALGORITHMS = ("apg_restart",) + BASELINES
 _OBJECTIVES = ("logistic_ncvx", "robust", "quadratic")
 
@@ -90,60 +89,46 @@ def _require(mapping, key, path, types, default=None, required=True):
         return default
     value = mapping[key]
     # YAML booleans pass isinstance(value, int), and no field takes one
-    if types is not None and (not isinstance(value, types) or isinstance(value, bool)):
+    if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
     return value
 
 _NUM = (int, float)
 
+# kind -> (class, {field: (types, required)}); an optional field the config
+# leaves out is not passed, so the class's own default applies
+_SCHEMES = {
+    "fixed": (restart.FixedRestart, {"q": (int, True), "min_period": (int, False)}),
+    "function_value": (restart.FunctionValueRestart,
+                       {"rho": (_NUM, False), "min_period": (int, False)}),
+    "gradient_mapping": (restart.GradientMappingRestart,
+                         {"tau": (_NUM, False), "min_period": (int, False)}),
+    "non_monotone": (restart.NonMonotoneRestart,
+                     {"tau": (_NUM, False), "min_period": (int, False)}),
+    "never": (restart.NeverRestart, {}),
+}
+_REGULARIZERS = {
+    "none": (regularizers.Zero, {}),
+    "l1": (regularizers.L1, {"mu": (_NUM, True)}),
+    "squared_l2": (regularizers.SquaredL2, {"mu": (_NUM, True)}),
+    "elastic_net": (regularizers.ElasticNet, {"mu1": (_NUM, True), "mu2": (_NUM, True)}),
+}
 
-def _parse_scheme(node, path):
+
+def _build(node, path, table, what):
+    """Construct the ``table`` entry that ``node['kind']`` names from ``node``'s fields."""
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping with a 'kind' key")
     kind = _require(node, "kind", path, str)
-    if kind not in _SCHEME_KINDS:
-        raise ConfigError(f"{path}.kind: unknown scheme {kind!r}; expected one of {_SCHEME_KINDS}")
-
-    def field(key, types, default):
-        return _require(node, key, path, types, default=default, required=False)
-
+    if kind not in table:
+        raise ConfigError(f"{path}.kind: unknown {what} {kind!r}; expected one of {tuple(table)}")
+    cls, fields = table[kind]
+    kwargs = {key: _require(node, key, path, types)
+              for key, (types, required) in fields.items() if required or key in node}
     try:
-        if kind == "fixed":
-            q = _require(node, "q", path, int)
-            return restart.FixedRestart(q, min_period=field("min_period", int, 1))
-        if kind == "function_value":
-            return restart.FunctionValueRestart(
-                rho=field("rho", _NUM, 0.8), min_period=field("min_period", int, 2))
-        if kind == "gradient_mapping":
-            return restart.GradientMappingRestart(
-                tau=field("tau", _NUM, -0.2), min_period=field("min_period", int, 2))
-        if kind == "non_monotone":
-            return restart.NonMonotoneRestart(
-                tau=field("tau", _NUM, -0.2), min_period=field("min_period", int, 2))
-        return restart.NeverRestart()
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_regularizer(node, path):
-    if node is None:
-        return regularizers.Zero()
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a mapping with a 'kind' key")
-    kind = _require(node, "kind", path, str)
-    try:
-        if kind == "none":
-            return regularizers.Zero()
-        if kind == "l1":
-            return regularizers.L1(_require(node, "mu", path, _NUM))
-        if kind == "squared_l2":
-            return regularizers.SquaredL2(_require(node, "mu", path, _NUM))
-        if kind == "elastic_net":
-            return regularizers.ElasticNet(
-                _require(node, "mu1", path, _NUM), _require(node, "mu2", path, _NUM))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}.kind: unknown regularizer {kind!r}")
 
 
 class SolverSpec:
@@ -154,7 +139,8 @@ class SolverSpec:
         self.algorithm = _require(node, "algorithm", path, str, default="apg_restart", required=False)
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"{path}.algorithm: unknown algorithm {self.algorithm!r}")
-        self.scheme = _parse_scheme(node.get("scheme", {"kind": "never"}), f"{path}.scheme")
+        self.scheme = _build(node.get("scheme", {"kind": "never"}), f"{path}.scheme",
+                             _SCHEMES, "scheme")
         self.stepsize_mode = _require(node, "stepsize_mode", path, str, default="theory", required=False)
         self.lambda_factor = float(_require(node, "lambda_factor", path, _NUM, default=1.0, required=False))
         self.beta = _require(node, "beta", path, _NUM, default=None, required=False)
@@ -188,7 +174,9 @@ class ProblemSpec:
         # only the logistic objective reads alpha
         if self.objective == "logistic_ncvx" and self.alpha < 0:
             raise ConfigError(f"{path}.alpha: must be nonnegative (got {self.alpha!r})")
-        self.regularizer = _parse_regularizer(node.get("regularizer"), f"{path}.regularizer")
+        reg = node.get("regularizer")
+        self.regularizer = (regularizers.Zero() if reg is None else
+                            _build(reg, f"{path}.regularizer", _REGULARIZERS, "regularizer"))
         ds = _require(node, "dataset", path, dict)
         dpath = f"{path}.dataset"
         self.source = _require(ds, "source", dpath, str)

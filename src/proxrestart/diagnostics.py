@@ -75,16 +75,18 @@ class InvariantReport:
         return "\n".join(lines)
 
 
-def _worst(name, margins, locations) -> CheckResult:
-    if not margins:
+def _worst(name, margins, locate) -> CheckResult:
+    """Reduce per-item margins to one result, located by ``locate(index)``.
+
+    A failing check points at its first violation, a passing one at its
+    largest margin.
+    """
+    margins = np.asarray(margins, dtype=np.float64)
+    if len(margins) == 0:
         return CheckResult(name, float("-inf"), True, "no data")
-    margins = np.asarray(margins)
     failing = np.flatnonzero(margins > 0.0)
-    if len(failing):
-        first = int(failing[0])
-        return CheckResult(name, float(margins.max()), False, locations[first])
-    worst = int(np.argmax(margins))
-    return CheckResult(name, float(margins[worst]), True, locations[worst])
+    at = int(failing[0]) if len(failing) else int(np.argmax(margins))
+    return CheckResult(name, float(margins.max()), len(failing) == 0, locate(at))
 
 
 def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
@@ -102,8 +104,7 @@ def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
         )
     L = float(lipschitz)
 
-    descent_m, descent_loc = [], []
-    subdiff_m, subdiff_loc = [], []
+    descent_m, subdiff_m = [], []
     for t in range(1, len(trace.periods)):
         # checkpoint objective values come from the iteration rows, so the
         # verdict depends on the trace columns alone
@@ -112,30 +113,24 @@ def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
         path_sq = trace.period_step_sq_sum(t - 1)
         slack = CHECK_TOL * max(1.0, abs(F_prev))
         descent_m.append(F_curr - (F_prev - 0.25 * L * path_sq) - slack)
-        descent_loc.append(f"period {t}")
         subdiff_m.append(trace.periods[t].subdiff_dist ** 2 - 162.0 * L * L * path_sq - CHECK_TOL)
-        subdiff_loc.append(f"period {t}")
 
     rate_lhs = float(np.dot(trace.grad_map_norm, trace.grad_map_norm)) / (256.0 * L)
     rate_margin = rate_lhs - (trace.F[0] - trace.final_F) - CHECK_TOL if len(trace) else float("-inf")
 
-    if len(trace):
-        step_lo = trace.beta - trace.lam
-        step_hi = trace.lam - (1.0 + trace.alpha_next) * trace.beta
-        step_m = np.maximum(step_lo, step_hi) - CHECK_TOL * np.maximum(1.0, trace.beta)
-        failing = np.flatnonzero(step_m > 0.0)
-        loc = int(failing[0]) if len(failing) else int(np.argmax(step_m))
-        step_check = CheckResult("stepsize_interval", float(step_m.max()),
-                                 len(failing) == 0, f"iteration {loc}")
-    else:
-        step_check = CheckResult("stepsize_interval", float("-inf"), True, "no data")
+    step_lo = trace.beta - trace.lam
+    step_hi = trace.lam - (1.0 + trace.alpha_next) * trace.beta
+    step_m = np.maximum(step_lo, step_hi) - CHECK_TOL * np.maximum(1.0, trace.beta)
+
+    def period(i):  # margin i compares period i with period i + 1
+        return f"period {i + 1}"
 
     checks = (
-        _worst("period_descent", descent_m, descent_loc),
-        _worst("subdiff_bound", subdiff_m, subdiff_loc),
+        _worst("period_descent", descent_m, period),
+        _worst("subdiff_bound", subdiff_m, period),
         CheckResult("cumulative_rate", float(rate_margin), bool(rate_margin <= 0.0),
                     f"iterations 0..{max(len(trace) - 1, 0)}"),
-        step_check,
+        _worst("stepsize_interval", step_m, lambda i: f"iteration {i}"),
     )
     return InvariantReport(checks)
 
@@ -144,7 +139,7 @@ def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
 class PathLengthSummary:
     """Per-period path lengths with their running sum.
 
-    ``rows`` holds ``(t, path_length, cumulative)``. ``tail_increment``
+    ``rows`` holds ``(t, length, cumulative)``. ``tail_increment``
     is how much the cumulative sum grew over the last ``tail_window``
     periods; ``tail_converged`` flags an increment below 1e-8, the
     empirical signature of a finite total path (and hence of iterate

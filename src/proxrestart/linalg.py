@@ -16,6 +16,8 @@ without moving an output bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
@@ -146,6 +148,15 @@ class CsrMatrix:
 
     def __repr__(self):
         return f"CsrMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array, with the bits of ``np.linalg.norm``.
+
+    ``np.linalg.norm`` computes ``sqrt(v.dot(v))`` too, and both square
+    roots are correctly rounded; this form skips its dispatch overhead.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def _csr_matvec(M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:

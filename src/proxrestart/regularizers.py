@@ -18,10 +18,11 @@ logistic benchmark) are smooth and belong to the objective side, not here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import _norm
 
 __all__ = [
     "Zero",
@@ -34,15 +35,6 @@ __all__ = [
 
 def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float array, with the bits of ``np.linalg.norm``.
-
-    ``np.linalg.norm`` computes ``sqrt(v.dot(v))`` too, and both square
-    roots are correctly rounded; this form skips its dispatch overhead.
-    """
-    return math.sqrt(v.dot(v))
 
 
 def _check_eta(eta: float) -> float:

@@ -25,11 +25,12 @@ are degenerate, so the adaptive schemes default to ``min_period = 2``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .linalg import _norm
 
 __all__ = [
     "RestartObservation",
@@ -65,9 +66,8 @@ def _cosine_fire(a: np.ndarray, b: np.ndarray, tau: float) -> bool:
     A zero factor leaves the angle undefined; that must not trigger a
     reset, so the predicate returns False.
     """
-    # the bits of np.linalg.norm without its dispatch overhead
-    na = math.sqrt(a.dot(a))
-    nb = math.sqrt(b.dot(b))
+    na = _norm(a)
+    nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         return False
     return float(np.dot(a, b)) >= tau * na * nb

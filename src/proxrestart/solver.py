@@ -64,8 +64,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import spmv
-from .regularizers import _norm, gradient_mapping
+from .linalg import _norm, spmv
+from .regularizers import gradient_mapping
 from .restart import NeverRestart, RestartObservation
 
 __all__ = [
@@ -115,15 +115,14 @@ class SolverConfig:
 class PeriodRecord:
     """Per-period summary row.
 
-    ``path_length`` is sqrt(sum of squared step norms) over the period's
-    iterations and ``subdiff_dist`` the exact distance from zero to the
-    composite subdifferential at the checkpoint iterate.
+    ``F`` is the objective and ``subdiff_dist`` the exact distance from
+    zero to the composite subdifferential at the checkpoint iterate. The
+    period's path length is ``sqrt(trace.period_step_sq_sum(t))``.
     """
 
     t: int
     checkpoint: int
     F: float
-    path_length: float
     subdiff_dist: float
 
 
@@ -140,14 +139,16 @@ class SolverTrace:
     ``lam``, ``beta``, ``alpha_next``  stepsizes and momentum weight used
 
     ``periods`` holds one :class:`PeriodRecord` per (possibly partial)
-    period; ``checkpoint_points`` the corresponding iterates. Traces are
-    immutable once built and safe to share.
+    period; ``checkpoint_points`` the corresponding iterates, and
+    ``final_x`` the last one. The trace keeps no other iterate: rerun with
+    a smaller ``max_iters`` (runs are deterministic) or step
+    :func:`apg_restart_step` by hand to see more. Traces are immutable
+    once built and safe to share.
     """
 
     def __init__(self, algorithm, stepsize_mode, seed, lipschitz, F, grad_map_norm,
                  step_norm, restart_flags, lam, beta, alpha_next, periods,
-                 checkpoint_points, final_x, final_F, prox_calls, gradient_calls,
-                 iterates=None):
+                 checkpoint_points, final_x, final_F, prox_calls):
         self.algorithm = algorithm
         self.stepsize_mode = stepsize_mode
         self.seed = seed
@@ -164,8 +165,6 @@ class SolverTrace:
         self.final_x = np.asarray(final_x, dtype=np.float64)
         self.final_F = float(final_F)
         self.prox_calls = int(prox_calls)
-        self.gradient_calls = int(gradient_calls)
-        self.iterates = None if iterates is None else tuple(iterates)
 
     def __len__(self):
         return len(self.F)
@@ -173,8 +172,6 @@ class SolverTrace:
     @property
     def num_restarts(self) -> int:
         """Restarts after the initial checkpoint at iteration 0."""
-        if len(self.restart_flags) == 0:
-            return 0
         return int(self.restart_flags[1:].sum())
 
     def checkpoints(self) -> np.ndarray:
@@ -222,19 +219,18 @@ class SolverState:
     Ay: np.ndarray | None
     k: int = 0
     checkpoint: int = 0
-    period: int = -1
     pending_restart: bool = True
 
 
 class StepRecord(NamedTuple):
     """Everything one iteration produced, ready for trace assembly.
 
-    ``F`` is the objective at the iterate the step started from and
-    ``F_new`` at the one it produced. ``checkpoint_subdiff`` is only set
-    when the step opened a period (it is the exact subdifferential
-    distance at the fresh checkpoint, a free by-product of the gradient
-    evaluation there). The first seven fields are the trace's iteration
-    columns, in :class:`SolverTrace` order.
+    ``F`` is the objective at the iterate the step started from; the
+    next state carries the one at the iterate it produced.
+    ``checkpoint_subdiff`` is only set when the step opened a period (it
+    is the exact subdifferential distance at the fresh checkpoint, a free
+    by-product of the gradient evaluation there). The first seven fields
+    are the trace's iteration columns, in :class:`SolverTrace` order.
     """
 
     F: float
@@ -244,8 +240,6 @@ class StepRecord(NamedTuple):
     lam: float
     beta: float
     alpha_next: float
-    F_new: float
-    fire_restart: bool
     checkpoint_subdiff: float | None
 
 
@@ -267,15 +261,10 @@ def apg_restart_step(state: SolverState, objective, regularizer,
         beta = _resolve_beta(objective, cfg)[0]
     k = state.k
     x, y, F_x, Ax, Ay = state.x, state.y, state.F, state.Ax, state.Ay
-    if state.pending_restart:
+    restarted = state.pending_restart
+    if restarted:
         y, Ay = x, Ax         # re-synchronize: x_k = y_k exactly
-        checkpoint = k
-        period = state.period + 1
-        restarted = True
-    else:
-        checkpoint = state.checkpoint
-        period = state.period
-        restarted = False
+    checkpoint = k if restarted else state.checkpoint
     alpha = momentum_coefficient(k + 1, checkpoint)
     lam = beta * (1.0 + cfg.lambda_factor * alpha)
     if restarted:
@@ -311,45 +300,10 @@ def apg_restart_step(state: SolverState, objective, regularizer,
         k=k, since_restart=k - checkpoint, F_curr=F_new, F_prev=F_x,
         x_k=x, y_k=y, z_k=z, y_next=y_new,
     ))
-    record = StepRecord(F_x, gnorm, step, restarted, lam, beta, alpha,
-                        F_new, fire, subdiff)
+    record = StepRecord(F_x, gnorm, step, restarted, lam, beta, alpha, subdiff)
     next_state = SolverState(x=x_new, y=y_new, F=F_new, Ax=Ax_new, Ay=Ay_new, k=k + 1,
-                             checkpoint=checkpoint, period=period,
-                             pending_restart=fire)
+                             checkpoint=checkpoint, pending_restart=fire)
     return next_state, record
-
-
-class _TraceBuilder:
-    def __init__(self, algorithm, mode, seed, lipschitz, prox_per_iter, record_iterates):
-        self.algorithm = algorithm
-        self.mode = mode
-        self.seed = seed
-        self.lipschitz = lipschitz
-        self.prox_per_iter = prox_per_iter
-        self.rows = []
-        self.openings = []  # (checkpoint, F, subdiff) of each period
-        self.checkpoint_points = []
-        self.iterates = [] if record_iterates else None
-
-    def open_period(self, k, F, subdiff, point):
-        self.openings.append((k, F, subdiff))
-        self.checkpoint_points.append(np.array(point, copy=True))
-
-    def build(self, final_x, final_F):
-        n = len(self.rows)
-        columns = list(zip(*self.rows))[:7] if n else [()] * 7
-        ends = [k for k, _, _ in self.openings[1:]] + [n]
-        periods = []
-        for t, ((checkpoint, F, subdiff), end) in enumerate(zip(self.openings, ends)):
-            sq_sum = 0.0  # summed in row order, not by np.dot, so the bits stay fixed
-            for step in columns[2][checkpoint:end]:
-                sq_sum += step * step
-            periods.append(PeriodRecord(t, checkpoint, F, float(np.sqrt(sq_sum)), subdiff))
-        return SolverTrace(
-            self.algorithm, self.mode, self.seed, self.lipschitz, *columns, periods,
-            self.checkpoint_points, final_x, final_F,
-            self.prox_per_iter * n, n, self.iterates,
-        )
 
 
 def _resolve_beta(objective, cfg: SolverConfig):
@@ -365,58 +319,62 @@ def _resolve_beta(objective, cfg: SolverConfig):
 
 
 def _drive(algorithm, step, prox_per_iter, beta, lipschitz, objective, regularizer,
-           cfg: SolverConfig, x_init, record_iterates) -> SolverTrace:
+           cfg: SolverConfig, x_init) -> SolverTrace:
     """Iterate ``step`` from ``x_init`` and assemble the trace.
 
     ``step(state, objective, regularizer, cfg, beta)`` returns
     ``(next_state, record)`` like :func:`apg_restart_step`. Everything
     outside the update lives here: the divergence guard, the tolerance
-    stop, period bookkeeping and the recorded iterates.
+    stop and period bookkeeping.
     """
     x = np.array(x_init, dtype=np.float64, copy=True)
     Ax = spmv(objective.A, x)
     F_0 = objective.value_at(x, Ax) + regularizer.value(x)
     F_cap = 1e12 * (1.0 + abs(F_0))
     state = SolverState(x, x.copy(), F_0, Ax, Ax)
-    builder = _TraceBuilder(algorithm, cfg.stepsize_mode, cfg.seed, lipschitz, prox_per_iter,
-                            record_iterates)
+    rows = []
+    openings = []  # (checkpoint, F, subdiff) of each period
+    checkpoint_points = []
+
+    def build(final_x, final_F):
+        n = len(rows)
+        columns = list(zip(*rows))[:7] if n else [()] * 7
+        periods = [PeriodRecord(t, *opening) for t, opening in enumerate(openings)]
+        return SolverTrace(algorithm, cfg.stepsize_mode, cfg.seed, lipschitz, *columns,
+                           periods, checkpoint_points, final_x, final_F, prox_per_iter * n)
 
     for k in range(cfg.max_iters):
         x = state.x
         state, rec = step(state, objective, regularizer, cfg, beta)
         if rec.restarted:
-            builder.open_period(k, rec.F, rec.checkpoint_subdiff, x)
-        if record_iterates:
-            builder.iterates.append(x.copy())
-        builder.rows.append(rec)
-        if not (math.isfinite(rec.F_new) and rec.F_new <= F_cap):
+            openings.append((k, rec.F, rec.checkpoint_subdiff))
+            checkpoint_points.append(x.copy())
+        rows.append(rec)
+        if not (math.isfinite(state.F) and state.F <= F_cap):
             raise DivergenceError(
-                f"objective diverged: objective reached {rec.F_new!r}, "
+                f"objective diverged: objective reached {state.F!r}, "
                 "aborting with partial trace",
-                builder.build(x, rec.F_new),
+                build(x, state.F),
             )
         if cfg.tolerance > 0.0 and rec.grad_map_norm <= cfg.tolerance:
             break
 
-    if record_iterates:
-        builder.iterates.append(state.x.copy())
     if cfg.max_iters == 0:
         # record the initial checkpoint anyway
-        builder.open_period(0, state.F,
-                            regularizer.subdiff_distance(objective.gradient_at(state.x, state.Ax),
-                                                         state.x),
-                            state.x)
-    return builder.build(state.x, state.F)
+        grad = objective.gradient_at(state.x, state.Ax)
+        openings.append((0, state.F, regularizer.subdiff_distance(grad, state.x)))
+        checkpoint_points.append(state.x.copy())
+    return build(state.x, state.F)
 
 
-def run(objective, regularizer, cfg: SolverConfig, x_init,
-        record_iterates: bool = False) -> SolverTrace:
+def run(objective, regularizer, cfg: SolverConfig, x_init) -> SolverTrace:
     """Run the momentum-restart proximal gradient solver.
 
     Iterates ``cfg.max_iters`` times from ``x_init`` (or stops earlier
     once the gradient-mapping norm falls to ``cfg.tolerance``, if that is
     positive). The run is deterministic given the inputs; rerunning with
-    the same configuration reproduces the trace bit for bit.
+    the same configuration reproduces the trace bit for bit. Of the
+    iterates, the trace keeps the checkpoints and the last one.
 
     Parameters
     ----------
@@ -425,9 +383,6 @@ def run(objective, regularizer, cfg: SolverConfig, x_init,
     regularizer : regularizer with ``value``/``prox``/``subdiff_distance``
     cfg : SolverConfig
     x_init : array of shape (dim,)
-    record_iterates : bool
-        Also store every iterate on the trace (memory grows with the
-        iteration count; meant for tests and small studies).
 
     Raises
     ------
@@ -437,7 +392,7 @@ def run(objective, regularizer, cfg: SolverConfig, x_init,
     """
     beta, L = _resolve_beta(objective, cfg)
     return _drive("apg_restart", apg_restart_step, 1, beta, L, objective, regularizer, cfg,
-                  x_init, record_iterates)
+                  x_init)
 
 
 def _prox_grad_step(state, objective, regularizer, cfg, eta):
@@ -450,7 +405,7 @@ def _prox_grad_step(state, objective, regularizer, cfg, eta):
     Ax_new = spmv(objective.A, x_new)
     F_new = objective.value_at(x_new, Ax_new) + regularizer.value(x_new)
     return (SolverState(x_new, x_new, F_new, Ax_new, Ax_new, k + 1),
-            StepRecord(state.F, step / eta, step, k == 0, eta, eta, 0.0, F_new, False, subdiff))
+            StepRecord(state.F, step / eta, step, k == 0, eta, eta, 0.0, subdiff))
 
 
 def _ag_step(state, objective, regularizer, cfg, beta):
@@ -473,31 +428,28 @@ def _ag_step(state, objective, regularizer, cfg, beta):
     F_new = objective.value_at(x_new, Ax_new) + regularizer.value(x_new)
     step = _norm(x_new - x)
     return (SolverState(x_new, y_new, F_new, Ax_new, None, k + 1),
-            StepRecord(state.F, gnorm, step, k == 0, lam, beta, alpha, F_new, False, subdiff))
+            StepRecord(state.F, gnorm, step, k == 0, lam, beta, alpha, subdiff))
 
 
-def run_baseline(kind: str, objective, regularizer, cfg: SolverConfig, x_init,
-                 record_iterates: bool = False) -> SolverTrace:
+def run_baseline(kind: str, objective, regularizer, cfg: SolverConfig, x_init) -> SolverTrace:
     """Run a comparison baseline: ``"prox_grad"``, ``"ag"`` or ``"apg_never"``.
 
     ``apg_never`` is the restart solver with restarts disabled (a single
     momentum period); ``ag`` is the classical accelerated method with two
     proximal updates per iteration; ``prox_grad`` is unaccelerated
-    proximal gradient with stepsize 1/L.
+    proximal gradient with stepsize 1/L. The trace is the same kind
+    :func:`run` returns.
     """
     if kind == "prox_grad":
         L = objective.lipschitz(cfg.seed)
         if L <= 0:
             raise ValueError("proximal gradient baseline needs a positive Lipschitz estimate")
-        return _drive(kind, _prox_grad_step, 1, 1.0 / L, L, objective, regularizer, cfg,
-                      x_init, record_iterates)
+        return _drive(kind, _prox_grad_step, 1, 1.0 / L, L, objective, regularizer, cfg, x_init)
     if kind == "ag":
         beta, L = _resolve_beta(objective, cfg)
-        return _drive(kind, _ag_step, 2, beta, L, objective, regularizer, cfg,
-                      x_init, record_iterates)
+        return _drive(kind, _ag_step, 2, beta, L, objective, regularizer, cfg, x_init)
     if kind == "apg_never":
         cfg = replace(cfg, scheme=NeverRestart())
         beta, L = _resolve_beta(objective, cfg)
-        return _drive(kind, apg_restart_step, 1, beta, L, objective, regularizer, cfg,
-                      x_init, record_iterates)
+        return _drive(kind, apg_restart_step, 1, beta, L, objective, regularizer, cfg, x_init)
     raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")

@@ -2,8 +2,11 @@
 
 Nothing here reuses the closed forms under test: the prox oracle minimizes
 the defining objective by golden-section search, and the gradient oracle
-uses central finite differences.
+uses central finite differences. ``prefix_iterates`` recovers a run's
+iterates from the solver's determinism alone.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,3 +69,13 @@ def fd_gradient(value_fn, x, h=1e-5):
         e[j] = h
         grad[j] = (value_fn(x + e) - value_fn(x - e)) / (2.0 * h)
     return grad
+
+
+def prefix_iterates(solve, cfg):
+    """Iterates ``x_0 .. x_N`` of the run ``solve(cfg)``, ``N = cfg.max_iters``.
+
+    Runs are deterministic, so ``x_k`` is exactly the ``final_x`` of the
+    same run cut to ``k`` iterations. That costs O(N^2) steps, which is
+    fine for N up to a few hundred. The run must not stop early.
+    """
+    return [solve(replace(cfg, max_iters=k)).final_x for k in range(cfg.max_iters + 1)]

@@ -15,6 +15,7 @@ from proxrestart.cli import (
     load_config,
     main,
 )
+from proxrestart import FunctionValueRestart, GradientMappingRestart, NeverRestart, Zero
 from proxrestart.dataio import fixture_path
 
 
@@ -171,6 +172,8 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
     (lambda d: d["problem"]["dataset"].update(n=0), "problem.dataset"),
     (lambda d: d["problem"].update(dataset={"source": "libsvm", "path": "/nope.libsvm"}),
      "file not found"),
+    (lambda d: d["solvers"][0].update(scheme={"kind": "fixed"}), "solvers[0].scheme.q"),
+    (lambda d: d["problem"].update(regularizer={}), "problem.regularizer.kind"),
 ])
 def test_config_errors_name_the_field(tmp_path, mutate, fragment):
     doc = base_config()
@@ -178,7 +181,27 @@ def test_config_errors_name_the_field(tmp_path, mutate, fragment):
     cfg = write_config(tmp_path, doc)
     with pytest.raises(ConfigError, match=None) as info:
         load_config(cfg)
-    assert fragment in str(info.value)
+    message = str(info.value)
+    assert fragment in message
+    # the message opens with the field path and does not repeat it
+    path = message.split(":")[0]
+    assert message.count(path) == 1, message
+
+
+def test_config_sections_take_the_library_defaults(tmp_path):
+    doc = base_config()
+    doc["problem"]["regularizer"] = None
+    doc["solvers"] = [
+        {"name": "fv", "scheme": {"kind": "function_value"}, "max_iters": 1, "seeds": [0]},
+        {"name": "gm", "scheme": {"kind": "gradient_mapping", "tau": 0}, "max_iters": 1,
+         "seeds": [0]},
+        {"name": "never", "scheme": {"kind": "never", "q": "ignored"}, "max_iters": 1,
+         "seeds": [0]},
+    ]
+    config = load_config(write_config(tmp_path, doc))
+    assert config.problem.regularizer == Zero()
+    assert [s.scheme for s in config.solvers] == [
+        FunctionValueRestart(), GradientMappingRestart(tau=0), NeverRestart()]
 
 
 def test_alpha_is_checked_only_where_it_is_read(tmp_path):

@@ -89,12 +89,6 @@ def test_stationary_trace_has_zero_path(small_quadratic):
     assert all(length <= 1e-12 for _, length, _ in summary.rows)
 
 
-def test_path_lengths_match_stored_periods(lasso_trace):
-    summary = path_length_summary(lasso_trace)
-    for (t, length, _), period in zip(summary.rows, lasso_trace.periods):
-        assert length == pytest.approx(period.path_length, abs=1e-12)
-
-
 def test_cumulative_is_monotone_and_totals(lasso_trace):
     summary = path_length_summary(lasso_trace)
     cums = [c for _, _, c in summary.rows]

@@ -1,10 +1,12 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import prefix_iterates
 from proxrestart import (
     CsrMatrix,
     DivergenceError,
@@ -59,13 +61,13 @@ def test_single_hand_iteration():
 
 def test_restart_every_iteration_is_gradient_descent(small_quadratic):
     cfg = SolverConfig(max_iters=20, stepsize_mode="theory", scheme=FixedRestart(1))
-    trace = run(small_quadratic, Zero(), cfg, np.zeros(6), record_iterates=True)
+    iterates = prefix_iterates(lambda c: run(small_quadratic, Zero(), c, np.zeros(6)), cfg)
     L = small_quadratic.lipschitz(cfg.seed)
     lam = (1.0 + 2.0 / 3.0) / (8.0 * L)  # momentum weight is constant 2/3 at q=1
     x = np.zeros(6)
     for k in range(20):
         x = x - lam * small_quadratic.gradient(x)
-        assert np.linalg.norm(x - trace.iterates[k + 1]) <= 1e-12
+        assert np.linalg.norm(x - iterates[k + 1]) <= 1e-12
 
 
 def test_first_iteration_always_flagged_and_alpha_reset(small_quadratic):
@@ -105,7 +107,6 @@ def test_one_prox_and_one_gradient_per_iteration(small_quadratic):
     cfg = SolverConfig(max_iters=120, stepsize_mode="theory", scheme=FixedRestart(10))
     trace = run(small_quadratic, L1(0.02), cfg, np.zeros(6))
     assert trace.prox_calls == len(trace) == 120
-    assert trace.gradient_calls == 120
 
 
 def test_ag_needs_two_prox_calls_per_iteration(small_quadratic):
@@ -116,21 +117,24 @@ def test_ag_needs_two_prox_calls_per_iteration(small_quadratic):
 
 def test_ag_equals_never_restart_when_unregularized(small_quadratic):
     cfg = SolverConfig(max_iters=100, stepsize_mode="theory")
-    ag = run_baseline("ag", small_quadratic, Zero(), cfg, np.zeros(6), record_iterates=True)
-    apg = run_baseline("apg_never", small_quadratic, Zero(), cfg, np.zeros(6), record_iterates=True)
-    for xa, xb in zip(ag.iterates, apg.iterates):
+
+    def iterates(kind):
+        return prefix_iterates(
+            lambda c: run_baseline(kind, small_quadratic, Zero(), c, np.zeros(6)), cfg)
+
+    for xa, xb in zip(iterates("ag"), iterates("apg_never"), strict=True):
         assert np.linalg.norm(xa - xb) <= 1e-12 * max(1.0, np.linalg.norm(xa))
 
 
 def test_prox_grad_is_gradient_descent_when_unregularized(small_quadratic):
     cfg = SolverConfig(max_iters=40, stepsize_mode="theory")
-    trace = run_baseline("prox_grad", small_quadratic, Zero(), cfg, np.zeros(6),
-                         record_iterates=True)
+    iterates = prefix_iterates(
+        lambda c: run_baseline("prox_grad", small_quadratic, Zero(), c, np.zeros(6)), cfg)
     L = small_quadratic.lipschitz(cfg.seed)
     x = np.zeros(6)
     for k in range(40):
         x = x - small_quadratic.gradient(x) / L
-        assert np.linalg.norm(x - trace.iterates[k + 1]) <= 1e-12
+        assert np.linalg.norm(x - iterates[k + 1]) <= 1e-12
 
 
 def test_acceleration_beats_plain_prox_grad():
@@ -193,14 +197,6 @@ def test_stepsizes_stay_in_admissible_interval(small_quadratic):
         assert np.all(trace.lam <= (1.0 + trace.alpha_next) * trace.beta + 1e-15)
 
 
-def test_period_path_lengths_recomputable(small_quadratic):
-    cfg = SolverConfig(max_iters=137, stepsize_mode="theory", scheme=FixedRestart(11))
-    trace = run(small_quadratic, L1(0.02), cfg, np.zeros(6))
-    for t, period in enumerate(trace.periods):
-        assert period.path_length == pytest.approx(
-            np.sqrt(trace.period_step_sq_sum(t)), abs=1e-12)
-
-
 @pytest.mark.parametrize("algorithm", ["apg_restart", "ag", "apg_never"])
 def test_divergence_guard_carries_partial_trace(small_quadratic, algorithm):
     cfg = SolverConfig(max_iters=2000, stepsize_mode="custom", beta=1e9)
@@ -245,7 +241,7 @@ def test_step_restart_branch(small_quadratic):
 
     new_state, rec = apg_restart_step(state, small_quadratic, Zero(), cfg)
     assert rec.restarted and rec.checkpoint_subdiff is not None
-    assert new_state.k == 1 and new_state.checkpoint == 0 and new_state.period == 0
+    assert new_state.k == 1 and new_state.checkpoint == 0
     # restart re-synchronizes: the step is taken from x, ignoring the stale y
     assert rec.grad_map_norm == pytest.approx(
         np.linalg.norm(small_quadratic.gradient(x0)), rel=1e-12)
@@ -254,7 +250,7 @@ def test_step_restart_branch(small_quadratic):
 
     plain_state, plain_rec = apg_restart_step(new_state, small_quadratic, Zero(), cfg)
     assert not plain_rec.restarted and plain_rec.checkpoint_subdiff is None
-    assert plain_state.period == 0 and plain_state.checkpoint == 0
+    assert plain_state.checkpoint == 0
     assert plain_rec.alpha_next == 0.5  # 2 / (k - checkpoint + 3) at k = 1
 
 
@@ -341,9 +337,12 @@ def test_iterates_are_prox_outputs(regularizer, scheme):
     recorder = RecordingRegularizer(regularizer)
     marks = StepMarks(scheme, recorder)
     cfg = SolverConfig(max_iters=60, stepsize_mode="theory", scheme=marks)
-    trace = run(objective, recorder, cfg, rng.standard_normal(4), record_iterates=True)
-    assert len(marks.marks) == len(trace) + 1 == len(trace.iterates)
-    for k, x_next in enumerate(trace.iterates[1:]):
+    x_init = rng.standard_normal(4)
+    trace = run(objective, recorder, cfg, x_init)
+    iterates = prefix_iterates(lambda c: run(objective, regularizer, c, x_init),
+                               replace(cfg, scheme=scheme))
+    assert len(marks.marks) == len(trace) + 1 == len(iterates)
+    for k, x_next in enumerate(iterates[1:]):
         assert x_next.tobytes() in recorder.outputs[marks.marks[k]:marks.marks[k + 1]]
     if isinstance(regularizer, L1):
         assert np.count_nonzero(trace.final_x == 0.0) > 0
@@ -358,7 +357,7 @@ def test_step_lam_stays_in_its_interval(lambda_factor, beta, since_restart, pend
     x, y = np.array([0.3]), np.array([0.1])
     state = SolverState(x=x, y=y, F=objective.value(x), Ax=spmv(objective.A, x),
                         Ay=spmv(objective.A, y), k=7 + since_restart,
-                        checkpoint=7, period=0, pending_restart=pending)
+                        checkpoint=7, pending_restart=pending)
     _, rec = apg_restart_step(state, objective, Zero(), cfg)
     alpha = rec.alpha_next
     assert rec.beta == beta and 0.0 < alpha <= 1.0
@@ -372,11 +371,12 @@ def test_step_lam_stays_in_its_interval(lambda_factor, beta, since_restart, pend
 def test_subdiff_recorded_at_checkpoints(small_quadratic):
     reg = L1(0.05)
     cfg = SolverConfig(max_iters=60, stepsize_mode="theory", scheme=FixedRestart(15))
-    trace = run(small_quadratic, reg, cfg, np.zeros(6), record_iterates=True)
+    trace = run(small_quadratic, reg, cfg, np.zeros(6))
+    iterates = prefix_iterates(lambda c: run(small_quadratic, reg, c, np.zeros(6)), cfg)
     for period, point in zip(trace.periods, trace.checkpoint_points):
         grad = small_quadratic.gradient(point)
         assert period.subdiff_dist == pytest.approx(reg.subdiff_distance(grad, point), rel=1e-12)
-        assert np.array_equal(point, trace.iterates[period.checkpoint])
+        assert np.array_equal(point, iterates[period.checkpoint])
 
 
 def _count_matvecs(monkeypatch):
@@ -459,16 +459,23 @@ def test_carried_product_does_not_drift(monkeypatch, family, mode):
 
 
 def _trace_fingerprint(trace):
+    # the digests also cover each period's path length, summed in row order,
+    # and the gradient-call count, one per iteration; both are recomputed
+    # from the columns
     h = hashlib.sha256()
     for name in ("F", "grad_map_norm", "step_norm", "restart_flags", "lam", "beta",
                  "alpha_next", "final_x"):
         h.update(getattr(trace, name).tobytes())
-    for period, point in zip(trace.periods, trace.checkpoint_points, strict=True):
+    ends = [p.checkpoint for p in trace.periods[1:]] + [len(trace)]
+    for period, point, end in zip(trace.periods, trace.checkpoint_points, ends, strict=True):
+        sq_sum = 0.0
+        for step in trace.step_norm[period.checkpoint:end]:
+            sq_sum += step * step
         h.update(np.array([period.t, period.checkpoint], dtype=np.int64).tobytes())
-        h.update(np.array([period.F, period.path_length, period.subdiff_dist]).tobytes())
+        h.update(np.array([period.F, np.sqrt(sq_sum), period.subdiff_dist]).tobytes())
         h.update(point.tobytes())
     h.update(np.array([trace.final_F, trace.lipschitz]).tobytes())
-    h.update(np.array([trace.prox_calls, trace.gradient_calls], dtype=np.int64).tobytes())
+    h.update(np.array([trace.prox_calls, len(trace)], dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
