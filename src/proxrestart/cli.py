@@ -5,8 +5,8 @@ Subcommands
 ``run``      execute every (solver, seed) cell of a config, writing one
              iteration-trace CSV per cell plus ``summary.csv``.
 ``check``    run the cells and verify the theory-mode trace inequalities;
-             exit 0 only if every check passes (``report.csv`` +
-             ``path_lengths.csv`` are written either way).
+             exit 0 only if no cell diverges and every check passes
+             (``report.csv`` + ``path_lengths.csv`` are written either way).
 ``compare``  emit a long-format CSV of per-iteration loss gaps across
              solvers (plot-ready) plus a restart-count table.
 
@@ -79,7 +79,9 @@ def _csv_text(columns, rows) -> str:
 # config parsing
 
 _ALGORITHMS = ("apg_restart",) + BASELINES
-_OBJECTIVES = ("logistic_ncvx", "robust", "quadratic")
+_OBJECTIVES = {"logistic_ncvx": objectives.LogisticObjective,
+               "robust": objectives.RobustRegressionObjective,
+               "quadratic": objectives.QuadraticObjective}
 
 
 def _require(mapping, key, path, types, default=None, required=True):
@@ -115,6 +117,22 @@ _REGULARIZERS = {
 }
 
 
+# SolverConfig fields a solver entry may set besides its scheme
+_SOLVER_FIELDS = {"max_iters": (int, True), "stepsize_mode": (str, False),
+                  "lambda_factor": (_NUM, False), "beta": (_NUM, False),
+                  "tolerance": (_NUM, False)}
+
+
+def _construct(cls, fields, node, path, **extra):
+    """Call ``cls`` with ``node``'s ``fields`` (read before the call) plus ``extra``."""
+    kwargs = {key: _require(node, key, path, types)
+              for key, (types, required) in fields.items() if required or key in node}
+    try:
+        return cls(**kwargs, **extra)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _build(node, path, table, what):
     """Construct the ``table`` entry that ``node['kind']`` names from ``node``'s fields."""
     if not isinstance(node, dict):
@@ -122,16 +140,12 @@ def _build(node, path, table, what):
     kind = _require(node, "kind", path, str)
     if kind not in table:
         raise ConfigError(f"{path}.kind: unknown {what} {kind!r}; expected one of {tuple(table)}")
-    cls, fields = table[kind]
-    kwargs = {key: _require(node, key, path, types)
-              for key, (types, required) in fields.items() if required or key in node}
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _construct(*table[kind], node, path)
 
 
 class SolverSpec:
+    """One solver entry: its name, algorithm, seeds and the one config every cell runs."""
+
     def __init__(self, node, path):
         self.name = _require(node, "name", path, str)
         if not self.name or not all(c.isalnum() or c in "_-" for c in self.name):
@@ -139,30 +153,16 @@ class SolverSpec:
         self.algorithm = _require(node, "algorithm", path, str, default="apg_restart", required=False)
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"{path}.algorithm: unknown algorithm {self.algorithm!r}")
-        self.scheme = _build(node.get("scheme", {"kind": "never"}), f"{path}.scheme",
-                             _SCHEMES, "scheme")
-        self.stepsize_mode = _require(node, "stepsize_mode", path, str, default="theory", required=False)
-        self.lambda_factor = float(_require(node, "lambda_factor", path, _NUM, default=1.0, required=False))
-        self.beta = _require(node, "beta", path, _NUM, default=None, required=False)
-        self.max_iters = _require(node, "max_iters", path, int)
-        self.tolerance = float(_require(node, "tolerance", path, _NUM, default=0.0, required=False))
+        scheme = _build(node.get("scheme", {"kind": "never"}), f"{path}.scheme",
+                        _SCHEMES, "scheme")
+        # a field the entry leaves out takes SolverConfig's default
+        self.config = _construct(SolverConfig, _SOLVER_FIELDS, node, path, scheme=scheme)
         seeds = _require(node, "seeds", path, list)
         # numpy generators take nonnegative seeds only
         if not seeds or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
                                 for s in seeds):
             raise ConfigError(f"{path}.seeds: must be a nonempty list of nonnegative integers")
         self.seeds = list(seeds)
-        try:
-            self.solver_config(seeds[0])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-
-    def solver_config(self, seed) -> SolverConfig:
-        return SolverConfig(
-            max_iters=self.max_iters, stepsize_mode=self.stepsize_mode,
-            lambda_factor=self.lambda_factor, beta=self.beta,
-            tolerance=self.tolerance, seed=seed, scheme=self.scheme,
-        )
 
 
 class ProblemSpec:
@@ -223,16 +223,10 @@ class ProblemSpec:
                 ds = dataio.load_libsvm(self.path, expected_dim=self.expected_dim)
             else:
                 ds = dataio.generate_synthetic(self.kind, self.n, self.d, self._data_seed(seed))
-            return ds, self.build_objective(ds)
+            kwargs = {"alpha": self.alpha} if self.objective == "logistic_ncvx" else {}
+            return ds, _OBJECTIVES[self.objective](ds.features, ds.labels, **kwargs)
         except (OSError, ValueError) as exc:
             raise DataError(f"{self.describe(seed)}: {exc}") from None
-
-    def build_objective(self, dataset: dataio.Dataset):
-        if self.objective == "logistic_ncvx":
-            return objectives.LogisticObjective(dataset.features, dataset.labels, alpha=self.alpha)
-        if self.objective == "robust":
-            return objectives.RobustRegressionObjective(dataset.features, dataset.labels)
-        return objectives.QuadraticObjective(dataset.features, dataset.labels)
 
 
 class ExperimentConfig:
@@ -268,59 +262,56 @@ def load_config(path) -> ExperimentConfig:
 
 def _run_cell(config: ExperimentConfig, spec: SolverSpec, seed: int):
     dataset, objective = config.problem.instance(seed)
-    x_init = np.zeros(dataset.n_cols)
-    cfg = spec.solver_config(seed)
+    cfg = spec.config
     # theory stepsizes and prox_grad divide by L; an all-zero matrix under
     # the quadratic or robust loss gives L = 0 (cached, so no extra work)
-    if spec.stepsize_mode == "theory" or spec.algorithm == "prox_grad":
-        L = objective.lipschitz(seed)
+    if cfg.stepsize_mode == "theory" or spec.algorithm == "prox_grad":
+        L = objective.lipschitz()
         if L <= 0:
             raise DataError(f"{config.problem.describe(seed)}: gradient Lipschitz estimate "
                             f"is {L!r}; solver {spec.name!r} needs a positive one")
+    x_init = np.zeros(dataset.n_cols)
     if spec.algorithm == "apg_restart":
         return run(objective, config.problem.regularizer, cfg, x_init)
     return run_baseline(spec.algorithm, objective, config.problem.regularizer, cfg, x_init)
 
 
-def _trace_rows(trace):
-    for k in range(len(trace)):
-        yield (k, trace.F[k], trace.grad_map_norm[k], trace.step_norm[k],
-               trace.restart_flags[k], trace.lam[k], trace.beta[k], trace.alpha_next[k])
+def _cells(config: ExperimentConfig, seed_override):
+    """Run every (solver, seed) cell; yield ``(spec, seed, trace, status)``.
 
-
-def _trace_filename(spec: SolverSpec, seed: int) -> str:
-    return f"{spec.name}_seed{seed}.csv"
-
-
-def _iter_cells(config: ExperimentConfig, seed_override):
+    A cell whose objective diverged yields its partial trace and status ``"diverged"``.
+    """
     for spec in config.solvers:
-        seeds = [seed_override] if seed_override is not None else spec.seeds
-        for seed in seeds:
-            yield spec, seed
+        for seed in [seed_override] if seed_override is not None else spec.seeds:
+            try:
+                trace, status = _run_cell(config, spec, seed), "ok"
+            except DivergenceError as exc:
+                trace, status = exc.trace, "diverged"
+            yield spec, seed, trace, status
+
+
+def _best_F(cells) -> float:
+    """Lowest objective value any cell's trace reached: the loss-gap reference."""
+    return min(min(float(t.F.min()) if len(t) else t.final_F, t.final_F) for _, _, t, _ in cells)
 
 
 def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=False):
-    """Execute all cells; write per-cell traces and a summary. Returns 0/1."""
+    """Execute all cells; write per-cell traces and a summary. Returns 0."""
     os.makedirs(out_dir, exist_ok=True)
     results = []
-    for spec, seed in _iter_cells(config, seed_override):
-        try:
-            trace = _run_cell(config, spec, seed)
-            status = "ok"
-        except DivergenceError as exc:
-            trace = exc.trace
-            status = "diverged"
-        _write_atomic(os.path.join(out_dir, _trace_filename(spec, seed)),
-                      _csv_text(TRACE_COLUMNS, _trace_rows(trace)))
+    for spec, seed, trace, status in _cells(config, seed_override):
+        rows = zip(range(len(trace)), trace.F, trace.grad_map_norm, trace.step_norm,
+                   trace.restart_flags, trace.lam, trace.beta, trace.alpha_next)
+        _write_atomic(os.path.join(out_dir, f"{spec.name}_seed{seed}.csv"),
+                      _csv_text(TRACE_COLUMNS, rows))
         results.append((spec, seed, trace, status))
         if not quiet:
             print(f"{spec.name} seed={seed}: {status}, {len(trace)} iterations, "
                   f"{trace.num_restarts} restarts, final F={trace.final_F!r}")
 
-    f_ref = min(min(float(t.F.min()) if len(t) else t.final_F, t.final_F)
-                for _, _, t, _ in results)
+    f_ref = _best_F(results)
     summary_rows = [
-        (spec.name, spec.algorithm, spec.scheme.label, spec.stepsize_mode, seed,
+        (spec.name, spec.algorithm, spec.config.scheme.label, spec.config.stepsize_mode, seed,
          len(trace), trace.num_restarts, trace.prox_calls, trace.final_F,
          trace.final_F - f_ref, status)
         for spec, seed, trace, status in results
@@ -332,29 +323,29 @@ def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=
 def check_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=False):
     """Run cells and verify the theory-mode invariants. Returns 0 iff all pass."""
     for i, spec in enumerate(config.solvers):
-        if spec.stepsize_mode != "theory":
-            raise ConfigError(
-                f"solvers[{i}].stepsize_mode: invariant checks require 'theory' "
-                f"(got {spec.stepsize_mode!r}; experiment stepsizes carry no descent guarantee)"
-            )
+        mode = spec.config.stepsize_mode
+        if mode != "theory":
+            raise ConfigError(f"solvers[{i}].stepsize_mode: invariant checks require 'theory' "
+                              f"(got {mode!r}; experiment stepsizes carry no descent guarantee)")
     os.makedirs(out_dir, exist_ok=True)
     report_rows = []
     path_rows = []
     all_passed = True
-    for spec, seed in _iter_cells(config, seed_override):
-        trace = _run_cell(config, spec, seed)
+    for spec, seed, trace, status in _cells(config, seed_override):
         report = check_invariants(trace, trace.lipschitz)
-        for c in report.checks:
-            report_rows.append((spec.name, seed, c.name, c.worst_margin, c.passed, c.location))
-            if not c.passed:
-                all_passed = False
-                if not quiet:
-                    print(f"FAIL {spec.name} seed={seed}: {c.name} at {c.location} "
-                          f"(margin {c.worst_margin:.3e})", file=sys.stderr)
+        report_rows.extend((spec.name, seed, c.name, c.worst_margin, c.passed, c.location)
+                           for c in report.checks)
         lengths = path_length_summary(trace)
         path_rows.extend((spec.name, seed, t, l, cum) for t, l, cum in lengths.rows)
+        # a diverged cell fails whatever its partial trace's checks say
+        failures = [] if status == "ok" else [f"{status} after {len(trace)} iterations"]
+        failures += [f"{c.name} at {c.location} (margin {c.worst_margin:.3e})"
+                     for c in report.checks if not c.passed]
+        all_passed = all_passed and not failures
         if not quiet:
-            print(f"{spec.name} seed={seed}: {'pass' if report.passed else 'FAIL'}")
+            for failure in failures:
+                print(f"FAIL {spec.name} seed={seed}: {failure}", file=sys.stderr)
+            print(f"{spec.name} seed={seed}: {'FAIL' if failures else 'pass'}")
     _write_atomic(os.path.join(out_dir, "report.csv"),
                   _csv_text(("solver", "seed", "check", "worst_margin", "passed", "location"),
                             report_rows))
@@ -368,22 +359,12 @@ def compare_experiment(config: ExperimentConfig, out_dir, seed_override=None, qu
     if len(config.solvers) < 2:
         raise ConfigError("solvers: compare needs at least two solvers")
     os.makedirs(out_dir, exist_ok=True)
-    cells = []
-    for spec, seed in _iter_cells(config, seed_override):
-        try:
-            trace = _run_cell(config, spec, seed)
-        except DivergenceError as exc:
-            trace = exc.trace
-        cells.append((spec, seed, trace))
-    f_ref = min(min(float(t.F.min()) if len(t) else t.final_F, t.final_F) for _, _, t in cells)
-    long_rows = []
-    count_rows = []
-    for spec, seed, trace in cells:
-        long_rows.extend(
-            (spec.name, spec.scheme.label, seed, k, trace.F[k] - f_ref)
-            for k in range(len(trace))
-        )
-        count_rows.append((spec.name, spec.scheme.label, seed, trace.num_restarts))
+    cells = list(_cells(config, seed_override))
+    f_ref = _best_F(cells)
+    long_rows = [(spec.name, spec.config.scheme.label, seed, k, F - f_ref)
+                 for spec, seed, trace, _ in cells for k, F in enumerate(trace.F)]
+    count_rows = [(spec.name, spec.config.scheme.label, seed, trace.num_restarts)
+                  for spec, seed, trace, _ in cells]
     _write_atomic(os.path.join(out_dir, "compare.csv"),
                   _csv_text(("solver", "scheme", "seed", "k", "loss_gap"), long_rows))
     _write_atomic(os.path.join(out_dir, "restart_counts.csv"),

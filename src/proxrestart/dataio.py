@@ -11,6 +11,7 @@ and one 200x30 instance per kind ships with the package.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,7 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
     Raises
     ------
     ParseError
-        On a nonnumeric token, a nonincreasing feature index, or an index
+        On a nonnumeric token, a nonfinite label, a nonincreasing feature index, or an index
         below 1 -- the message carries the 1-based line number and token.
     """
     labels = []
@@ -115,9 +116,12 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
         if not tokens:
             continue
         try:
-            labels.append(float(tokens[0]))
+            label = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {lineno}: nonnumeric label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise ParseError(f"line {lineno}: nonfinite label {tokens[0]!r}")
+        labels.append(label)
         prev_index = 0
         for token in tokens[1:]:
             idx_s, sep, val_s = token.partition(":")

@@ -55,11 +55,11 @@ __all__ = [
 
 
 class _DataObjective:
-    """Shared plumbing: dimension checks, ``A @ x`` and cached Lipschitz estimates.
+    """Shared plumbing: dimension checks, ``A @ x`` and the cached Lipschitz estimate.
 
     Subclasses implement ``value_at(x, Ax)`` and ``gradient_at(x, Ax)``,
     which trust ``Ax`` to be ``A @ x`` for a float64 ``x`` of length
-    ``dim``.
+    ``dim``, and ``_lipschitz_from_spectrum(||A||_2^2)``.
     """
 
     def __init__(self, A: CsrMatrix, b):
@@ -70,7 +70,7 @@ class _DataObjective:
         self.b = b
         self.n = A.n_rows
         self.dim = A.n_cols
-        self._lipschitz_cache: dict[int, float] = {}
+        self._lipschitz: float | None = None
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -86,21 +86,18 @@ class _DataObjective:
         x = self._check_x(x)
         return self.gradient_at(x, spmv(self.A, x))
 
-    def lipschitz(self, seed: int = 0) -> float:
-        """Estimate of the gradient's Lipschitz constant (cached per seed).
+    def lipschitz(self) -> float:
+        """Estimate of the gradient's Lipschitz constant, computed once per objective.
 
-        Built on the power-iteration estimate of ``||A||_2^2``, which
+        Built on the power-iteration estimate of ``||A||_2^2`` from
+        :func:`~proxrestart.linalg.spectral_norm_sq`'s fixed start vector,
+        so every run on this objective reads the same value. That estimate
         approaches the true value from below, so it may fall slightly
         short of the true constant.
         """
-        L = self._lipschitz_cache.get(seed)
-        if L is None:
-            L = self._lipschitz_from_spectrum(spectral_norm_sq(self.A, iters=200, seed=seed))
-            self._lipschitz_cache[seed] = L
-        return L
-
-    def _lipschitz_from_spectrum(self, spec_sq: float) -> float:
-        raise NotImplementedError
+        if self._lipschitz is None:
+            self._lipschitz = self._lipschitz_from_spectrum(spectral_norm_sq(self.A, iters=200))
+        return self._lipschitz
 
 
 class LogisticObjective(_DataObjective):

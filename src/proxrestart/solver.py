@@ -88,14 +88,13 @@ BASELINES = ("prox_grad", "ag", "apg_never")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters shared by the restart solver and the baselines."""
+    """Run parameters shared by the restart solver and the baselines; nothing in a run is random."""
 
     max_iters: int
     stepsize_mode: str = "theory"
     lambda_factor: float = 1.0
     beta: float | None = None
     tolerance: float = 0.0
-    seed: int = 0
     scheme: object = field(default_factory=NeverRestart)
 
     def __post_init__(self):
@@ -146,12 +145,11 @@ class SolverTrace:
     once built and safe to share.
     """
 
-    def __init__(self, algorithm, stepsize_mode, seed, lipschitz, F, grad_map_norm,
+    def __init__(self, algorithm, stepsize_mode, lipschitz, F, grad_map_norm,
                  step_norm, restart_flags, lam, beta, alpha_next, periods,
                  checkpoint_points, final_x, final_F, prox_calls):
         self.algorithm = algorithm
         self.stepsize_mode = stepsize_mode
-        self.seed = seed
         self.lipschitz = lipschitz
         self.F = np.asarray(F, dtype=np.float64)
         self.grad_map_norm = np.asarray(grad_map_norm, dtype=np.float64)
@@ -173,9 +171,6 @@ class SolverTrace:
     def num_restarts(self) -> int:
         """Restarts after the initial checkpoint at iteration 0."""
         return int(self.restart_flags[1:].sum())
-
-    def checkpoints(self) -> np.ndarray:
-        return np.array([p.checkpoint for p in self.periods], dtype=np.int64)
 
     def period_step_sq_sum(self, t: int) -> float:
         """Sum of squared step norms over period ``t``, from iteration rows."""
@@ -309,24 +304,26 @@ def apg_restart_step(state: SolverState, objective, regularizer,
 def _resolve_beta(objective, cfg: SolverConfig):
     """Return (beta, lipschitz-or-None) for the configured stepsize mode."""
     if cfg.stepsize_mode == "theory":
-        L = objective.lipschitz(cfg.seed)
+        L = objective.lipschitz()
         if L <= 0:
             raise ValueError("theory stepsizes need a positive Lipschitz estimate")
         return 1.0 / (8.0 * L), L
     if cfg.stepsize_mode == "experiment":
-        return 1.0, objective.lipschitz(cfg.seed)
+        return 1.0, objective.lipschitz()
     return float(cfg.beta), None
 
 
-def _drive(algorithm, step, prox_per_iter, beta, lipschitz, objective, regularizer,
-           cfg: SolverConfig, x_init) -> SolverTrace:
+def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverConfig, x_init,
+           stepsize=None) -> SolverTrace:
     """Iterate ``step`` from ``x_init`` and assemble the trace.
 
     ``step(state, objective, regularizer, cfg, beta)`` returns
-    ``(next_state, record)`` like :func:`apg_restart_step`. Everything
+    ``(next_state, record)`` like :func:`apg_restart_step`; ``stepsize``
+    is ``(beta, lipschitz)``, by default the configured mode's. Everything
     outside the update lives here: the divergence guard, the tolerance
     stop and period bookkeeping.
     """
+    beta, lipschitz = stepsize or _resolve_beta(objective, cfg)
     x = np.array(x_init, dtype=np.float64, copy=True)
     Ax = spmv(objective.A, x)
     F_0 = objective.value_at(x, Ax) + regularizer.value(x)
@@ -340,7 +337,7 @@ def _drive(algorithm, step, prox_per_iter, beta, lipschitz, objective, regulariz
         n = len(rows)
         columns = list(zip(*rows))[:7] if n else [()] * 7
         periods = [PeriodRecord(t, *opening) for t, opening in enumerate(openings)]
-        return SolverTrace(algorithm, cfg.stepsize_mode, cfg.seed, lipschitz, *columns,
+        return SolverTrace(algorithm, cfg.stepsize_mode, lipschitz, *columns,
                            periods, checkpoint_points, final_x, final_F, prox_per_iter * n)
 
     for k in range(cfg.max_iters):
@@ -390,9 +387,7 @@ def run(objective, regularizer, cfg: SolverConfig, x_init) -> SolverTrace:
         If the objective exceeds ``1e12 * (1 + |F(x_init)|)`` or turns
         nonfinite. The partial trace rides on the exception.
     """
-    beta, L = _resolve_beta(objective, cfg)
-    return _drive("apg_restart", apg_restart_step, 1, beta, L, objective, regularizer, cfg,
-                  x_init)
+    return _drive("apg_restart", apg_restart_step, 1, objective, regularizer, cfg, x_init)
 
 
 def _prox_grad_step(state, objective, regularizer, cfg, eta):
@@ -441,15 +436,13 @@ def run_baseline(kind: str, objective, regularizer, cfg: SolverConfig, x_init) -
     :func:`run` returns.
     """
     if kind == "prox_grad":
-        L = objective.lipschitz(cfg.seed)
+        L = objective.lipschitz()
         if L <= 0:
             raise ValueError("proximal gradient baseline needs a positive Lipschitz estimate")
-        return _drive(kind, _prox_grad_step, 1, 1.0 / L, L, objective, regularizer, cfg, x_init)
+        return _drive(kind, _prox_grad_step, 1, objective, regularizer, cfg, x_init, (1.0 / L, L))
     if kind == "ag":
-        beta, L = _resolve_beta(objective, cfg)
-        return _drive(kind, _ag_step, 2, beta, L, objective, regularizer, cfg, x_init)
+        return _drive(kind, _ag_step, 2, objective, regularizer, cfg, x_init)
     if kind == "apg_never":
-        cfg = replace(cfg, scheme=NeverRestart())
-        beta, L = _resolve_beta(objective, cfg)
-        return _drive(kind, apg_restart_step, 1, beta, L, objective, regularizer, cfg, x_init)
+        return _drive(kind, apg_restart_step, 1, objective, regularizer,
+                      replace(cfg, scheme=NeverRestart()), x_init)
     raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")

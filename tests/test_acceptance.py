@@ -80,10 +80,9 @@ def theory_grid():
     for objective_kind in OBJECTIVES:
         for seed in SEEDS:
             objective, regularizer = make_problem(objective_kind, seed)
-            L = objective.lipschitz(seed)
+            L = objective.lipschitz()
             for scheme_name, scheme in SCHEMES.items():
-                cfg = SolverConfig(max_iters=K, stepsize_mode="theory",
-                                   scheme=scheme, seed=seed)
+                cfg = SolverConfig(max_iters=K, stepsize_mode="theory", scheme=scheme)
                 trace = run(objective, regularizer, cfg, np.zeros(D))
                 cells[(objective_kind, scheme_name, seed)] = (trace, L)
     return cells, time.perf_counter() - t0
@@ -133,8 +132,7 @@ def test_criterion_04_finite_path_length():
     t0 = time.perf_counter()
     ds = generate_synthetic("lasso_known", N, D, seed=0)
     objective = QuadraticObjective(ds.features, ds.labels)
-    cfg = SolverConfig(max_iters=50000, stepsize_mode="theory",
-                       scheme=FixedRestart(10), seed=0)
+    cfg = SolverConfig(max_iters=50000, stepsize_mode="theory", scheme=FixedRestart(10))
     trace = run(objective, L1(lasso_l1_weight(ds)), cfg, np.zeros(D))
     lengths = [np.sqrt(trace.period_step_sq_sum(t)) for t in range(len(trace.periods))]
     tail_increment = float(np.sum(lengths[-50:]))
@@ -148,11 +146,11 @@ def test_criterion_05_linear_rate_regime():
     ds = generate_synthetic("lasso_known", N, D, seed=0)
     objective = QuadraticObjective(ds.features, ds.labels)
     regularizer = L1(lasso_l1_weight(ds))
-    cfg = SolverConfig(max_iters=K, stepsize_mode="theory", scheme=FixedRestart(10), seed=0)
+    cfg = SolverConfig(max_iters=K, stepsize_mode="theory", scheme=FixedRestart(10))
     trace = run(objective, regularizer, cfg, np.zeros(D))
     reference = run(objective, regularizer,
                     SolverConfig(max_iters=10 * K, stepsize_mode="theory",
-                                 scheme=FixedRestart(10), seed=0), np.zeros(D))
+                                 scheme=FixedRestart(10)), np.zeros(D))
     gaps = np.array(checkpoint_values(trace)) - reference.final_F
     fit = fit_rate(gaps, tail_fraction=0.5)
     ok = fit.regime == "linear" and fit.r_squared >= 0.9
@@ -222,7 +220,7 @@ def test_criterion_09_collapse_to_gradient_descent():
     rng = np.random.default_rng(99)
     A = rng.standard_normal((40, 8))
     objective = QuadraticObjective(CsrMatrix.from_dense(A), rng.standard_normal(40))
-    cfg = SolverConfig(max_iters=100, stepsize_mode="theory", scheme=FixedRestart(1), seed=0)
+    cfg = SolverConfig(max_iters=100, stepsize_mode="theory", scheme=FixedRestart(1))
     trace = run(objective, Zero(), cfg, np.zeros(8))
     iterates = prefix_iterates(lambda c: run(objective, Zero(), c, np.zeros(8)), cfg)
     lam = trace.lam[0]
@@ -246,8 +244,7 @@ def test_criterion_10_scheme_ordering_at_practical_stepsizes():
         objective = LogisticObjective(ds.features, ds.labels, alpha=0.01)
         finals, floors = {}, []
         for name, scheme in targets.items():
-            cfg = SolverConfig(max_iters=K, stepsize_mode="experiment",
-                               scheme=scheme, seed=seed)
+            cfg = SolverConfig(max_iters=K, stepsize_mode="experiment", scheme=scheme)
             trace = run(objective, Zero(), cfg, np.zeros(D))
             finals[name] = trace.final_F
             floors.append(min(float(trace.F.min()), trace.final_F))

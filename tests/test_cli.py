@@ -1,7 +1,9 @@
 import filecmp
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from proxrestart.cli import (
     load_config,
     main,
 )
-from proxrestart import FunctionValueRestart, GradientMappingRestart, NeverRestart, Zero
+from proxrestart import (DivergenceError, FunctionValueRestart, GradientMappingRestart,
+                         NeverRestart, Zero)
 from proxrestart.dataio import fixture_path
 
 
@@ -23,6 +26,10 @@ def write_config(tmp_path, doc, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return str(path)
+
+
+def digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
 def base_config(**overrides):
@@ -49,17 +56,17 @@ def base_config(**overrides):
 
 GOLDEN_TRACE = """\
 k,F,grad_map_norm,step_norm,restart,lambda,beta,alpha_next
-0,4.22954865754627,0.7213729430017151,0.28925806218995403,1,0.4009826886302642,0.24058961317815855,0.6666666666666666
-1,4.034489674645399,0.646599991096647,0.2333478626084146,0,0.36088441976723784,0.24058961317815855,0.5
-2,3.8965693204368566,0.5804258216763022,0.1955021934820029,0,0.33682545844942197,0.24058961317815855,0.4
-3,3.7939975960559686,0.49536933925307636,0.19863452951869603,1,0.4009826886302642,0.24058961317815855,0.6666666666666666
-4,3.7014553380476594,0.4484748614830852,0.1618475901665156,0,0.36088441976723784,0.24058961317815855,0.5
-5,3.634556178728218,0.40648847648222963,0.1369156674455341,0,0.33682545844942197,0.24058961317815855,0.4
+0,4.22954865754627,0.7213729430017151,0.2892580621865897,1,0.4009826886256004,0.24058961317536023,0.6666666666666666
+1,4.034489674647511,0.6465999910975105,0.2333478626060122,0,0.36088441976304036,0.24058961317536023,0.5
+2,3.896569320440051,0.5804258216778304,0.19550219348024378,0,0.3368254584455043,0.24058961317536023,0.4
+3,3.793997596059685,0.4953693392553517,0.1986345295172981,1,0.4009826886256004,0.24058961317536023,0.6666666666666666
+4,3.701455338051541,0.4484748614856298,0.16184759016555142,0,0.36088441976304036,0.24058961317536023,0.5
+5,3.634556178732059,0.4064884764849659,0.13691566744486322,0,0.3368254584455043,0.24058961317536023,0.4
 """
 
 GOLDEN_SUMMARY = """\
 solver,algorithm,scheme,stepsize_mode,seed,iterations,restarts,prox_calls,final_F,loss_gap,status
-demo,apg_restart,fixed(q=3),theory,1,6,1,6,3.5837762896584198,0.0,ok
+demo,apg_restart,fixed(q=3),theory,1,6,1,6,3.5837762896621155,0.0,ok
 """
 
 
@@ -106,12 +113,23 @@ def test_csv_floats_roundtrip(tmp_path):
     ds = generate_synthetic("robust_outliers", 20, 4, seed=11)
     obj = QuadraticObjective(ds.features, ds.labels)
     trace = run(obj, L1(0.05),
-                SolverConfig(max_iters=6, stepsize_mode="theory", scheme=FixedRestart(3), seed=1),
+                SolverConfig(max_iters=6, stepsize_mode="theory", scheme=FixedRestart(3)),
                 np.zeros(4))
     for line, k in zip(lines, range(6)):
         parts = line.split(",")
         assert float(parts[1]) == trace.F[k]           # exact round-trip
         assert float(parts[2]) == trace.grad_map_norm[k]
+
+
+def test_pinned_dataset_cells_share_one_lipschitz(tmp_path):
+    # dataset.seed pins one instance, so the cell seed changes nothing:
+    # not the data, and not the stepsize read off the objective's L
+    doc = base_config()
+    doc["solvers"][0]["seeds"] = [1, 2]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert (out / "demo_seed1.csv").read_bytes() == (out / "demo_seed2.csv").read_bytes()
 
 
 def test_libsvm_source_through_cli(tmp_path):
@@ -200,7 +218,7 @@ def test_config_sections_take_the_library_defaults(tmp_path):
     ]
     config = load_config(write_config(tmp_path, doc))
     assert config.problem.regularizer == Zero()
-    assert [s.scheme for s in config.solvers] == [
+    assert [s.config.scheme for s in config.solvers] == [
         FunctionValueRestart(), GradientMappingRestart(tau=0), NeverRestart()]
 
 
@@ -225,12 +243,13 @@ ZERO_LIPSCHITZ = "gradient Lipschitz estimate is 0.0; solver 'demo' needs a posi
 @pytest.mark.parametrize("text,objective,solver,fragment", [
     ("1 1:0.5\n-1 2:a\n", "quadratic", {}, "line 2: nonnumeric value in token '2:a'"),
     ("1 1:0.5\n0 2:1.0\n", "logistic_ncvx", {}, "logistic labels must be -1 or +1"),
+    ("1 1:0.5\nnan 2:1.0\n", "quadratic", {}, "line 2: nonfinite label 'nan'"),
     (None, "quadratic", {}, "Is a directory"),
     ("1 1:0\n-1 2:0\n", "quadratic", {}, ZERO_LIPSCHITZ),
     ("1 1:0\n-1 2:0\n", "quadratic", {"algorithm": "prox_grad", "stepsize_mode": "experiment"},
      ZERO_LIPSCHITZ),
-], ids=["bad_token", "wrong_labels", "directory", "zero_lipschitz_theory",
-        "zero_lipschitz_prox_grad"])
+], ids=["bad_token", "wrong_labels", "nonfinite_label", "directory",
+        "zero_lipschitz_theory", "zero_lipschitz_prox_grad"])
 def test_bad_data_exit_code(tmp_path, capsys, text, objective, solver, fragment):
     path = tmp_path / "bad.libsvm"
     if text is None:
@@ -288,6 +307,21 @@ def test_check_passes_on_shipped_grid_at_seed(tmp_path, capsys, seed):
     assert len(report) == 5 * 4 and all(row.split(",")[4] == "1" for row in report)
 
 
+# SHA-256 of check's outputs on configs/check.yaml at seed 0
+CHECK_SEED0_DIGESTS = {
+    "report.csv": "c99a68820925f91fff743bf659af045177d84b597f0043cd5720b6e1bb8e5f7a",
+    "path_lengths.csv": "064c4b51d7ca942ec8f5fe6892f7f0a13544b7a7183537bb4c678a2ea4e3908d",
+}
+
+
+def test_check_outputs_are_pinned(tmp_path):
+    cfg = os.path.join(CONFIGS, "check.yaml")
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out), "--seed-override", "0",
+                 "--quiet"]) == 0
+    assert digests(out, CHECK_SEED0_DIGESTS) == CHECK_SEED0_DIGESTS
+
+
 def test_check_passes_on_seed_sweep(tmp_path, capsys):
     # 200 theory cells; the carried products A y and A z must not cost a check
     cfg = os.path.join(CONFIGS, "check_seeds.yaml")
@@ -337,11 +371,37 @@ def test_check_detects_injected_fault(tmp_path, monkeypatch, capsys):
     assert any("period 2" in r or "period 3" in r for r in rows)
 
 
+def test_check_reports_a_diverged_cell(tmp_path, monkeypatch, capsys):
+    cfg = check_config(tmp_path)
+    out = tmp_path / "out"
+
+    clean_run = cli.run
+    calls = []
+
+    def diverging_run(objective, regularizer, cfg, x_init):
+        # the first cell gives up after 10 iterations with its partial trace
+        calls.append(None)
+        if len(calls) > 1:
+            return clean_run(objective, regularizer, cfg, x_init)
+        partial = clean_run(objective, regularizer, replace(cfg, max_iters=10), x_init)
+        raise DivergenceError("objective diverged", partial)
+
+    monkeypatch.setattr(cli, "run", diverging_run)
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "FAIL demo seed=1: diverged after 10 iterations\n"
+    assert captured.out == "demo seed=1: FAIL\ndemo seed=2: pass\n"
+    report = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[1] for row in report] == ["1"] * 4 + ["2"] * 4
+    paths = (out / "path_lengths.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert {row.split(",")[1] for row in paths} == {"1", "2"}
+
+
 # --- compare subcommand -----------------------------------------------------------
 
-def compare_config(tmp_path):
+def compare_config(tmp_path, **solver_fields):
     doc = base_config()
-    solver = doc["solvers"][0]
+    solver = dict(doc["solvers"][0], **solver_fields)
     fast = dict(solver, name="fv", scheme={"kind": "function_value", "rho": 0.8},
                 max_iters=40)
     slow = dict(solver, name="fixed", scheme={"kind": "fixed", "q": 10}, max_iters=40)
@@ -360,6 +420,20 @@ def test_compare_two_schemes(tmp_path):
     counts = (out / "restart_counts.csv").read_text(encoding="utf-8").splitlines()
     assert counts[0] == "solver,scheme,seed,restarts"
     assert len(counts) == 3
+
+
+# SHA-256 of compare's outputs on compare_config at experiment stepsizes
+COMPARE_EXPERIMENT_DIGESTS = {
+    "compare.csv": "4b44af1eb6f021b3035bd6037bced5dfaaf1e69f4194043fc3fbbbe17c4c99ca",
+    "restart_counts.csv": "6ea6ed3cdca2f687a80616ddc5a80de1ee21174dc04adb4578ee156808da960c",
+}
+
+
+def test_compare_outputs_are_pinned(tmp_path):
+    cfg = compare_config(tmp_path, stepsize_mode="experiment")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert digests(out, COMPARE_EXPERIMENT_DIGESTS) == COMPARE_EXPERIMENT_DIGESTS
 
 
 def test_compare_needs_two_solvers(tmp_path):

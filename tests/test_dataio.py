@@ -64,6 +64,8 @@ def test_parse_regression_labels():
     ("1 2:a\n", "line 1"),              # nonnumeric value
     ("1 2:a\n", "2:a"),                 # ... names the token
     ("abc 1:2\n", "nonnumeric label"),
+    ("nan 1:2\n", "line 1: nonfinite label 'nan'"),
+    ("1 1:2\n-inf 2:1\n", "line 2: nonfinite label '-inf'"),
     ("1 x:2\n", "nonnumeric index"),
     ("1 0:5\n", "must be >= 1"),
     ("1 2:1.0 2:3.0\n", "nonincreasing"),
@@ -163,7 +165,6 @@ def test_separable_instance_is_easy_to_fit():
     # no label noise and a wide margin: the logistic loss falls below 0.1
     ds = generate_synthetic("logistic_sep", 200, 30, seed=7, label_noise=0.0, margin=12.0)
     obj = LogisticObjective(ds.features, ds.labels, alpha=0.0)
-    cfg = SolverConfig(max_iters=2000, stepsize_mode="experiment",
-                       scheme=FunctionValueRestart(), seed=7)
+    cfg = SolverConfig(max_iters=2000, stepsize_mode="experiment", scheme=FunctionValueRestart())
     trace = run(obj, Zero(), cfg, np.zeros(30))
     assert trace.final_F < 0.1

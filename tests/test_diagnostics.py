@@ -23,7 +23,7 @@ from proxrestart import (
 def lasso_trace():
     ds = generate_synthetic("lasso_known", 120, 15, seed=4)
     obj = QuadraticObjective(ds.features, ds.labels)
-    cfg = SolverConfig(max_iters=400, stepsize_mode="theory", scheme=FixedRestart(10), seed=4)
+    cfg = SolverConfig(max_iters=400, stepsize_mode="theory", scheme=FixedRestart(10))
     trace = run(obj, L1(lasso_l1_weight(ds)), cfg, np.zeros(15))
     return trace
 
@@ -100,7 +100,7 @@ def test_cumulative_is_monotone_and_totals(lasso_trace):
 
 
 def test_tail_window_flag(small_quadratic):
-    cfg = SolverConfig(max_iters=600, stepsize_mode="theory", scheme=FixedRestart(5), seed=1)
+    cfg = SolverConfig(max_iters=600, stepsize_mode="theory", scheme=FixedRestart(5))
     trace = run(small_quadratic, Zero(), cfg, np.ones(6))
     summary = path_length_summary(trace, tail_window=20)
     assert summary.tail_window == 20

@@ -83,18 +83,18 @@ def test_gradient_matches_finite_differences(family, rng):
 def test_lipschitz_quadratic_identity():
     n = 4
     obj = QuadraticObjective(CsrMatrix.from_dense(np.eye(n)), np.zeros(n))
-    assert obj.lipschitz(0) == pytest.approx(1.0 / n, rel=1e-9)
+    assert obj.lipschitz() == pytest.approx(1.0 / n, rel=1e-9)
 
 
 def test_lipschitz_logistic_zero_matrix():
     obj = LogisticObjective(CsrMatrix.from_dense(np.zeros((3, 2))), np.array([1.0, -1.0, 1.0]), alpha=0.01)
-    assert obj.lipschitz(0) == 0.02
+    assert obj.lipschitz() == 0.02
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_lipschitz_bounds_gradient_variation(family, rng):
     obj = random_instance(rng, family, n=20, d=6)
-    L = obj.lipschitz(0)
+    L = obj.lipschitz()
     worst = 0.0
     for _ in range(1000):
         x = rng.standard_normal(6) * 2
@@ -109,7 +109,7 @@ def test_lipschitz_bounds_gradient_variation(family, rng):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_descent_step_never_increases(family, rng):
     obj = random_instance(rng, family)
-    L = obj.lipschitz(0)
+    L = obj.lipschitz()
     for _ in range(50):
         x = rng.standard_normal(obj.dim)
         stepped = x - obj.gradient(x) / L
@@ -123,21 +123,20 @@ def test_values_bounded_below_by_zero(family, rng):
         assert obj.value(rng.standard_normal(obj.dim) * 5) >= 0.0
 
 
-def test_lipschitz_cached_per_seed(rng, monkeypatch):
-    seeds = []
+def test_lipschitz_computed_once(rng, monkeypatch):
+    calls = []
 
-    def counting(A, iters, seed):
-        seeds.append(seed)
-        return spectral_norm_sq(A, iters=iters, seed=seed)
+    def counting(A, **kwargs):
+        calls.append(kwargs)
+        return spectral_norm_sq(A, **kwargs)
 
     monkeypatch.setattr(objectives, "spectral_norm_sq", counting)
     obj = random_instance(rng, "quadratic")
-    first = obj.lipschitz(3)
-    assert obj.lipschitz(3) == first and seeds == [3]
-    obj.lipschitz(5)
-    obj.lipschitz(5)
-    obj.lipschitz(3)
-    assert seeds == [3, 5]
+    first = obj.lipschitz()
+    assert [obj.lipschitz() for _ in range(3)] == [first] * 3
+    # one estimate per objective, from spectral_norm_sq's default start vector
+    assert calls == [{"iters": 200}]
+    assert first == obj._lipschitz_from_spectrum(spectral_norm_sq(obj.A, iters=200, seed=0))
 
 
 def test_label_validation():

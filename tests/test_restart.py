@@ -141,7 +141,7 @@ def test_fixed_scheme_gives_exact_periods(small_quadratic):
     for q in (3, 10, 25):
         cfg = SolverConfig(max_iters=200, stepsize_mode="theory", scheme=FixedRestart(q))
         trace = run(small_quadratic, Zero(), cfg, np.zeros(6))
-        gaps = np.diff(trace.checkpoints())
+        gaps = np.diff([p.checkpoint for p in trace.periods])
         assert np.all(gaps == q)
 
 
@@ -161,5 +161,5 @@ def test_never_scheme_single_period(small_quadratic):
 def test_min_period_holds_in_traces(scheme, small_quadratic):
     cfg = SolverConfig(max_iters=400, stepsize_mode="theory", scheme=scheme)
     trace = run(small_quadratic, Zero(), cfg, np.zeros(6))
-    gaps = np.diff(trace.checkpoints())
+    gaps = np.diff([p.checkpoint for p in trace.periods])
     assert len(gaps) == 0 or gaps.min() >= 3

@@ -62,7 +62,7 @@ def test_single_hand_iteration():
 def test_restart_every_iteration_is_gradient_descent(small_quadratic):
     cfg = SolverConfig(max_iters=20, stepsize_mode="theory", scheme=FixedRestart(1))
     iterates = prefix_iterates(lambda c: run(small_quadratic, Zero(), c, np.zeros(6)), cfg)
-    L = small_quadratic.lipschitz(cfg.seed)
+    L = small_quadratic.lipschitz()
     lam = (1.0 + 2.0 / 3.0) / (8.0 * L)  # momentum weight is constant 2/3 at q=1
     x = np.zeros(6)
     for k in range(20):
@@ -93,8 +93,7 @@ def test_checkpoint_query_point_equals_iterate(small_quadratic):
 
 
 def test_deterministic_reruns_bit_identical(small_quadratic):
-    cfg = SolverConfig(max_iters=300, stepsize_mode="theory",
-                       scheme=FixedRestart(10), seed=3)
+    cfg = SolverConfig(max_iters=300, stepsize_mode="theory", scheme=FixedRestart(10))
     a = run(small_quadratic, L1(0.02), cfg, np.zeros(6))
     b = run(small_quadratic, L1(0.02), cfg, np.zeros(6))
     for field in ("F", "grad_map_norm", "step_norm", "lam", "beta", "alpha_next"):
@@ -130,7 +129,7 @@ def test_prox_grad_is_gradient_descent_when_unregularized(small_quadratic):
     cfg = SolverConfig(max_iters=40, stepsize_mode="theory")
     iterates = prefix_iterates(
         lambda c: run_baseline("prox_grad", small_quadratic, Zero(), c, np.zeros(6)), cfg)
-    L = small_quadratic.lipschitz(cfg.seed)
+    L = small_quadratic.lipschitz()
     x = np.zeros(6)
     for k in range(40):
         x = x - small_quadratic.gradient(x) / L
