@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 import tempfile
+from itertools import chain, repeat
 
 import numpy as np
 import yaml
@@ -69,10 +70,26 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
+def _lines_text(columns, lines) -> str:
+    return "\n".join([",".join(columns), *lines]) + "\n"
+
+
 def _csv_text(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return _lines_text(columns, (",".join(_fmt(v) for v in row) for row in rows))
+
+
+def _column_lines(*columns):
+    """CSV lines of rows given column by column, each an iterable of field strings.
+
+    The long trace tables are written this way: formatting a whole float64
+    column with ``map(repr, a.tolist())`` gives ``_fmt``'s bytes without a
+    numpy scalar per field.
+    """
+    return map(",".join, zip(*columns))
+
+
+def _floats(a):
+    return map(repr, a.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +230,8 @@ class ProblemSpec:
 
         A libsvm source is parsed from its file; a synthetic one is
         generated at the config's ``dataset.seed`` if set, else at the cell
-        seed. Each call builds a fresh instance.
+        seed. :meth:`describe` names the data, so two seeds it describes
+        alike give equal instances.
 
         Raises :class:`DataError` naming the source when the data cannot
         be read or does not suit the objective.
@@ -260,8 +278,8 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # execution
 
-def _run_cell(config: ExperimentConfig, spec: SolverSpec, seed: int):
-    dataset, objective = config.problem.instance(seed)
+def _run_cell(config: ExperimentConfig, spec: SolverSpec, seed: int, instance):
+    dataset, objective = instance
     cfg = spec.config
     # theory stepsizes and prox_grad divide by L; an all-zero matrix under
     # the quadratic or robust loss gives L = 0 (cached, so no extra work)
@@ -280,11 +298,18 @@ def _cells(config: ExperimentConfig, seed_override):
     """Run every (solver, seed) cell; yield ``(spec, seed, trace, status)``.
 
     A cell whose objective diverged yields its partial trace and status ``"diverged"``.
+    Cells on the same data share one instance, and with it the objective's
+    cached Lipschitz estimate: the first of them builds it, and it is held
+    until the last cell has run.
     """
+    instances = {}  # ProblemSpec.describe(seed) -> (dataset, objective)
     for spec in config.solvers:
         for seed in [seed_override] if seed_override is not None else spec.seeds:
+            key = config.problem.describe(seed)
+            if key not in instances:
+                instances[key] = config.problem.instance(seed)
             try:
-                trace, status = _run_cell(config, spec, seed), "ok"
+                trace, status = _run_cell(config, spec, seed, instances[key]), "ok"
             except DivergenceError as exc:
                 trace, status = exc.trace, "diverged"
             yield spec, seed, trace, status
@@ -300,10 +325,12 @@ def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=
     os.makedirs(out_dir, exist_ok=True)
     results = []
     for spec, seed, trace, status in _cells(config, seed_override):
-        rows = zip(range(len(trace)), trace.F, trace.grad_map_norm, trace.step_norm,
-                   trace.restart_flags, trace.lam, trace.beta, trace.alpha_next)
+        lines = _column_lines(map(str, range(len(trace))), _floats(trace.F),
+                              _floats(trace.grad_map_norm), _floats(trace.step_norm),
+                              ("1" if f else "0" for f in trace.restart_flags.tolist()),
+                              _floats(trace.lam), _floats(trace.beta), _floats(trace.alpha_next))
         _write_atomic(os.path.join(out_dir, f"{spec.name}_seed{seed}.csv"),
-                      _csv_text(TRACE_COLUMNS, rows))
+                      _lines_text(TRACE_COLUMNS, lines))
         results.append((spec, seed, trace, status))
         if not quiet:
             print(f"{spec.name} seed={seed}: {status}, {len(trace)} iterations, "
@@ -361,12 +388,14 @@ def compare_experiment(config: ExperimentConfig, out_dir, seed_override=None, qu
     os.makedirs(out_dir, exist_ok=True)
     cells = list(_cells(config, seed_override))
     f_ref = _best_F(cells)
-    long_rows = [(spec.name, spec.config.scheme.label, seed, k, F - f_ref)
-                 for spec, seed, trace, _ in cells for k, F in enumerate(trace.F)]
+    long_lines = chain.from_iterable(
+        _column_lines(repeat(spec.name), repeat(spec.config.scheme.label), repeat(str(seed)),
+                      map(str, range(len(trace))), _floats(trace.F - f_ref))
+        for spec, seed, trace, _ in cells)
     count_rows = [(spec.name, spec.config.scheme.label, seed, trace.num_restarts)
                   for spec, seed, trace, _ in cells]
     _write_atomic(os.path.join(out_dir, "compare.csv"),
-                  _csv_text(("solver", "scheme", "seed", "k", "loss_gap"), long_rows))
+                  _lines_text(("solver", "scheme", "seed", "k", "loss_gap"), long_lines))
     _write_atomic(os.path.join(out_dir, "restart_counts.csv"),
                   _csv_text(("solver", "scheme", "seed", "restarts"), count_rows))
     if not quiet:

@@ -10,8 +10,10 @@ The adaptive predicates come in a strict and a relaxed form:
 * function value -- fire when ``F_curr > rho * F_prev``; ``rho = 1`` is the
   strict "the objective went up" test, ``rho = 0.8`` the relaxed default
   (fire unless the value dropped by at least 20%). The relaxed comparison
-  assumes nonnegative objective values, which all bundled objectives
-  satisfy; for negative values the relaxation would invert strictness.
+  assumes nonnegative objective values: for negative values it would
+  invert strictness, so :func:`~proxrestart.solver.run` refuses ``rho < 1``
+  unless the objective declares ``nonnegative = True`` (all bundled
+  objectives do).
 * gradient mapping -- fire when the momentum direction ``z - y`` and the
   proximal step ``y_next - z`` make an angle of at most 90 degrees
   (``tau = 0``), or at most ``arccos(tau)`` with the relaxed slack

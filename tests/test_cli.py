@@ -18,8 +18,11 @@ from proxrestart.cli import (
     main,
 )
 from proxrestart import (DivergenceError, FunctionValueRestart, GradientMappingRestart,
-                         NeverRestart, Zero)
+                         NeverRestart, Zero, dataio, objectives)
 from proxrestart.dataio import fixture_path
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def write_config(tmp_path, doc, name="cfg.yaml"):
@@ -132,15 +135,84 @@ def test_pinned_dataset_cells_share_one_lipschitz(tmp_path):
     assert (out / "demo_seed1.csv").read_bytes() == (out / "demo_seed2.csv").read_bytes()
 
 
-def test_libsvm_source_through_cli(tmp_path):
+# SHA-256 of run's outputs with the data seeded by the cell seed (no dataset.seed)
+SEEDED_RUN_DIGESTS = {
+    "fv_seed1.csv": "d37d8713df59e1b9e1ff25e7852b023a9837094b8ccfc66067f1089ac1ba2543",
+    "fv_seed2.csv": "8454bc714b6cedaaa2cb56d8798594c8ace54c87e39514847e68e953c4b07623",
+    "pg_seed1.csv": "b9a23a39392b9ebe3a1a87f8afaf7c21942d30374fa3ee34b36671de9296ce6c",
+    "pg_seed2.csv": "f342fc86fc5d0e5a34f783026dc9c847eb3d240e8f7be6901ed9df94b794938b",
+    "summary.csv": "3322454e31ea7cdeb91ab0bfcc64a26b2a45c110c5fd1b15245ecbbc297dd064",
+}
+
+
+def test_seeded_data_outputs_are_pinned(tmp_path):
+    # two solvers share each seed's instance; the pins predate the sharing
+    doc = base_config()
+    del doc["problem"]["dataset"]["seed"]
+    doc["solvers"] = [
+        {"name": "fv", "algorithm": "apg_restart", "scheme": {"kind": "function_value", "rho": 0.8},
+         "stepsize_mode": "theory", "max_iters": 40, "seeds": [1, 2]},
+        {"name": "pg", "algorithm": "prox_grad", "stepsize_mode": "experiment",
+         "max_iters": 40, "seeds": [1, 2]},
+    ]
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == 0
+    assert sorted(os.listdir(out)) == sorted(SEEDED_RUN_DIGESTS)
+    assert digests(out, SEEDED_RUN_DIGESTS) == SEEDED_RUN_DIGESTS
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls; return the count list."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_check_builds_each_instance_once(tmp_path, monkeypatch):
+    # 15 cells on 3 data seeds: one instance and one Lipschitz estimate per seed
+    generated = count_calls(monkeypatch, dataio, "generate_synthetic")
+    estimated = count_calls(monkeypatch, objectives, "spectral_norm_sq")
+    cfg = os.path.join(CONFIGS, "check.yaml")
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert (len(generated), len(estimated)) == (3, 3)
+
+
+def test_run_builds_each_instance_once(tmp_path, monkeypatch):
+    # 30 cells on 5 data seeds; the instances, not the iterations, are counted
+    clean_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda objective, regularizer, cfg, x_init: clean_run(
+        objective, regularizer, replace(cfg, max_iters=20), x_init))
+    generated = count_calls(monkeypatch, dataio, "generate_synthetic")
+    estimated = count_calls(monkeypatch, objectives, "spectral_norm_sq")
+    cfg = os.path.join(CONFIGS, "example.yaml")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert (len(generated), len(estimated)) == (5, 5)
+    assert len(os.listdir(out)) == 30 + 1
+
+
+def test_libsvm_source_through_cli(tmp_path, monkeypatch):
+    # 2 solvers x 2 seeds on one file: it is parsed once
+    loaded = count_calls(monkeypatch, dataio, "load_libsvm")
     doc = base_config()
     doc["problem"]["dataset"] = {"source": "libsvm", "path": str(fixture_path("logistic_sep"))}
     doc["problem"]["objective"] = "logistic_ncvx"
     doc["problem"]["alpha"] = 0.01
+    doc["solvers"][0]["seeds"] = [1, 2]
+    doc["solvers"].append(dict(doc["solvers"][0], name="never", scheme={"kind": "never"}))
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert (out / "demo_seed1.csv").exists()
+    assert sorted(os.listdir(out)) == ["demo_seed1.csv", "demo_seed2.csv", "never_seed1.csv",
+                                       "never_seed2.csv", "summary.csv"]
+    assert len(loaded) == 1
 
 
 def test_seed_override(tmp_path):
@@ -290,9 +362,6 @@ def test_check_passes_on_theory_grid(tmp_path):
     assert report.splitlines()[0] == "solver,seed,check,worst_margin,passed,location"
     assert ",period_descent," in report
     assert (out / "path_lengths.csv").exists()
-
-
-CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 @pytest.mark.parametrize("seed", ["13", "21"])
