@@ -22,7 +22,7 @@ import argparse
 import os
 import sys
 import tempfile
-from itertools import chain, repeat
+from collections import Counter
 
 import numpy as np
 import yaml
@@ -70,26 +70,10 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
-def _lines_text(columns, lines) -> str:
-    return "\n".join([",".join(columns), *lines]) + "\n"
-
-
 def _csv_text(columns, rows) -> str:
-    return _lines_text(columns, (",".join(_fmt(v) for v in row) for row in rows))
-
-
-def _column_lines(*columns):
-    """CSV lines of rows given column by column, each an iterable of field strings.
-
-    The long trace tables are written this way: formatting a whole float64
-    column with ``map(repr, a.tolist())`` gives ``_fmt``'s bytes without a
-    numpy scalar per field.
-    """
-    return map(",".join, zip(*columns))
-
-
-def _floats(a):
-    return map(repr, a.tolist())
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +204,12 @@ class ProblemSpec:
         return self.dataset_seed if self.dataset_seed is not None else seed
 
     def describe(self, seed: int) -> str:
-        """Name the data a cell with this seed runs on, for error messages."""
+        """Name the data a cell with this seed runs on.
+
+        The name heads data error messages and is the key under which a
+        command shares one instance among its cells, so it must name every
+        input of :meth:`instance`: the path, or the kind, size and data seed.
+        """
         if self.source == "libsvm":
             return self.path
         return f"synthetic {self.kind} {self.n}x{self.d} seed {self._data_seed(seed)}"
@@ -299,20 +288,25 @@ def _cells(config: ExperimentConfig, seed_override):
 
     A cell whose objective diverged yields its partial trace and status ``"diverged"``.
     Cells on the same data share one instance, and with it the objective's
-    cached Lipschitz estimate: the first of them builds it, and it is held
-    until the last cell has run.
+    cached Lipschitz estimate: the first of them builds it, and it is
+    dropped once the last of them has run.
     """
-    instances = {}  # ProblemSpec.describe(seed) -> (dataset, objective)
-    for spec in config.solvers:
-        for seed in [seed_override] if seed_override is not None else spec.seeds:
-            key = config.problem.describe(seed)
-            if key not in instances:
-                instances[key] = config.problem.instance(seed)
-            try:
-                trace, status = _run_cell(config, spec, seed, instances[key]), "ok"
-            except DivergenceError as exc:
-                trace, status = exc.trace, "diverged"
-            yield spec, seed, trace, status
+    cells = [(spec, seed) for spec in config.solvers
+             for seed in ([seed_override] if seed_override is not None else spec.seeds)]
+    keys = [config.problem.describe(seed) for _, seed in cells]
+    cells_left = Counter(keys)
+    instances = {}  # key -> (dataset, objective), while cells on it remain
+    for (spec, seed), key in zip(cells, keys):
+        if key not in instances:
+            instances[key] = config.problem.instance(seed)
+        cells_left[key] -= 1
+        try:
+            trace = _run_cell(config, spec, seed,
+                              instances[key] if cells_left[key] else instances.pop(key))
+            status = "ok"
+        except DivergenceError as exc:
+            trace, status = exc.trace, "diverged"
+        yield spec, seed, trace, status
 
 
 def _best_F(cells) -> float:
@@ -325,12 +319,12 @@ def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=
     os.makedirs(out_dir, exist_ok=True)
     results = []
     for spec, seed, trace, status in _cells(config, seed_override):
-        lines = _column_lines(map(str, range(len(trace))), _floats(trace.F),
-                              _floats(trace.grad_map_norm), _floats(trace.step_norm),
-                              ("1" if f else "0" for f in trace.restart_flags.tolist()),
-                              _floats(trace.lam), _floats(trace.beta), _floats(trace.alpha_next))
+        # Python floats and bools from tolist() format faster than numpy scalars
+        rows = zip(range(len(trace)), trace.F.tolist(), trace.grad_map_norm.tolist(),
+                   trace.step_norm.tolist(), trace.restart_flags.tolist(), trace.lam.tolist(),
+                   trace.beta.tolist(), trace.alpha_next.tolist())
         _write_atomic(os.path.join(out_dir, f"{spec.name}_seed{seed}.csv"),
-                      _lines_text(TRACE_COLUMNS, lines))
+                      _csv_text(TRACE_COLUMNS, rows))
         results.append((spec, seed, trace, status))
         if not quiet:
             print(f"{spec.name} seed={seed}: {status}, {len(trace)} iterations, "
@@ -388,14 +382,13 @@ def compare_experiment(config: ExperimentConfig, out_dir, seed_override=None, qu
     os.makedirs(out_dir, exist_ok=True)
     cells = list(_cells(config, seed_override))
     f_ref = _best_F(cells)
-    long_lines = chain.from_iterable(
-        _column_lines(repeat(spec.name), repeat(spec.config.scheme.label), repeat(str(seed)),
-                      map(str, range(len(trace))), _floats(trace.F - f_ref))
-        for spec, seed, trace, _ in cells)
+    long_rows = [(spec.name, spec.config.scheme.label, seed, k, gap)
+                 for spec, seed, trace, _ in cells
+                 for k, gap in enumerate((trace.F - f_ref).tolist())]
     count_rows = [(spec.name, spec.config.scheme.label, seed, trace.num_restarts)
                   for spec, seed, trace, _ in cells]
     _write_atomic(os.path.join(out_dir, "compare.csv"),
-                  _lines_text(("solver", "scheme", "seed", "k", "loss_gap"), long_lines))
+                  _csv_text(("solver", "scheme", "seed", "k", "loss_gap"), long_rows))
     _write_atomic(os.path.join(out_dir, "restart_counts.csv"),
                   _csv_text(("solver", "scheme", "seed", "restarts"), count_rows))
     if not quiet:

@@ -59,9 +59,7 @@ class _DataObjective:
 
     Subclasses implement ``value_at(x, Ax)`` and ``gradient_at(x, Ax)``,
     which trust ``Ax`` to be ``A @ x`` for a float64 ``x`` of length
-    ``dim``, and ``_lipschitz_from_spectrum(||A||_2^2)``. A subclass whose
-    value is never negative says so with ``nonnegative = True``, which the
-    relaxed function-value restart test requires.
+    ``dim``, and ``_lipschitz_from_spectrum(||A||_2^2)``.
     """
 
     def __init__(self, A: CsrMatrix, b):
@@ -118,8 +116,6 @@ class LogisticObjective(_DataObjective):
     (``expit``) does not depend on it.
     """
 
-    nonnegative = True
-
     def __init__(self, A: CsrMatrix, labels, alpha: float = 0.01):
         super().__init__(A, labels)
         if not np.all(np.isin(self.b, (-1.0, 1.0))):
@@ -160,8 +156,6 @@ class RobustRegressionObjective(_DataObjective):
     f(x) = (1/n) sum_i log((<a_i, x> - b_i)^2 / 2 + 1)
     """
 
-    nonnegative = True
-
     def value_at(self, x, Ax) -> float:
         s = Ax - self.b
         return float(np.log1p(0.5 * s * s).sum()) / self.n
@@ -177,8 +171,6 @@ class RobustRegressionObjective(_DataObjective):
 
 class QuadraticObjective(_DataObjective):
     """Averaged least squares: f(x) = ||A x - b||^2 / (2 n)."""
-
-    nonnegative = True
 
     def value_at(self, x, Ax) -> float:
         r = Ax - self.b

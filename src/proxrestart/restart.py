@@ -10,10 +10,10 @@ The adaptive predicates come in a strict and a relaxed form:
 * function value -- fire when ``F_curr > rho * F_prev``; ``rho = 1`` is the
   strict "the objective went up" test, ``rho = 0.8`` the relaxed default
   (fire unless the value dropped by at least 20%). The relaxed comparison
-  assumes nonnegative objective values: for negative values it would
-  invert strictness, so :func:`~proxrestart.solver.run` refuses ``rho < 1``
-  unless the objective declares ``nonnegative = True`` (all bundled
-  objectives do).
+  assumes nonnegative objective values, which all bundled objectives and
+  regularizers have: for ``F_prev < 0`` it would let ``F`` rise by up to
+  ``(1 - rho) |F_prev|`` without a restart, so the relaxed test raises
+  ``ValueError`` when it meets a negative ``F_prev``.
 * gradient mapping -- fire when the momentum direction ``z - y`` and the
   proximal step ``y_next - z`` make an angle of at most 90 degrees
   (``tau = 0``), or at most ``arccos(tau)`` with the relaxed slack
@@ -128,6 +128,9 @@ class FunctionValueRestart(_Scheme):
         return f"function_value(rho={self.rho})"
 
     def _fire(self, obs: RestartObservation) -> bool:
+        if self.rho < 1.0 and obs.F_prev < 0.0:
+            raise ValueError(f"{self.label} needs a nonnegative objective "
+                             f"(F = {obs.F_prev!r} at iteration {obs.k}); use rho=1")
         return obs.F_curr > self.rho * obs.F_prev
 
 

@@ -66,7 +66,7 @@ import numpy as np
 
 from .linalg import _norm, spmv
 from .regularizers import gradient_mapping
-from .restart import FunctionValueRestart, NeverRestart, RestartObservation
+from .restart import NeverRestart, RestartObservation
 
 __all__ = [
     "SolverConfig",
@@ -387,16 +387,9 @@ def run(objective, regularizer, cfg: SolverConfig, x_init) -> SolverTrace:
         If the objective exceeds ``1e12 * (1 + |F(x_init)|)`` or turns
         nonfinite. The partial trace rides on the exception.
     ValueError
-        If the scheme is the relaxed function-value test (``rho < 1``) and
-        the objective does not declare ``nonnegative = True``: for
-        ``F_prev < 0``, ``F_curr > rho * F_prev`` lets ``F`` rise by up to
-        ``(1 - rho) |F_prev|`` without a restart.
+        If the relaxed function-value test (``rho < 1``) meets a negative
+        objective value, where it would not detect a rise.
     """
-    scheme = cfg.scheme
-    if (isinstance(scheme, FunctionValueRestart) and scheme.rho < 1.0
-            and not getattr(objective, "nonnegative", False)):
-        raise ValueError(f"{scheme.label} assumes a nonnegative objective; "
-                         "use rho=1 or an objective that declares nonnegative = True")
     return _drive("apg_restart", apg_restart_step, 1, objective, regularizer, cfg, x_init)
 
 

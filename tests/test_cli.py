@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,28 @@ def test_run_builds_each_instance_once(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     assert (len(generated), len(estimated)) == (5, 5)
     assert len(os.listdir(out)) == 30 + 1
+
+
+def test_instance_is_dropped_after_its_last_cell(tmp_path, monkeypatch):
+    # solver a runs seeds 1..3, then b runs seed 1: only seed 1's instance outlives its cell
+    built, alive_at_build = [], []
+    build = cli.ProblemSpec.instance
+
+    def tracked(self, seed):
+        alive_at_build.append(sorted(s for s, ref in built if ref() is not None))
+        pair = build(self, seed)
+        built.append((seed, weakref.ref(pair[1])))
+        return pair
+
+    monkeypatch.setattr(cli.ProblemSpec, "instance", tracked)
+    doc = base_config()
+    del doc["problem"]["dataset"]["seed"]
+    doc["solvers"][0].update(max_iters=5, seeds=[1, 2, 3])
+    doc["solvers"].append(dict(doc["solvers"][0], name="b", seeds=[1]))
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == 0
+    assert alive_at_build == [[], [1], [1]]
+    assert all(ref() is None for _, ref in built)
 
 
 def test_libsvm_source_through_cli(tmp_path, monkeypatch):

@@ -231,36 +231,6 @@ def test_config_validation():
         run_baseline("sgd", None, None, SolverConfig(max_iters=1), np.zeros(1))
 
 
-class ShiftedObjective:
-    """``inner`` minus a constant: may go negative and declares nothing about its sign."""
-
-    def __init__(self, inner, shift):
-        self.inner, self.shift, self.A = inner, shift, inner.A
-
-    def value_at(self, x, Ax):
-        return self.inner.value_at(x, Ax) - self.shift
-
-    def gradient_at(self, x, Ax):
-        return self.inner.gradient_at(x, Ax)
-
-    def lipschitz(self):
-        return self.inner.lipschitz()
-
-
-def test_relaxed_function_value_test_needs_a_nonnegative_objective(small_quadratic):
-    assert all(cls.nonnegative for cls in (LogisticObjective, RobustRegressionObjective,
-                                           QuadraticObjective))
-    shifted = ShiftedObjective(small_quadratic, 100.0)
-    relaxed = SolverConfig(max_iters=20, scheme=FunctionValueRestart(rho=0.8))
-    with pytest.raises(ValueError, match="nonnegative"):
-        run(shifted, Zero(), relaxed, np.zeros(6))
-    # the strict test reads only the sign of F_curr - F_prev
-    strict = run(shifted, Zero(), replace(relaxed, scheme=FunctionValueRestart(rho=1.0)),
-                 np.zeros(6))
-    assert len(strict) == 20 and strict.F[-1] < 0.0
-    assert len(run(small_quadratic, Zero(), relaxed, np.zeros(6))) == 20
-
-
 def test_step_restart_branch(small_quadratic):
     x0 = np.full(6, 0.5)
     cfg = SolverConfig(max_iters=10, stepsize_mode="theory")
@@ -293,6 +263,38 @@ class RecordingScheme:
     def should_restart(self, obs):
         self.seen.append(obs)
         return self.inner.should_restart(obs)
+
+
+class ShiftedObjective:
+    """``inner`` minus a constant, so its values can be negative."""
+
+    def __init__(self, inner, shift):
+        self.inner, self.shift, self.A = inner, shift, inner.A
+
+    def value_at(self, x, Ax):
+        return self.inner.value_at(x, Ax) - self.shift
+
+    def gradient_at(self, x, Ax):
+        return self.inner.gradient_at(x, Ax)
+
+    def lipschitz(self):
+        return self.inner.lipschitz()
+
+
+def test_relaxed_function_value_test_rejects_negative_values(small_quadratic):
+    shifted = ShiftedObjective(small_quadratic, 100.0)
+    relaxed = SolverConfig(max_iters=20, scheme=FunctionValueRestart(rho=0.8))
+    with pytest.raises(ValueError, match="nonnegative"):
+        run(shifted, Zero(), relaxed, np.zeros(6))
+    # the predicate itself refuses, so a wrapping scheme does not hide it
+    with pytest.raises(ValueError, match="nonnegative"):
+        run(shifted, Zero(), replace(relaxed, scheme=RecordingScheme(relaxed.scheme)),
+            np.zeros(6))
+    # the strict test reads only the sign of F_curr - F_prev
+    strict = run(shifted, Zero(), replace(relaxed, scheme=FunctionValueRestart(rho=1.0)),
+                 np.zeros(6))
+    assert len(strict) == 20 and strict.F[-1] < 0.0
+    assert len(run(small_quadratic, Zero(), relaxed, np.zeros(6))) == 20
 
 
 SCHEMES = st.one_of(
