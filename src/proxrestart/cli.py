@@ -5,15 +5,19 @@ Subcommands
 ``run``      execute every (solver, seed) cell of a config, writing one
              iteration-trace CSV per cell plus ``summary.csv``.
 ``check``    run the cells and verify the theory-mode trace inequalities;
-             exit 0 only if no cell diverges and every check passes
-             (``report.csv`` + ``path_lengths.csv`` are written either way).
+             exit 0 only if no cell diverges and every check passes, 1
+             otherwise (``report.csv`` + ``path_lengths.csv`` are written
+             either way).
 ``compare``  emit a long-format CSV of per-iteration loss gaps across
              solvers (plot-ready) plus a restart-count table.
 
 Configs are YAML with a ``schema_version`` key; see the README for the
-full schema. All CSV output is UTF-8 with LF line endings, and floats are
-written in shortest round-trip form, so reruns of the same config produce
-byte-identical files.
+full schema. Exit codes: 0 success, 1 failed invariants in ``check``, 2
+invalid config, 3 unusable data, 4 any other error raised inside a cell
+(one line naming the solver, the seed and the exception). All CSV output
+is UTF-8 with LF line endings, and floats are written in shortest
+round-trip form, so reruns of the same config produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from . import dataio, objectives, regularizers, restart
 from .diagnostics import check_invariants, path_length_summary
 from .solver import BASELINES, DivergenceError, SolverConfig, run, run_baseline
 
-__all__ = ["ConfigError", "DataError", "load_config", "run_experiment", "check_experiment",
-           "compare_experiment", "main"]
+__all__ = ["ConfigError", "DataError", "CellError", "load_config", "run_experiment",
+           "check_experiment", "compare_experiment", "main"]
 
 SCHEMA_VERSION = 1
 
@@ -49,7 +53,13 @@ class DataError(ValueError):
     """Unusable problem data (malformed file, wrong labels); the message names the source."""
 
 
+class CellError(RuntimeError):
+    """An unexpected error inside a cell; the message names the solver, seed and exception."""
+
+
 def _fmt(value) -> str:
+    if type(value) is float:  # most trace cells: skip the isinstance chain
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -288,8 +298,10 @@ def _cells(config: ExperimentConfig, seed_override):
 
     A cell whose objective diverged yields its partial trace and status ``"diverged"``.
     Cells on the same data share one instance, and with it the objective's
-    cached Lipschitz estimate: the first of them builds it, and it is
-    dropped once the last of them has run.
+    cached Lipschitz bound: the first of them builds it, and it is
+    dropped once the last of them has run. Any other error than a
+    :class:`ConfigError` or :class:`DataError` raised in a cell, building
+    its instance included, is raised again as a :class:`CellError`.
     """
     cells = [(spec, seed) for spec in config.solvers
              for seed in ([seed_override] if seed_override is not None else spec.seeds)]
@@ -297,15 +309,20 @@ def _cells(config: ExperimentConfig, seed_override):
     cells_left = Counter(keys)
     instances = {}  # key -> (dataset, objective), while cells on it remain
     for (spec, seed), key in zip(cells, keys):
-        if key not in instances:
-            instances[key] = config.problem.instance(seed)
-        cells_left[key] -= 1
         try:
+            if key not in instances:
+                instances[key] = config.problem.instance(seed)
+            cells_left[key] -= 1
             trace = _run_cell(config, spec, seed,
                               instances[key] if cells_left[key] else instances.pop(key))
             status = "ok"
         except DivergenceError as exc:
             trace, status = exc.trace, "diverged"
+        except (ConfigError, DataError):
+            raise
+        except Exception as exc:
+            message = " ".join(str(exc).splitlines())
+            raise CellError(f"{spec.name} seed={seed}: {type(exc).__name__}: {message}") from exc
         yield spec, seed, trace, status
 
 
@@ -429,6 +446,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except CellError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

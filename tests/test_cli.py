@@ -60,17 +60,17 @@ def base_config(**overrides):
 
 GOLDEN_TRACE = """\
 k,F,grad_map_norm,step_norm,restart,lambda,beta,alpha_next
-0,4.22954865754627,0.7213729430017151,0.2892580621865897,1,0.4009826886256004,0.24058961317536023,0.6666666666666666
-1,4.034489674647511,0.6465999910975105,0.2333478626060122,0,0.36088441976304036,0.24058961317536023,0.5
-2,3.896569320440051,0.5804258216778304,0.19550219348024378,0,0.3368254584455043,0.24058961317536023,0.4
-3,3.793997596059685,0.4953693392553517,0.1986345295172981,1,0.4009826886256004,0.24058961317536023,0.6666666666666666
-4,3.701455338051541,0.4484748614856298,0.16184759016555142,0,0.36088441976304036,0.24058961317536023,0.5
-5,3.634556178732059,0.4064884764849659,0.13691566744486322,0,0.3368254584455043,0.24058961317536023,0.4
+0,4.22954865754627,0.7213729430017151,0.28925806214182886,1,0.4009826885635509,0.24058961313813057,0.6666666666666666
+1,4.03448967467559,0.6465999911089991,0.2333478625740491,0,0.36088441970719587,0.24058961313813057,0.5
+2,3.896569320482537,0.5804258216981614,0.19550219345683906,0,0.3368254583933828,0.24058961313813057,0.4
+3,3.7939975961091292,0.4953693392856219,0.1986345294986985,1,0.4009826885635509,0.24058961313813057,0.6666666666666666
+4,3.7014553381031856,0.44847486151948507,0.16184759015272435,0,0.36088441970719587,0.24058961313813057,0.5
+5,3.634556178783157,0.4064884765213715,0.1369156674359387,0,0.3368254583933828,0.24058961313813057,0.4
 """
 
 GOLDEN_SUMMARY = """\
 solver,algorithm,scheme,stepsize_mode,seed,iterations,restarts,prox_calls,final_F,loss_gap,status
-demo,apg_restart,fixed(q=3),theory,1,6,1,6,3.5837762896621155,0.0,ok
+demo,apg_restart,fixed(q=3),theory,1,6,1,6,3.5837762897112837,0.0,ok
 """
 
 
@@ -138,11 +138,11 @@ def test_pinned_dataset_cells_share_one_lipschitz(tmp_path):
 
 # SHA-256 of run's outputs with the data seeded by the cell seed (no dataset.seed)
 SEEDED_RUN_DIGESTS = {
-    "fv_seed1.csv": "d37d8713df59e1b9e1ff25e7852b023a9837094b8ccfc66067f1089ac1ba2543",
-    "fv_seed2.csv": "8454bc714b6cedaaa2cb56d8798594c8ace54c87e39514847e68e953c4b07623",
-    "pg_seed1.csv": "b9a23a39392b9ebe3a1a87f8afaf7c21942d30374fa3ee34b36671de9296ce6c",
-    "pg_seed2.csv": "f342fc86fc5d0e5a34f783026dc9c847eb3d240e8f7be6901ed9df94b794938b",
-    "summary.csv": "3322454e31ea7cdeb91ab0bfcc64a26b2a45c110c5fd1b15245ecbbc297dd064",
+    "fv_seed1.csv": "f449ec799f52047e82bc3ebb00bb3e42a68fcfd6a8c26ddbf4a5c3706e9f3498",
+    "fv_seed2.csv": "c7d3508b2dfd3999a0aa57e5fa9ec447188c46c145f911f45885b92656499524",
+    "pg_seed1.csv": "653971049eceaf8e06419da06e6ec2416a6ff1e070e1d961c620b1de3ecad3b7",
+    "pg_seed2.csv": "eeec5ce3bdb52cfc7daf077b06b0381a59e6e2ee7e429607f0ee2860b30adf4b",
+    "summary.csv": "ce046f29a4471c44428b660875cb6066ad6a170428a64041d9d22e0eb6e9379e",
 }
 
 
@@ -361,6 +361,20 @@ def test_bad_data_exit_code(tmp_path, capsys, text, objective, solver, fragment)
         assert fragment in err
 
 
+@pytest.mark.parametrize("command", ["run", "check", "compare"])
+def test_unexpected_cell_error_exit_code(tmp_path, capsys, monkeypatch, command):
+    # exit 1 means failed invariants only; any other error in a cell exits 4 with one line
+    def broken(objective, regularizer, cfg, x_init):
+        raise RuntimeError("solver blew up\nsecond line")
+
+    monkeypatch.setattr(cli, "run", broken)
+    doc = base_config()
+    doc["solvers"] = [doc["solvers"][0], {**doc["solvers"][0], "name": "other"}]
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 4
+    assert capsys.readouterr().err == "error: demo seed=1: RuntimeError: solver blew up second line\n"
+
+
 def test_duplicate_solver_names_rejected(tmp_path):
     doc = base_config()
     doc["solvers"] = [doc["solvers"][0], dict(doc["solvers"][0])]
@@ -401,8 +415,8 @@ def test_check_passes_on_shipped_grid_at_seed(tmp_path, capsys, seed):
 
 # SHA-256 of check's outputs on configs/check.yaml at seed 0
 CHECK_SEED0_DIGESTS = {
-    "report.csv": "c99a68820925f91fff743bf659af045177d84b597f0043cd5720b6e1bb8e5f7a",
-    "path_lengths.csv": "064c4b51d7ca942ec8f5fe6892f7f0a13544b7a7183537bb4c678a2ea4e3908d",
+    "report.csv": "d59cf0e6f1232a80e4248a4899064a984e1cd4ebd03a23187b17bd3db95949b9",
+    "path_lengths.csv": "98085b60e538c6d8cbf7d0dd2c430d3fd441d478e34f9b4f3bd1fe8eae1ab6cc",
 }
 
 

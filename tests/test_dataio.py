@@ -151,7 +151,7 @@ def test_lasso_reference_bits_are_pinned():
     weight = lasso_l1_weight(ds)
     assert weight == float.fromhex("0x1.1528925de34d3p-5")
     assert hashlib.sha256(_prox_grad_reference(ds, weight).tobytes()).hexdigest() == (
-        "23effd358db2b6b3748537eb6a09bc5bd60bc1d361dc6999a755760c7b09a867")
+        "84d418cf0bf86e68ac529b3c5876b017f21810b4b18e41320f416e66ef389501")
 
 
 def test_load_libsvm_reads_files(tmp_path):

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxrestart import CsrMatrix, spectral_norm_sq, spmv, spmv_transpose
+from proxrestart import (CsrMatrix, fixture_dataset, generate_synthetic, linalg,
+                         spectral_norm_sq, spmv, spmv_transpose)
 
 
 def test_spmv_identity():
@@ -102,45 +107,173 @@ def test_products_match_scipy_bytes(n, d, density):
         assert spmv(A, strided).tobytes() == (A._csr @ strided).tobytes()
 
 
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.fixture(params=["by_size", "lanczos"])
+def branch(request, monkeypatch):
+    """Run a test with the branch chosen by size, then with every matrix sent to Lanczos."""
+    if request.param == "lanczos":
+        monkeypatch.setattr(linalg, "_DENSE_MAX_ENTRIES", 0)
+
+
+def allowance(shape):
+    """Largest factor spectral_norm_sq may put on sigma_1^2, as its docstring states."""
+    n, d = shape
+    m = min(n, d)
+    if m > linalg._EXACT_MAX_ORDER:
+        return 1.0 / (1.0 - linalg._kw_epsilon(m))
+    return 1.0 + 2.0 * (max(n, d) + 1) * EPS
+
+
+def assert_certified(dense, bound):
+    dense = np.asarray(dense, dtype=np.float64)
+    sigma_sq = float(np.linalg.svd(dense, compute_uv=False)[0]) ** 2
+    assert type(bound) is float
+    assert sigma_sq < bound <= sigma_sq * allowance(dense.shape) * (1.0 + 16 * EPS)
+
+
+def with_spectrum(rng, n, d, s):
+    """An n x d matrix with singular values s, in random orthogonal bases."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    V, _ = np.linalg.qr(rng.standard_normal((d, len(s))))
+    return (U * s) @ V.T
+
+
+def spectra_cases():
+    rng = np.random.default_rng(7)
+    close = np.linspace(1.0, 0.1, 30)
+    close[1] = 1.0 - 1e-6  # sigma_1 ~ sigma_2, where power iteration stalls below sigma_1^2
+    wide_gap = np.linspace(1.0, 0.1, 120)
+    wide_gap[1] = 1.0 - 1e-6
+    sparse = np.where(rng.random((40, 25)) < 0.2, rng.standard_normal((40, 25)), 0.0)
+    sparse[3] = 0.0      # an empty row
+    sparse[:, 7] = 0.0   # an empty column
+    return {
+        "close_top_pair": with_spectrum(rng, 60, 40, close),
+        "close_top_pair_150": with_spectrum(rng, 300, 150, wide_gap),
+        "close_top_pair_kw": with_spectrum(rng, 400, 260, wide_gap),
+        "rank1": np.outer(rng.standard_normal(30), rng.standard_normal(20)),
+        "rank1_kw": np.outer(rng.standard_normal(400), rng.standard_normal(260)),
+        "1x1": np.array([[-3.0]]),
+        "tall": rng.standard_normal((50, 3)),
+        "wide": rng.standard_normal((3, 50)),
+        "column": rng.standard_normal((40, 1)),
+        "row": rng.standard_normal((1, 40)),
+        "empty_rows_and_columns": sparse,
+        "gaussian_kw": rng.standard_normal((270, 400)),
+    }
+
+
+SPECTRA = spectra_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_spectral_norm_is_certified_bound(name, branch):
+    dense = SPECTRA[name]
+    assert_certified(dense, spectral_norm_sq(CsrMatrix.from_dense(dense)))
+
+
+@pytest.mark.parametrize("kind", ["logistic_sep", "robust_outliers", "lasso_known"])
+def test_spectral_norm_certified_on_fixtures_and_generated(kind):
+    for ds in [fixture_dataset(kind)] + [generate_synthetic(kind, 200, 30, seed) for seed in range(5)]:
+        assert_certified(ds.features.to_dense(), spectral_norm_sq(ds.features))
+
+
+def test_spectral_norm_just_above_exact_order_runs_lanczos():
+    # m = 257 is just over _EXACT_MAX_ORDER, so the Kuczynski-Wozniakowski
+    # inflation applies
+    rng = np.random.default_rng(3)
+    dense = np.where(rng.random((300, 257)) < 0.3, rng.standard_normal((300, 257)), 0.0)
+    assert linalg._EXACT_MAX_ORDER == 256
+    bound = spectral_norm_sq(CsrMatrix.from_dense(dense))
+    assert_certified(dense, bound)
+    sigma_sq = float(np.linalg.svd(dense, compute_uv=False)[0]) ** 2
+    assert bound > sigma_sq * (1.0 + 1e-3)  # the inflation is there, not just the margin
+
+
+@pytest.mark.parametrize("shape", [(2000, 200), (4100, 256), (256, 4100)])
+def test_spectral_norm_is_exact_up_to_order_256(shape):
+    # 2000 x 200 takes the SVD; 4100 x 256 has more than _DENSE_MAX_ENTRIES
+    # entries, so Lanczos runs over all of R^256 and no inflation is needed
+    rng = np.random.default_rng(4)
+    dense = np.where(rng.random(shape) < 0.01, rng.standard_normal(shape), 0.0)
+    assert_certified(dense, spectral_norm_sq(CsrMatrix.from_dense(dense)))
+
+
+@pytest.mark.parametrize("matrix", [
+    CsrMatrix.from_dense(np.zeros((3, 3))),
+    CsrMatrix(2, 3, [0, 2, 3], [0, 2, 1], [0.0, -0.0, 0.0]),  # explicit stored zeros
+    CsrMatrix(300, 200, [0] * 301, [], []),
+    CsrMatrix(0, 4, [0], [], []),
+], ids=["zero", "stored_zeros", "zero_large", "no_rows"])
+def test_spectral_norm_of_zero_matrix_is_python_zero(matrix, branch):
+    bound = spectral_norm_sq(matrix)
+    assert type(bound) is float and bound == 0.0 and repr(bound) == "0.0"
+
+
+def test_spectral_norm_is_deterministic(branch):
+    rng = np.random.default_rng(11)
+    A = CsrMatrix.from_dense(np.where(rng.random((120, 100)) < 0.2,
+                                      rng.standard_normal((120, 100)), 0.0))
+    first = spectral_norm_sq(A)
+    assert np.float64(spectral_norm_sq(A)).tobytes() == np.float64(first).tobytes()
+    B = CsrMatrix(A.n_rows, A.n_cols, A.row_ptr.copy(), A.col_idx.copy(), A.vals.copy())
+    assert np.float64(spectral_norm_sq(B)).tobytes() == np.float64(first).tobytes()
+
+
+def test_spectral_norm_falls_back_to_cap_without_convergence(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def no_convergence(*args, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(sla, "eigsh", no_convergence)
+    rng = np.random.default_rng(5)
+    dense = np.where(rng.random((400, 300)) < 0.1, rng.standard_normal((400, 300)), 0.0)
+    A = CsrMatrix.from_dense(dense)
+    fro_sq = float(np.sum(dense * dense))
+    norm_product = np.abs(dense).sum(axis=0).max() * np.abs(dense).sum(axis=1).max()
+    cap = min(fro_sq, norm_product) * (1.0 + 2.0 * (A.nnz + 1) * EPS)
+    assert spectral_norm_sq(A) == pytest.approx(cap, rel=1e-12)
+    assert spectral_norm_sq(A) >= float(np.linalg.svd(dense, compute_uv=False)[0]) ** 2
+
+
+def test_dense_branch_does_not_import_sparse_linalg():
+    # the import costs about 0.1 s, which small-instance commands must not pay
+    code = ("import sys; from proxrestart import fixture_dataset, spectral_norm_sq; "
+            "spectral_norm_sq(fixture_dataset('lasso_known').features); "
+            "assert 'scipy.sparse.linalg' not in sys.modules")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
 def test_spectral_norm_identity():
     for n in (1, 3, 7):
-        assert spectral_norm_sq(CsrMatrix.from_dense(np.eye(n)), iters=50, seed=0) == pytest.approx(1.0, abs=1e-9)
+        assert spectral_norm_sq(CsrMatrix.from_dense(np.eye(n))) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_spectral_norm_diag():
     A = CsrMatrix.from_dense(np.diag([1.0, 3.0]))
-    assert spectral_norm_sq(A, iters=100, seed=0) == pytest.approx(9.0, abs=1e-6)
+    assert spectral_norm_sq(A) == pytest.approx(9.0, rel=1e-12)
 
 
 def test_spectral_norm_zero_matrix():
-    assert spectral_norm_sq(CsrMatrix.from_dense(np.zeros((3, 3))), iters=10, seed=0) == 0.0
-
-
-def test_spectral_norm_requires_positive_iters():
-    with pytest.raises(ValueError):
-        spectral_norm_sq(CsrMatrix.from_dense(np.eye(2)), iters=0, seed=0)
+    assert spectral_norm_sq(CsrMatrix.from_dense(np.zeros((3, 3)))) == 0.0
 
 
 def test_spectral_norm_bounds_random(rng):
-    # never above the Frobenius bound, and convergent from below on generic input
+    # between the largest squared row norm and the Frobenius bound
     for _ in range(20):
         n, d = rng.integers(2, 12, size=2)
         A = CsrMatrix.from_dense(rng.standard_normal((n, d)))
-        est = spectral_norm_sq(A, iters=60, seed=3)
-        assert est <= A.vals.dot(A.vals) + 1e-9
+        bound = spectral_norm_sq(A)
+        assert bound <= A.vals.dot(A.vals) * allowance((n, d))
         max_row_sq = max(
             float(np.dot(A.vals[s:e], A.vals[s:e]))
             for s, e in zip(A.row_ptr[:-1], A.row_ptr[1:])
         )
-        assert est >= max_row_sq - 1e-6 * max_row_sq
-
-
-def test_spectral_norm_monotone_in_iters():
-    rng = np.random.default_rng(0)
-    A = CsrMatrix.from_dense(rng.standard_normal((15, 8)))
-    estimates = [spectral_norm_sq(A, iters=i, seed=5) for i in (1, 2, 5, 20, 80)]
-    for lo, hi in zip(estimates, estimates[1:]):
-        assert hi >= lo - 1e-12 * abs(lo)
+        assert bound >= max_row_sq
 
 
 @settings(max_examples=40, deadline=None)

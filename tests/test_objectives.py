@@ -134,9 +134,10 @@ def test_lipschitz_computed_once(rng, monkeypatch):
     obj = random_instance(rng, "quadratic")
     first = obj.lipschitz()
     assert [obj.lipschitz() for _ in range(3)] == [first] * 3
-    # one estimate per objective, from spectral_norm_sq's default start vector
-    assert calls == [{"iters": 200}]
-    assert first == obj._lipschitz_from_spectrum(spectral_norm_sq(obj.A, iters=200, seed=0))
+    # one bound per objective, a Python float
+    assert calls == [{}]
+    assert type(first) is float
+    assert first == obj._lipschitz_from_spectrum(spectral_norm_sq(obj.A))
 
 
 def test_label_validation():

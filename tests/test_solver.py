@@ -51,12 +51,17 @@ def test_momentum_coefficient_formula():
 
 
 def test_single_hand_iteration():
-    # theory stepsizes with lam = beta = 1/8, x0 = 1 -> x1 = 1 - 1/8 = 0.875
+    # theory stepsizes with lam = beta = 1/(8 L), x0 = 1, gradient 1 -> x1 = 1 - beta;
+    # the certified L is 1 times the spectral bound's rounding margin 1 + 4 eps
+    objective = one_dim_quadratic()
+    L = objective.lipschitz()
+    assert L == 1.0 + 4 * np.finfo(np.float64).eps
+    beta = 1.0 / (8.0 * L)
     cfg = SolverConfig(max_iters=1, stepsize_mode="theory", lambda_factor=0.0)
-    trace = run(one_dim_quadratic(), Zero(), cfg, np.array([1.0]))
-    assert trace.final_x[0] == 0.875
-    assert trace.beta[0] == 0.125
-    assert trace.lam[0] == 0.125
+    trace = run(objective, Zero(), cfg, np.array([1.0]))
+    assert trace.final_x[0] == 1.0 - beta
+    assert trace.beta[0] == beta
+    assert trace.lam[0] == beta
 
 
 def test_restart_every_iteration_is_gradient_descent(small_quadratic):
@@ -512,29 +517,29 @@ def _trace_fingerprint(trace):
 
 BASELINE_FINGERPRINTS = {
     ("prox_grad", "theory", 0.0):
-        "f252b14b470c41ae9c72683e1e4253a50628dd944399b684ce34dadb914bcab2",
+        "35ddebdad29402637499ff1d2e0dc106b041d78f4b67c5ce72461e9aed10845b",
     ("prox_grad", "theory", 0.001):
-        "e10b2d6b946306c7feb3bd05c8f350b46ba7a8213516cc58315347d385fca1df",
+        "b64325a7ddd6b72f3db3e95ae0f70b1c983844391e52c78c0f65e5ad8f3c50ae",
     ("prox_grad", "experiment", 0.0):
-        "f252b14b470c41ae9c72683e1e4253a50628dd944399b684ce34dadb914bcab2",
+        "35ddebdad29402637499ff1d2e0dc106b041d78f4b67c5ce72461e9aed10845b",
     ("prox_grad", "experiment", 0.001):
-        "e10b2d6b946306c7feb3bd05c8f350b46ba7a8213516cc58315347d385fca1df",
+        "b64325a7ddd6b72f3db3e95ae0f70b1c983844391e52c78c0f65e5ad8f3c50ae",
     ("ag", "theory", 0.0):
-        "de2a80dded07e93b36ec3f9d095d19c3aa4d20876c0d8e70a76d50d4cfad8b3f",
+        "d0f571076580462ce9e9ef03187ccae74000dee64f7ee4931541f1f408d28343",
     ("ag", "theory", 0.001):
-        "3df9665be566e4236a67915d68e370392d65435944a606e84e55c13078d60671",
+        "752a85d492839a2e43f22ad1ab4e0d5106cb48cb1533dc6449b4cf84579bd510",
     ("ag", "experiment", 0.0):
-        "e5425cbd32b944f8b47562e4ca3668b3a93efe09751c1f5be0e48e75c0b1653e",
+        "8c5d00688f829dd54db233cf41f764e9d6c372345763916f13d2a79ef5a35313",
     ("ag", "experiment", 0.001):
-        "9ff1c1908b1360d6717320c1cc583b500d54d54061c679f023ec264609e72b0b",
+        "ace8eb729bbfdf19ba2eb4d8fbde1e17ef12f3b5f4afb070e834e709b2354c9d",
     ("apg_never", "theory", 0.0):
-        "ba1342d527aa32fff0edf2d67e8263165618d058e9dd38eb09ef148a2c7e145c",
+        "7c2235fbfd2de2339db962448485607042e253012ea7df52c4cdf5abf81a58d7",
     ("apg_never", "theory", 0.001):
-        "09bc955ddf04bbf8db69ae2b96ecf0cf5a8cb5d318ef13f33f49d6c7624f7322",
+        "d3128207d96e790eaae88021d7c2efea5a5cd5b9090778bd638491b786c9f175",
     ("apg_never", "experiment", 0.0):
-        "87c9f7d0f4c597d7d63a688bbadb3fcaa752a566916e653ca7b2bf7ff316aad1",
+        "560881eadecb60181ddd6129ed54ae840d2f10a82340aeff3c364afb07b9d5f0",
     ("apg_never", "experiment", 0.001):
-        "40733c877bf78125f90c8c6aea34b8a8f4c0104cf3b804b6a4e19cd07cfb4eee",
+        "145d356e8b602b1ca1bdad89aa316bad6f313363d89a761672bce1c55f70b373",
 }
 
 
