@@ -19,10 +19,7 @@ from .dataio import (
 )
 from .diagnostics import (
     InvariantReport,
-    RateFit,
     check_invariants,
-    checkpoint_distances,
-    checkpoint_value_gaps,
     fit_rate,
     path_length_summary,
 )
@@ -61,8 +58,7 @@ __all__ = [
     "SolverConfig", "SolverState", "StepRecord", "SolverTrace",
     "PeriodRecord", "DivergenceError", "momentum_coefficient",
     "apg_restart_step", "run", "run_baseline",
-    "InvariantReport", "check_invariants", "path_length_summary",
-    "RateFit", "fit_rate", "checkpoint_value_gaps", "checkpoint_distances",
+    "InvariantReport", "check_invariants", "path_length_summary", "fit_rate",
     "Dataset", "ParseError", "parse_libsvm", "load_libsvm",
     "serialize_libsvm", "dump_libsvm", "generate_synthetic",
     "lasso_l1_weight", "fixture_dataset",

@@ -23,6 +23,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -281,12 +282,13 @@ def _run_cell(config: ExperimentConfig, spec: SolverSpec, seed: int, instance):
     dataset, objective = instance
     cfg = spec.config
     # theory stepsizes and prox_grad divide by L; an all-zero matrix under
-    # the quadratic or robust loss gives L = 0 (cached, so no extra work)
+    # the quadratic or robust loss gives L = 0, and entries near the float
+    # range's end overflow it to inf (cached, so no extra work)
     if cfg.stepsize_mode == "theory" or spec.algorithm == "prox_grad":
         L = objective.lipschitz()
-        if L <= 0:
+        if not 0.0 < L < math.inf:
             raise DataError(f"{config.problem.describe(seed)}: gradient Lipschitz estimate "
-                            f"is {L!r}; solver {spec.name!r} needs a positive one")
+                            f"is {L!r}; solver {spec.name!r} needs a positive finite one")
     x_init = np.zeros(dataset.n_cols)
     if spec.algorithm == "apg_restart":
         return run(objective, config.problem.regularizer, cfg, x_init)
@@ -373,8 +375,7 @@ def check_experiment(config: ExperimentConfig, out_dir, seed_override=None, quie
         report = check_invariants(trace, trace.lipschitz)
         report_rows.extend((spec.name, seed, c.name, c.worst_margin, c.passed, c.location)
                            for c in report.checks)
-        lengths = path_length_summary(trace)
-        path_rows.extend((spec.name, seed, t, l, cum) for t, l, cum in lengths.rows)
+        path_rows.extend((spec.name, seed, t, l, cum) for t, l, cum in path_length_summary(trace))
         # a diverged cell fails whatever its partial trace's checks say
         failures = [] if status == "ok" else [f"{status} after {len(trace)} iterations"]
         failures += [f"{c.name} at {c.location} (margin {c.worst_margin:.3e})"

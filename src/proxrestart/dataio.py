@@ -55,13 +55,10 @@ class Dataset:
     features: CsrMatrix
     labels: np.ndarray
     name: str
-    kind: str  # "classification" | "regression"
 
     def __post_init__(self):
         if len(self.labels) != self.features.n_rows:
             raise ValueError("label count does not match the number of rows")
-        if self.kind == "classification" and not np.all(np.isin(self.labels, (-1.0, 1.0))):
-            raise ValueError("classification labels must be -1/+1")
 
     @property
     def n_rows(self) -> int:
@@ -76,16 +73,9 @@ class Dataset:
             return NotImplemented
         return (
             self.name == other.name
-            and self.kind == other.kind
             and self.features == other.features
             and np.array_equal(self.labels, other.labels)
         )
-
-
-def _classify_kind(labels: np.ndarray) -> str:
-    if len(labels) and np.all(np.isin(labels, (-1.0, 1.0))):
-        return "classification"
-    return "regression"
 
 
 def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -> Dataset:
@@ -147,8 +137,7 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
 
     dim = max(max_index, expected_dim or 0)
     features = CsrMatrix(len(labels), dim, row_ptr, col_idx, vals)
-    labels = np.array(labels, dtype=np.float64)
-    return Dataset(features, labels, name, _classify_kind(labels))
+    return Dataset(features, np.array(labels, dtype=np.float64), name)
 
 
 def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
@@ -249,15 +238,15 @@ def generate_synthetic(kind: str, n: int, d: int, seed: int, *,
     if kind == "logistic_sep":
         features, labels = _make_logistic(rng, n, d, label_noise, margin)
         return Dataset(CsrMatrix.from_dense(features), labels,
-                       f"logistic_sep-{n}x{d}-seed{seed}", "classification")
+                       f"logistic_sep-{n}x{d}-seed{seed}")
     if kind == "robust_outliers":
         features, targets = _make_robust(rng, n, d, outlier_frac)
         return Dataset(CsrMatrix.from_dense(features), targets,
-                       f"robust_outliers-{n}x{d}-seed{seed}", "regression")
+                       f"robust_outliers-{n}x{d}-seed{seed}")
     if kind == "lasso_known":
         A, b = _make_lasso(rng, n, d, condition, noise)
         return Dataset(CsrMatrix.from_dense(A), b,
-                       f"lasso_known-{n}x{d}-seed{seed}", "regression")
+                       f"lasso_known-{n}x{d}-seed{seed}")
     raise ValueError(f"unknown synthetic kind {kind!r}; expected one of {SYNTHETIC_KINDS}")
 
 

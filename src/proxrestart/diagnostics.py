@@ -13,11 +13,11 @@ guarantees a theory-mode run of the restart solver must satisfy:
 * ``stepsize_interval`` -- every recorded ``lam`` lies in
   ``[beta, (1 + alpha) * beta]``.
 
-``path_length_summary`` aggregates the per-period path lengths whose
-summability certifies that the iterates converge to a single critical
-point; ``fit_rate`` classifies checkpoint gap sequences into the
-finite / linear / sublinear regimes that the local sharpness exponent of
-the objective induces.
+``path_length_summary`` lists the per-period path lengths, with their
+running sum, whose summability certifies that the iterates converge to a
+single critical point; ``fit_rate`` classifies checkpoint gap sequences
+into the finite / linear / sublinear regimes that the local sharpness
+exponent of the objective induces.
 """
 
 from __future__ import annotations
@@ -32,16 +32,16 @@ __all__ = [
     "CheckResult",
     "InvariantReport",
     "check_invariants",
-    "PathLengthSummary",
     "path_length_summary",
     "RateFit",
     "fit_rate",
-    "checkpoint_value_gaps",
-    "checkpoint_distances",
 ]
 
 #: absolute slack used by the inequality checks (relative for descent)
 CHECK_TOL = 1e-9
+
+#: share of a gap sequence, at its end, on which :func:`fit_rate` fits the decay
+_TAIL_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -135,37 +135,15 @@ def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
     return InvariantReport(checks)
 
 
-@dataclass(frozen=True)
-class PathLengthSummary:
-    """Per-period path lengths with their running sum.
+def path_length_summary(trace: SolverTrace) -> tuple[tuple[int, float, float], ...]:
+    """Per-period ``(t, length, cumulative)`` rows, recomputed from the iteration rows.
 
-    ``rows`` holds ``(t, length, cumulative)``. ``tail_increment``
-    is how much the cumulative sum grew over the last ``tail_window``
-    periods; ``tail_converged`` flags an increment below 1e-8, the
-    empirical signature of a finite total path (and hence of iterate
-    convergence).
+    A running sum that stops growing is the empirical signature of a
+    finite total path, and hence of iterate convergence.
     """
-
-    rows: tuple[tuple[int, float, float], ...]
-    tail_window: int
-    tail_increment: float
-    tail_converged: bool
-
-    @property
-    def total(self) -> float:
-        return self.rows[-1][2] if self.rows else 0.0
-
-
-def path_length_summary(trace: SolverTrace, tail_window: int = 50) -> PathLengthSummary:
-    """Recompute per-period path lengths from the iteration rows."""
     lengths = [np.sqrt(trace.period_step_sq_sum(t)) for t in range(len(trace.periods))]
-    cumulative = np.cumsum(lengths) if lengths else np.array([])
-    rows = tuple((t, float(lengths[t]), float(cumulative[t])) for t in range(len(lengths)))
-    if len(lengths) > tail_window:
-        increment = float(cumulative[-1] - cumulative[-1 - tail_window])
-    else:
-        increment = float(cumulative[-1]) if len(lengths) else 0.0
-    return PathLengthSummary(rows, tail_window, increment, increment < 1e-8)
+    return tuple((t, float(length), float(total))
+                 for t, (length, total) in enumerate(zip(lengths, np.cumsum(lengths))))
 
 
 @dataclass(frozen=True)
@@ -198,20 +176,18 @@ def _least_squares_line(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return float(coef[1]), float(min(max(r2, 0.0), 1.0))
 
 
-def fit_rate(gaps, tail_fraction: float = 0.5) -> RateFit:
+def fit_rate(gaps) -> RateFit:
     """Classify how a nonnegative gap sequence decays.
 
     Gaps below -1e-12 are rejected; small negative noise is clipped to
     zero. If any gap reaches 1e-14 the sequence terminated for practical
     purposes and the regime is ``"finite"``. Otherwise a geometric decay
     (log-gap against t) and a power-law decay (log-gap against log t)
-    are fitted by least squares on the trailing ``tail_fraction`` of the
-    sequence, and the regime with the higher goodness of fit wins; if
-    neither reaches 0.9, or fewer than 5 tail points exist, the verdict
-    is ``"inconclusive"``.
+    are fitted by least squares on the trailing half of the sequence, and
+    the regime with the higher goodness of fit wins; if neither reaches
+    0.9, or fewer than 5 tail points exist, the verdict is
+    ``"inconclusive"``.
     """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
     r = np.asarray(gaps, dtype=np.float64)
     if r.ndim != 1:
         raise ValueError("gap sequence must be 1-D")
@@ -224,7 +200,7 @@ def fit_rate(gaps, tail_fraction: float = 0.5) -> RateFit:
         t0 = int(hits[0])
         return RateFit("finite", None, None, 1.0, (t0, len(r) - 1))
 
-    start = len(r) - max(int(np.ceil(tail_fraction * len(r))), 1)
+    start = len(r) - max(int(np.ceil(_TAIL_FRACTION * len(r))), 1)
     t = np.arange(len(r), dtype=np.float64)[start:]
     tail = r[start:]
     window = (start, len(r) - 1)
@@ -244,27 +220,3 @@ def fit_rate(gaps, tail_fraction: float = 0.5) -> RateFit:
     if lin_r2 >= sub_r2:
         return RateFit("linear", -lin_slope, None, lin_r2, window)
     return RateFit("sublinear", None, -sub_slope, sub_r2, window)
-
-
-def checkpoint_value_gaps(trace: SolverTrace, f_star: float) -> np.ndarray:
-    """Objective gaps ``F(checkpoint_t) - f_star`` for rate fitting.
-
-    ``f_star`` is usually taken from a reference run roughly 10x longer
-    than the analyzed one, the standard surrogate when the true optimum
-    is unknown.
-    """
-    return np.array([p.F - f_star for p in trace.periods], dtype=np.float64)
-
-
-def checkpoint_distances(trace: SolverTrace, x_star) -> np.ndarray:
-    """Distances from each checkpoint iterate to ``x_star``.
-
-    Feeding these to :func:`fit_rate` classifies the variable sequence's
-    regime; since ``x_star`` is itself a surrogate (for example a
-    reference run's final iterate), treat the result as indicative.
-    """
-    x_star = np.asarray(x_star, dtype=np.float64)
-    return np.array(
-        [float(np.linalg.norm(p - x_star)) for p in trace.checkpoint_points],
-        dtype=np.float64,
-    )

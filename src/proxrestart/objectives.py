@@ -64,6 +64,8 @@ class _DataObjective:
     """
 
     def __init__(self, A: CsrMatrix, b):
+        if A.n_rows == 0:
+            raise ValueError("matrix has no rows; the averaged loss needs at least one")
         b = np.ascontiguousarray(b, dtype=np.float64)
         if len(b) != A.n_rows:
             raise ValueError(f"matrix has {A.n_rows} rows but got {len(b)} labels/targets")

@@ -41,6 +41,10 @@ restart branch. Restarting re-synchronizes ``y`` with the newest iterate
 and resets the momentum weight, which suppresses extrapolation overshoot;
 no computed step is ever discarded.
 
+A run returns a :class:`SolverTrace`: per-iteration scalars, one record
+per period, and of the iterates only the last; runs are deterministic,
+so any other iterate is the last one of a shorter run.
+
 Stepsize modes:
 
 * ``"theory"``     -- ``beta = 1/(8 L)`` with ``L`` the objective's
@@ -138,16 +142,15 @@ class SolverTrace:
     ``lam``, ``beta``, ``alpha_next``  stepsizes and momentum weight used
 
     ``periods`` holds one :class:`PeriodRecord` per (possibly partial)
-    period; ``checkpoint_points`` the corresponding iterates, and
-    ``final_x`` the last one. The trace keeps no other iterate: rerun with
-    a smaller ``max_iters`` (runs are deterministic) or step
-    :func:`apg_restart_step` by hand to see more. Traces are immutable
-    once built and safe to share.
+    period. Of the iterates the trace keeps only the last, ``final_x``:
+    rerun with a smaller ``max_iters`` (runs are deterministic) or step
+    :func:`apg_restart_step` by hand to see others, a checkpoint's
+    included. Traces are immutable once built and safe to share.
     """
 
     def __init__(self, algorithm, stepsize_mode, lipschitz, F, grad_map_norm,
                  step_norm, restart_flags, lam, beta, alpha_next, periods,
-                 checkpoint_points, final_x, final_F, prox_calls):
+                 final_x, final_F, prox_calls):
         self.algorithm = algorithm
         self.stepsize_mode = stepsize_mode
         self.lipschitz = lipschitz
@@ -159,7 +162,6 @@ class SolverTrace:
         self.beta = np.asarray(beta, dtype=np.float64)
         self.alpha_next = np.asarray(alpha_next, dtype=np.float64)
         self.periods = tuple(periods)
-        self.checkpoint_points = tuple(np.asarray(p, dtype=np.float64) for p in checkpoint_points)
         self.final_x = np.asarray(final_x, dtype=np.float64)
         self.final_F = float(final_F)
         self.prox_calls = int(prox_calls)
@@ -305,8 +307,9 @@ def _resolve_beta(objective, cfg: SolverConfig):
     """Return (beta, lipschitz-or-None) for the configured stepsize mode."""
     if cfg.stepsize_mode == "theory":
         L = objective.lipschitz()
-        if L <= 0:
-            raise ValueError("theory stepsizes need a positive Lipschitz estimate")
+        if not 0.0 < L < math.inf:
+            raise ValueError("theory stepsizes need a positive finite Lipschitz estimate, "
+                             f"got {L!r}")
         return 1.0 / (8.0 * L), L
     if cfg.stepsize_mode == "experiment":
         return 1.0, objective.lipschitz()
@@ -331,21 +334,19 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
     state = SolverState(x, x.copy(), F_0, Ax, Ax)
     rows = []
     openings = []  # (checkpoint, F, subdiff) of each period
-    checkpoint_points = []
 
     def build(final_x, final_F):
         n = len(rows)
         columns = list(zip(*rows))[:7] if n else [()] * 7
         periods = [PeriodRecord(t, *opening) for t, opening in enumerate(openings)]
         return SolverTrace(algorithm, cfg.stepsize_mode, lipschitz, *columns,
-                           periods, checkpoint_points, final_x, final_F, prox_per_iter * n)
+                           periods, final_x, final_F, prox_per_iter * n)
 
     for k in range(cfg.max_iters):
         x = state.x
         state, rec = step(state, objective, regularizer, cfg, beta)
         if rec.restarted:
             openings.append((k, rec.F, rec.checkpoint_subdiff))
-            checkpoint_points.append(x.copy())
         rows.append(rec)
         if not (math.isfinite(state.F) and state.F <= F_cap):
             raise DivergenceError(
@@ -360,7 +361,6 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
         # record the initial checkpoint anyway
         grad = objective.gradient_at(state.x, state.Ax)
         openings.append((0, state.F, regularizer.subdiff_distance(grad, state.x)))
-        checkpoint_points.append(state.x.copy())
     return build(state.x, state.F)
 
 
@@ -371,7 +371,7 @@ def run(objective, regularizer, cfg: SolverConfig, x_init) -> SolverTrace:
     once the gradient-mapping norm falls to ``cfg.tolerance``, if that is
     positive). The run is deterministic given the inputs; rerunning with
     the same configuration reproduces the trace bit for bit. Of the
-    iterates, the trace keeps the checkpoints and the last one.
+    iterates, the trace keeps only the last one.
 
     Parameters
     ----------
@@ -440,8 +440,9 @@ def run_baseline(kind: str, objective, regularizer, cfg: SolverConfig, x_init) -
     """
     if kind == "prox_grad":
         L = objective.lipschitz()
-        if L <= 0:
-            raise ValueError("proximal gradient baseline needs a positive Lipschitz estimate")
+        if not 0.0 < L < math.inf:
+            raise ValueError("proximal gradient baseline needs a positive finite Lipschitz "
+                             f"estimate, got {L!r}")
         return _drive(kind, _prox_grad_step, 1, objective, regularizer, cfg, x_init, (1.0 / L, L))
     if kind == "ag":
         return _drive(kind, _ag_step, 2, objective, regularizer, cfg, x_init)

@@ -152,7 +152,7 @@ def test_criterion_05_linear_rate_regime():
                     SolverConfig(max_iters=10 * K, stepsize_mode="theory",
                                  scheme=FixedRestart(10)), np.zeros(D))
     gaps = np.array(checkpoint_values(trace)) - reference.final_F
-    fit = fit_rate(gaps, tail_fraction=0.5)
+    fit = fit_rate(gaps)
     ok = fit.regime == "linear" and fit.r_squared >= 0.9
     verdict(5, "linear convergence regime on the lasso instance", ok,
             f"(regime {fit.regime}, R^2 {fit.r_squared:.4f}, rate {fit.rate})")

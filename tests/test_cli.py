@@ -332,7 +332,9 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-ZERO_LIPSCHITZ = "gradient Lipschitz estimate is 0.0; solver 'demo' needs a positive one"
+ZERO_LIPSCHITZ = "gradient Lipschitz estimate is 0.0; solver 'demo' needs a positive finite one"
+INF_LIPSCHITZ = "gradient Lipschitz estimate is inf; solver 'demo' needs a positive finite one"
+OVERFLOW = "1 1:1e308 2:1e308\n-1 1:-1e308 2:5e307\n"
 
 
 @pytest.mark.parametrize("text,objective,solver,fragment", [
@@ -343,8 +345,13 @@ ZERO_LIPSCHITZ = "gradient Lipschitz estimate is 0.0; solver 'demo' needs a posi
     ("1 1:0\n-1 2:0\n", "quadratic", {}, ZERO_LIPSCHITZ),
     ("1 1:0\n-1 2:0\n", "quadratic", {"algorithm": "prox_grad", "stepsize_mode": "experiment"},
      ZERO_LIPSCHITZ),
+    ("", "quadratic", {}, "matrix has no rows"),
+    (OVERFLOW, "quadratic", {}, INF_LIPSCHITZ),
+    (OVERFLOW, "quadratic", {"algorithm": "prox_grad", "stepsize_mode": "experiment"},
+     INF_LIPSCHITZ),
 ], ids=["bad_token", "wrong_labels", "nonfinite_label", "directory",
-        "zero_lipschitz_theory", "zero_lipschitz_prox_grad"])
+        "zero_lipschitz_theory", "zero_lipschitz_prox_grad", "empty_file",
+        "inf_lipschitz_theory", "inf_lipschitz_prox_grad"])
 def test_bad_data_exit_code(tmp_path, capsys, text, objective, solver, fragment):
     path = tmp_path / "bad.libsvm"
     if text is None:

@@ -33,7 +33,6 @@ def test_parse_basic_line():
     assert ds.n_cols == 3
     row = ds.features.to_dense()[0]
     assert np.array_equal(row, [0.5, 0.0, -2.0])
-    assert ds.kind == "classification"
 
 
 def test_parse_empty_file():
@@ -56,7 +55,6 @@ def test_parse_expected_dim_is_a_floor():
 
 def test_parse_regression_labels():
     ds = parse_text("3.25 1:1.0\n-0.5 1:2.0\n")
-    assert ds.kind == "regression"
     assert np.array_equal(ds.labels, [3.25, -0.5])
 
 
@@ -110,13 +108,11 @@ def test_fixtures_match_generator_output():
 
 def test_generated_kinds_and_shapes():
     log = generate_synthetic("logistic_sep", 50, 7, seed=2)
-    assert log.kind == "classification"
     assert set(np.unique(log.labels)) <= {-1.0, 1.0}
     rob = generate_synthetic("robust_outliers", 50, 7, seed=2)
-    assert rob.kind == "regression"
     assert rob.features.shape == (50, 7)
     lasso = generate_synthetic("lasso_known", 50, 7, seed=2)
-    assert isinstance(lasso, Dataset) and lasso.kind == "regression"
+    assert isinstance(lasso, Dataset)
     assert lasso.features.shape == (50, 7)
     with pytest.raises(ValueError):
         generate_synthetic("mystery", 10, 2, seed=0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from proxrestart import (
     SolverConfig,
     Zero,
     check_invariants,
-    checkpoint_distances,
-    checkpoint_value_gaps,
     fit_rate,
     generate_synthetic,
     lasso_l1_weight,
@@ -20,12 +20,18 @@ from proxrestart import (
 
 
 @pytest.fixture(scope="module")
-def lasso_trace():
+def lasso_solve():
+    """``solve(max_iters)`` runs the lasso instance; 400 iterations make the shared trace."""
     ds = generate_synthetic("lasso_known", 120, 15, seed=4)
     obj = QuadraticObjective(ds.features, ds.labels)
+    reg = L1(lasso_l1_weight(ds))
     cfg = SolverConfig(max_iters=400, stepsize_mode="theory", scheme=FixedRestart(10))
-    trace = run(obj, L1(lasso_l1_weight(ds)), cfg, np.zeros(15))
-    return trace
+    return lambda max_iters: run(obj, reg, replace(cfg, max_iters=max_iters), np.zeros(15))
+
+
+@pytest.fixture(scope="module")
+def lasso_trace(lasso_solve):
+    return lasso_solve(400)
 
 
 def test_all_checks_pass_on_clean_trace(lasso_trace):
@@ -85,26 +91,25 @@ def test_stationary_trace_has_zero_path(small_quadratic):
     x_star = np.linalg.lstsq(small_quadratic.A.to_dense(), small_quadratic.b, rcond=None)[0]
     cfg = SolverConfig(max_iters=30, stepsize_mode="theory", scheme=FixedRestart(5))
     trace = run(small_quadratic, Zero(), cfg, x_star)
-    summary = path_length_summary(trace)
-    assert all(length <= 1e-12 for _, length, _ in summary.rows)
+    rows = path_length_summary(trace)
+    assert all(length <= 1e-12 for _, length, _ in rows)
 
 
 def test_cumulative_is_monotone_and_totals(lasso_trace):
-    summary = path_length_summary(lasso_trace)
-    cums = [c for _, _, c in summary.rows]
+    rows = path_length_summary(lasso_trace)
+    cums = [c for _, _, c in rows]
     assert all(b >= a for a, b in zip(cums, cums[1:]))
-    assert summary.total == pytest.approx(sum(l for _, l, _ in summary.rows), rel=1e-12)
+    assert cums[-1] == pytest.approx(sum(l for _, l, _ in rows), rel=1e-12)
     # grouping identity: total step mass equals the per-period split
-    assert sum(l * l for _, l, _ in summary.rows) == pytest.approx(
+    assert sum(l * l for _, l, _ in rows) == pytest.approx(
         float(np.dot(lasso_trace.step_norm, lasso_trace.step_norm)), rel=1e-12)
 
 
-def test_tail_window_flag(small_quadratic):
+def test_path_length_stops_growing_once_converged(small_quadratic):
     cfg = SolverConfig(max_iters=600, stepsize_mode="theory", scheme=FixedRestart(5))
     trace = run(small_quadratic, Zero(), cfg, np.ones(6))
-    summary = path_length_summary(trace, tail_window=20)
-    assert summary.tail_window == 20
-    assert summary.tail_converged  # fully converged well before the tail
+    cums = [c for _, _, c in path_length_summary(trace)]
+    assert cums[-1] - cums[-21] < 1e-8  # fully converged well before the last 20 periods
 
 
 # --- rate fitting ---------------------------------------------------------------
@@ -157,8 +162,6 @@ def test_fit_inconclusive_cases(rng):
 def test_fit_validates_inputs():
     with pytest.raises(ValueError):
         fit_rate(np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        fit_rate(np.ones(10), tail_fraction=0.0)
     # tiny negatives are noise, clipped to zero -> finite
     assert fit_rate(np.array([1.0, 1e-13, -1e-13, 1e-13, 0.0])).regime == "finite"
 
@@ -170,25 +173,13 @@ def test_fit_r_squared_range(rng):
         assert 0.0 <= fit.r_squared <= 1.0
 
 
-# --- checkpoint gap helpers -----------------------------------------------------
+# --- variable sequence ----------------------------------------------------------
 
-def test_checkpoint_value_gaps(lasso_trace):
-    f_star = lasso_trace.final_F - 1e-3
-    gaps = checkpoint_value_gaps(lasso_trace, f_star)
-    assert len(gaps) == len(lasso_trace.periods)
-    assert gaps[0] == pytest.approx(lasso_trace.periods[0].F - f_star)
-
-
-def test_checkpoint_distances(lasso_trace):
-    dists = checkpoint_distances(lasso_trace, lasso_trace.final_x)
-    assert len(dists) == len(lasso_trace.periods)
-    assert np.all(dists >= 0)
-    # the trajectory approaches its own final iterate
-    assert dists[-1] <= dists[0]
-
-
-def test_variable_sequence_rate_is_linear_on_lasso(lasso_trace):
-    # distance-to-final-iterate regime matches the objective-gap regime
-    dists = checkpoint_distances(lasso_trace, lasso_trace.final_x)
+def test_variable_sequence_rate_is_linear_on_lasso(lasso_trace, lasso_solve):
+    # distance-to-final-iterate regime matches the objective-gap regime; each
+    # checkpoint iterate is the final iterate of the run cut at that checkpoint
+    dists = np.array([np.linalg.norm(lasso_solve(p.checkpoint).final_x - lasso_trace.final_x)
+                      for p in lasso_trace.periods])
+    assert dists[-1] <= dists[0]  # the trajectory approaches its own final iterate
     fit = fit_rate(dists[:-1])  # last entry is identically zero
     assert fit.regime in ("linear", "finite")

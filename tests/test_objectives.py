@@ -146,6 +146,13 @@ def test_label_validation():
         LogisticObjective(mat, np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("cls", [LogisticObjective, RobustRegressionObjective, QuadraticObjective])
+def test_empty_matrix_is_rejected(cls):
+    # the losses average over rows, so no rows would divide by zero
+    with pytest.raises(ValueError, match="no rows"):
+        cls(CsrMatrix.from_dense(np.zeros((0, 3))), np.zeros(0))
+
+
 def test_dimension_checks():
     mat = CsrMatrix.from_dense(np.eye(3))
     obj = QuadraticObjective(mat, np.zeros(3))
