@@ -68,12 +68,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_atomic(path, text: str) -> None:
+def _write_atomic(path, lines) -> None:
+    """Write the ``lines`` iterable to ``path`` through a temporary file.
+
+    The file is renamed into place only once every line is written, so a
+    failure partway, in the line generator included, leaves no temporary
+    file and any earlier file at ``path`` as it was.
+    """
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -81,10 +87,11 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
-def _csv_text(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_lines(columns, rows):
+    """Yield the header and then one line per row, each ending in a newline."""
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(map(_fmt, row)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +166,8 @@ class SolverSpec:
     """One solver entry: its name, algorithm, seeds and the one config every cell runs."""
 
     def __init__(self, node, path):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
         self.name = _require(node, "name", path, str)
         if not self.name or not all(c.isalnum() or c in "_-" for c in self.name):
             raise ConfigError(f"{path}.name: must be nonempty alphanumeric/_/- (got {self.name!r})")
@@ -281,14 +290,17 @@ def load_config(path) -> ExperimentConfig:
 def _run_cell(config: ExperimentConfig, spec: SolverSpec, seed: int, instance):
     dataset, objective = instance
     cfg = spec.config
-    # theory stepsizes and prox_grad divide by L; an all-zero matrix under
-    # the quadratic or robust loss gives L = 0, and entries near the float
-    # range's end overflow it to inf (cached, so no extra work)
-    if cfg.stepsize_mode == "theory" or spec.algorithm == "prox_grad":
+    # every mode but custom computes L (cached, so no extra work), and
+    # entries near the float range's end overflow it to inf; theory
+    # stepsizes and prox_grad also divide by it, and an all-zero matrix
+    # under the quadratic or robust loss gives L = 0
+    if cfg.stepsize_mode != "custom" or spec.algorithm == "prox_grad":
         L = objective.lipschitz()
-        if not 0.0 < L < math.inf:
+        divides = cfg.stepsize_mode == "theory" or spec.algorithm == "prox_grad"
+        if not 0.0 <= L < math.inf or (divides and L == 0.0):
             raise DataError(f"{config.problem.describe(seed)}: gradient Lipschitz estimate "
-                            f"is {L!r}; solver {spec.name!r} needs a positive finite one")
+                            f"is {L!r}; solver {spec.name!r} needs a "
+                            f"{'positive finite' if divides else 'finite'} one")
     x_init = np.zeros(dataset.n_cols)
     if spec.algorithm == "apg_restart":
         return run(objective, config.problem.regularizer, cfg, x_init)
@@ -301,7 +313,9 @@ def _cells(config: ExperimentConfig, seed_override):
     A cell whose objective diverged yields its partial trace and status ``"diverged"``.
     Cells on the same data share one instance, and with it the objective's
     cached Lipschitz bound: the first of them builds it, and it is
-    dropped once the last of them has run. Any other error than a
+    dropped once the last of them has run. The generator lets go of each
+    trace before the next cell runs, so a caller that does the same holds
+    one trace at a time. Any other error than a
     :class:`ConfigError` or :class:`DataError` raised in a cell, building
     its instance included, is raised again as a :class:`CellError`.
     """
@@ -326,37 +340,39 @@ def _cells(config: ExperimentConfig, seed_override):
             message = " ".join(str(exc).splitlines())
             raise CellError(f"{spec.name} seed={seed}: {type(exc).__name__}: {message}") from exc
         yield spec, seed, trace, status
+        del trace  # before the next cell runs
 
 
-def _best_F(cells) -> float:
-    """Lowest objective value any cell's trace reached: the loss-gap reference."""
-    return min(min(float(t.F.min()) if len(t) else t.final_F, t.final_F) for _, _, t, _ in cells)
+def _lowest_F(trace) -> float:
+    """Lowest objective value the trace reached; the loss-gap reference is the least of these."""
+    return min(float(trace.F.min()) if len(trace) else trace.final_F, trace.final_F)
 
 
 def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=False):
     """Execute all cells; write per-cell traces and a summary. Returns 0."""
     os.makedirs(out_dir, exist_ok=True)
-    results = []
+    results = []  # what summary.csv reads of each cell, without its trace
     for spec, seed, trace, status in _cells(config, seed_override):
         # Python floats and bools from tolist() format faster than numpy scalars
         rows = zip(range(len(trace)), trace.F.tolist(), trace.grad_map_norm.tolist(),
                    trace.step_norm.tolist(), trace.restart_flags.tolist(), trace.lam.tolist(),
                    trace.beta.tolist(), trace.alpha_next.tolist())
         _write_atomic(os.path.join(out_dir, f"{spec.name}_seed{seed}.csv"),
-                      _csv_text(TRACE_COLUMNS, rows))
-        results.append((spec, seed, trace, status))
+                      _csv_lines(TRACE_COLUMNS, rows))
+        results.append((spec, seed, len(trace), trace.num_restarts, trace.prox_calls,
+                        trace.final_F, _lowest_F(trace), status))
         if not quiet:
             print(f"{spec.name} seed={seed}: {status}, {len(trace)} iterations, "
                   f"{trace.num_restarts} restarts, final F={trace.final_F!r}")
+        del trace  # before the next cell runs
 
-    f_ref = _best_F(results)
-    summary_rows = [
+    f_ref = min(lowest for *_, lowest, _ in results)
+    summary_rows = (
         (spec.name, spec.algorithm, spec.config.scheme.label, spec.config.stepsize_mode, seed,
-         len(trace), trace.num_restarts, trace.prox_calls, trace.final_F,
-         trace.final_F - f_ref, status)
-        for spec, seed, trace, status in results
-    ]
-    _write_atomic(os.path.join(out_dir, "summary.csv"), _csv_text(SUMMARY_COLUMNS, summary_rows))
+         iterations, restarts, prox_calls, final_F, final_F - f_ref, status)
+        for spec, seed, iterations, restarts, prox_calls, final_F, _, status in results
+    )
+    _write_atomic(os.path.join(out_dir, "summary.csv"), _csv_lines(SUMMARY_COLUMNS, summary_rows))
     return 0
 
 
@@ -385,11 +401,12 @@ def check_experiment(config: ExperimentConfig, out_dir, seed_override=None, quie
             for failure in failures:
                 print(f"FAIL {spec.name} seed={seed}: {failure}", file=sys.stderr)
             print(f"{spec.name} seed={seed}: {'FAIL' if failures else 'pass'}")
+        del trace  # before the next cell runs
     _write_atomic(os.path.join(out_dir, "report.csv"),
-                  _csv_text(("solver", "seed", "check", "worst_margin", "passed", "location"),
-                            report_rows))
+                  _csv_lines(("solver", "seed", "check", "worst_margin", "passed", "location"),
+                             report_rows))
     _write_atomic(os.path.join(out_dir, "path_lengths.csv"),
-                  _csv_text(("solver", "seed", "period", "path_length", "cumulative"), path_rows))
+                  _csv_lines(("solver", "seed", "period", "path_length", "cumulative"), path_rows))
     return 0 if all_passed else 1
 
 
@@ -398,17 +415,20 @@ def compare_experiment(config: ExperimentConfig, out_dir, seed_override=None, qu
     if len(config.solvers) < 2:
         raise ConfigError("solvers: compare needs at least two solvers")
     os.makedirs(out_dir, exist_ok=True)
-    cells = list(_cells(config, seed_override))
-    f_ref = _best_F(cells)
-    long_rows = [(spec.name, spec.config.scheme.label, seed, k, gap)
-                 for spec, seed, trace, _ in cells
-                 for k, gap in enumerate((trace.F - f_ref).tolist())]
-    count_rows = [(spec.name, spec.config.scheme.label, seed, trace.num_restarts)
-                  for spec, seed, trace, _ in cells]
+    results = []  # each cell's F column, lowest F and restart count, without its trace
+    for spec, seed, trace, _ in _cells(config, seed_override):
+        results.append((spec.name, spec.config.scheme.label, seed, trace.F, _lowest_F(trace),
+                        trace.num_restarts))
+        del trace  # before the next cell runs
+    f_ref = min(lowest for *_, lowest, _ in results)
+    long_rows = ((name, scheme, seed, k, gap)
+                 for name, scheme, seed, F, _, _ in results
+                 for k, gap in enumerate((F - f_ref).tolist()))
+    count_rows = [(name, scheme, seed, restarts) for name, scheme, seed, _, _, restarts in results]
     _write_atomic(os.path.join(out_dir, "compare.csv"),
-                  _csv_text(("solver", "scheme", "seed", "k", "loss_gap"), long_rows))
+                  _csv_lines(("solver", "scheme", "seed", "k", "loss_gap"), long_rows))
     _write_atomic(os.path.join(out_dir, "restart_counts.csv"),
-                  _csv_text(("solver", "scheme", "seed", "restarts"), count_rows))
+                  _csv_lines(("solver", "scheme", "seed", "restarts"), count_rows))
     if not quiet:
         for name, scheme, seed, count in count_rows:
             print(f"{name} ({scheme}) seed={seed}: {count} restarts")

@@ -221,6 +221,47 @@ def test_instance_is_dropped_after_its_last_cell(tmp_path, monkeypatch):
     assert all(ref() is None for _, ref in built)
 
 
+@pytest.mark.parametrize("command,code", [("run", 0), ("compare", 0), ("check", 1)])
+def test_trace_is_dropped_before_the_next_cell(tmp_path, monkeypatch, command, code):
+    # 2 solvers x 3 seeds, the second cell diverging: no earlier trace outlives its cell
+    traces, alive_at_start = [], []
+    clean_run = cli.run
+
+    def tracked(objective, regularizer, cfg, x_init):
+        alive_at_start.append(sum(ref() is not None for ref in traces))
+        trace = clean_run(objective, regularizer, cfg, x_init)
+        traces.append(weakref.ref(trace))
+        if len(traces) == 2:
+            raise DivergenceError("objective diverged", trace)
+        return trace
+
+    monkeypatch.setattr(cli, "run", tracked)
+    doc = base_config()
+    doc["solvers"][0]["seeds"] = [1, 2, 3]
+    doc["solvers"].append(dict(doc["solvers"][0], name="b"))
+    assert main([command, "--config", write_config(tmp_path, doc), "--out",
+                 str(tmp_path / "out"), "--quiet"]) == code
+    assert alive_at_start == [0] * 6
+    assert all(ref() is None for ref in traces)
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    # the row generator raises after one row: the earlier file stays, no .tmp is left
+    def rows():
+        yield (1, 0.5)
+        raise RuntimeError("row 2 failed")
+
+    path = tmp_path / "table.csv"
+    with pytest.raises(RuntimeError, match="row 2 failed"):
+        cli._write_atomic(str(path), cli._csv_lines(("a", "b"), rows()))
+    assert os.listdir(tmp_path) == []
+    path.write_bytes(b"a,b\n7,8\n")
+    with pytest.raises(RuntimeError, match="row 2 failed"):
+        cli._write_atomic(str(path), cli._csv_lines(("a", "b"), rows()))
+    assert os.listdir(tmp_path) == ["table.csv"]
+    assert path.read_bytes() == b"a,b\n7,8\n"
+
+
 def test_libsvm_source_through_cli(tmp_path, monkeypatch):
     # 2 solvers x 2 seeds on one file: it is parsed once
     loaded = count_calls(monkeypatch, dataio, "load_libsvm")
@@ -265,6 +306,8 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
     (lambda d: d.pop("schema_version"), "schema_version"),
     (lambda d: d.update(schema_version=99), "schema_version"),
     (lambda d: d.update(solvers=[]), "at least one solver"),
+    (lambda d: d.update(solvers=[5]), "solvers[0]: expected a mapping, got int"),
+    (lambda d: d["solvers"].append(None), "solvers[1]: expected a mapping, got NoneType"),
     (lambda d: d["solvers"][0].pop("max_iters"), "solvers[0].max_iters"),
     (lambda d: d["solvers"][0].update(seeds=[]), "solvers[0].seeds"),
     (lambda d: d["solvers"][0].update(algorithm="sgd"), "solvers[0].algorithm"),
@@ -334,6 +377,7 @@ def test_invalid_config_exit_code(tmp_path, capsys):
 
 ZERO_LIPSCHITZ = "gradient Lipschitz estimate is 0.0; solver 'demo' needs a positive finite one"
 INF_LIPSCHITZ = "gradient Lipschitz estimate is inf; solver 'demo' needs a positive finite one"
+INF_LIPSCHITZ_EXPERIMENT = "gradient Lipschitz estimate is inf; solver 'demo' needs a finite one"
 OVERFLOW = "1 1:1e308 2:1e308\n-1 1:-1e308 2:5e307\n"
 
 
@@ -349,9 +393,10 @@ OVERFLOW = "1 1:1e308 2:1e308\n-1 1:-1e308 2:5e307\n"
     (OVERFLOW, "quadratic", {}, INF_LIPSCHITZ),
     (OVERFLOW, "quadratic", {"algorithm": "prox_grad", "stepsize_mode": "experiment"},
      INF_LIPSCHITZ),
+    (OVERFLOW, "quadratic", {"stepsize_mode": "experiment"}, INF_LIPSCHITZ_EXPERIMENT),
 ], ids=["bad_token", "wrong_labels", "nonfinite_label", "directory",
         "zero_lipschitz_theory", "zero_lipschitz_prox_grad", "empty_file",
-        "inf_lipschitz_theory", "inf_lipschitz_prox_grad"])
+        "inf_lipschitz_theory", "inf_lipschitz_prox_grad", "inf_lipschitz_experiment"])
 def test_bad_data_exit_code(tmp_path, capsys, text, objective, solver, fragment):
     path = tmp_path / "bad.libsvm"
     if text is None:
@@ -366,6 +411,16 @@ def test_bad_data_exit_code(tmp_path, capsys, text, objective, solver, fragment)
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
         assert fragment in err
+
+
+def test_zero_lipschitz_runs_at_experiment_stepsizes(tmp_path):
+    # beta = 1 does not divide by L, so an all-zero matrix is usable there
+    path = tmp_path / "zero.libsvm"
+    path.write_text("1 1:0\n-1 2:0\n", encoding="utf-8")
+    cfg = libsvm_config(tmp_path, path, objective="quadratic", stepsize_mode="experiment")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert (out / "summary.csv").read_text(encoding="utf-8").splitlines()[1].endswith(",ok")
 
 
 @pytest.mark.parametrize("command", ["run", "check", "compare"])
