@@ -59,13 +59,32 @@ class CellError(RuntimeError):
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most trace cells: skip the isinstance chain
-        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _format_column(column) -> list:
+    """Format one column's values as strings, as :func:`_fmt` would each value.
+
+    Numpy columns are formatted by dtype in one pass: bools as ``0``/``1``,
+    integers with ``str``, and float64 values with ``repr`` once per
+    distinct bit pattern, since stepsize and momentum columns repeat a few
+    values. Keying on bits, not on float equality, keeps ``0.0`` and
+    ``-0.0`` apart.
+    """
+    if isinstance(column, np.ndarray):
+        if column.dtype == bool:
+            return list(map(("0", "1").__getitem__, column.tolist()))
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+        if column.dtype == np.float64:
+            bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+            text = list(map(float.__repr__, bits.view(np.float64).tolist()))
+            return [text[i] for i in inverse.tolist()]
+    return list(map(_fmt, column))
 
 
 def _write_atomic(path, lines) -> None:
@@ -87,11 +106,24 @@ def _write_atomic(path, lines) -> None:
         raise
 
 
-def _csv_lines(columns, rows):
-    """Yield the header and then one line per row, each ending in a newline."""
-    yield ",".join(columns) + "\n"
-    for row in rows:
-        yield ",".join(map(_fmt, row)) + "\n"
+#: rows formatted at a time; formatting ``check``'s 4 800-row path-length
+#: table whole held about 2 MB of strings at once
+_CHUNK_ROWS = 512
+
+
+def _csv_lines(header, blocks):
+    """Yield the header line, then each block's lines a chunk of rows at a time.
+
+    A block is an iterable of equal-length columns, such as one trace's
+    arrays or ``zip(*rows)`` of a row table. Blocks are formatted one at
+    a time, so a generator of blocks is never held whole.
+    """
+    yield ",".join(header) + "\n"
+    for block in blocks:
+        columns = list(block)
+        for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+            text = [_format_column(c[start:start + _CHUNK_ROWS]) for c in columns]
+            yield "\n".join(map(",".join, zip(*text))) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +385,10 @@ def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=
     os.makedirs(out_dir, exist_ok=True)
     results = []  # what summary.csv reads of each cell, without its trace
     for spec, seed, trace, status in _cells(config, seed_override):
-        # Python floats and bools from tolist() format faster than numpy scalars
-        rows = zip(range(len(trace)), trace.F.tolist(), trace.grad_map_norm.tolist(),
-                   trace.step_norm.tolist(), trace.restart_flags.tolist(), trace.lam.tolist(),
-                   trace.beta.tolist(), trace.alpha_next.tolist())
+        columns = (np.arange(len(trace)), trace.F, trace.grad_map_norm, trace.step_norm,
+                   trace.restart_flags, trace.lam, trace.beta, trace.alpha_next)
         _write_atomic(os.path.join(out_dir, f"{spec.name}_seed{seed}.csv"),
-                      _csv_lines(TRACE_COLUMNS, rows))
+                      _csv_lines(TRACE_COLUMNS, [columns]))
         results.append((spec, seed, len(trace), trace.num_restarts, trace.prox_calls,
                         trace.final_F, _lowest_F(trace), status))
         if not quiet:
@@ -372,7 +402,8 @@ def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=
          iterations, restarts, prox_calls, final_F, final_F - f_ref, status)
         for spec, seed, iterations, restarts, prox_calls, final_F, _, status in results
     )
-    _write_atomic(os.path.join(out_dir, "summary.csv"), _csv_lines(SUMMARY_COLUMNS, summary_rows))
+    _write_atomic(os.path.join(out_dir, "summary.csv"),
+                  _csv_lines(SUMMARY_COLUMNS, [zip(*summary_rows)]))
     return 0
 
 
@@ -404,9 +435,10 @@ def check_experiment(config: ExperimentConfig, out_dir, seed_override=None, quie
         del trace  # before the next cell runs
     _write_atomic(os.path.join(out_dir, "report.csv"),
                   _csv_lines(("solver", "seed", "check", "worst_margin", "passed", "location"),
-                             report_rows))
+                             [zip(*report_rows)]))
     _write_atomic(os.path.join(out_dir, "path_lengths.csv"),
-                  _csv_lines(("solver", "seed", "period", "path_length", "cumulative"), path_rows))
+                  _csv_lines(("solver", "seed", "period", "path_length", "cumulative"),
+                             [zip(*path_rows)]))
     return 0 if all_passed else 1
 
 
@@ -421,14 +453,14 @@ def compare_experiment(config: ExperimentConfig, out_dir, seed_override=None, qu
                         trace.num_restarts))
         del trace  # before the next cell runs
     f_ref = min(lowest for *_, lowest, _ in results)
-    long_rows = ((name, scheme, seed, k, gap)
-                 for name, scheme, seed, F, _, _ in results
-                 for k, gap in enumerate((F - f_ref).tolist()))
+    long_blocks = (([name] * len(F), [scheme] * len(F), [seed] * len(F), np.arange(len(F)),
+                    F - f_ref)
+                   for name, scheme, seed, F, _, _ in results)
     count_rows = [(name, scheme, seed, restarts) for name, scheme, seed, _, _, restarts in results]
     _write_atomic(os.path.join(out_dir, "compare.csv"),
-                  _csv_lines(("solver", "scheme", "seed", "k", "loss_gap"), long_rows))
+                  _csv_lines(("solver", "scheme", "seed", "k", "loss_gap"), long_blocks))
     _write_atomic(os.path.join(out_dir, "restart_counts.csv"),
-                  _csv_lines(("solver", "scheme", "seed", "restarts"), count_rows))
+                  _csv_lines(("solver", "scheme", "seed", "restarts"), [zip(*count_rows)]))
     if not quiet:
         for name, scheme, seed, count in count_rows:
             print(f"{name} ({scheme}) seed={seed}: {count} restarts")

@@ -28,6 +28,9 @@ libm). Its value may differ from ``np.logaddexp`` by a few ulps, and which
 SIMD loop numpy dispatches to depends on the CPU: ``F`` is the same across
 reruns on one machine but not across CPUs. The logistic gradient goes
 through ``scipy.special.expit`` and does not depend on that dispatch.
+``scipy.special`` is imported by the first logistic gradient, not by this
+module: it costs about 5 MB resident and 50 ms of start-up, which
+quadratic and robust runs and ``check`` on the lasso grid never use.
 
 Every loss has the form ``h(A x)``, so each objective offers
 ``value_at(x, Ax)`` and ``gradient_at(x, Ax)``, which start from a
@@ -43,8 +46,9 @@ how small it measured.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import expit
 
 from .linalg import CsrMatrix, spectral_norm_sq, spmv, spmv_transpose
 
@@ -103,6 +107,13 @@ class _DataObjective:
         return self._lipschitz
 
 
+@functools.cache
+def _expit():
+    from scipy.special import expit
+
+    return expit
+
+
 class LogisticObjective(_DataObjective):
     """Averaged logistic loss with a bounded nonconvex coordinate penalty.
 
@@ -141,7 +152,7 @@ class LogisticObjective(_DataObjective):
         return float(loss.sum()) / self.n + self.alpha * float((xsq / (1.0 + xsq)).sum())
 
     def gradient_at(self, x, Ax) -> np.ndarray:
-        w = expit(self._neg_b * Ax)
+        w = _expit()(self._neg_b * Ax)
         w *= self._neg_b
         grad = spmv_transpose(self.A, w) / self.n
         grad += self.alpha * 2.0 * x / (1.0 + x * x) ** 2

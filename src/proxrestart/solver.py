@@ -145,7 +145,9 @@ class SolverTrace:
     period. Of the iterates the trace keeps only the last, ``final_x``:
     rerun with a smaller ``max_iters`` (runs are deterministic) or step
     :func:`apg_restart_step` by hand to see others, a checkpoint's
-    included. Traces are immutable once built and safe to share.
+    included. The solver never touches a trace after returning it; its
+    arrays are ordinary writable numpy arrays, so a caller that writes
+    into one changes it for every holder.
     """
 
     def __init__(self, algorithm, stepsize_mode, lipschitz, F, grad_map_norm,

@@ -246,20 +246,37 @@ def test_trace_is_dropped_before_the_next_cell(tmp_path, monkeypatch, command, c
 
 
 def test_failed_write_leaves_no_partial_file(tmp_path):
-    # the row generator raises after one row: the earlier file stays, no .tmp is left
-    def rows():
-        yield (1, 0.5)
+    # the block generator raises after one block: the earlier file stays, no .tmp is left
+    def blocks():
+        yield ([1], [0.5])
         raise RuntimeError("row 2 failed")
 
     path = tmp_path / "table.csv"
     with pytest.raises(RuntimeError, match="row 2 failed"):
-        cli._write_atomic(str(path), cli._csv_lines(("a", "b"), rows()))
+        cli._write_atomic(str(path), cli._csv_lines(("a", "b"), blocks()))
     assert os.listdir(tmp_path) == []
     path.write_bytes(b"a,b\n7,8\n")
     with pytest.raises(RuntimeError, match="row 2 failed"):
-        cli._write_atomic(str(path), cli._csv_lines(("a", "b"), rows()))
+        cli._write_atomic(str(path), cli._csv_lines(("a", "b"), blocks()))
     assert os.listdir(tmp_path) == ["table.csv"]
     assert path.read_bytes() == b"a,b\n7,8\n"
+
+
+def test_columns_format_as_each_value_would():
+    # repeats send every float through the shared-string path; 0.0 and -0.0
+    # compare equal, so keying those strings on float equality would merge them
+    values = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-05, 1e16, 0.1]
+    floats = np.array(values * 3 + [-0.0, 0.0])
+    assert cli._format_column(floats) == [repr(float(v)) for v in floats]
+    flags = np.array([True, False, False, True])
+    assert cli._format_column(flags) == ["1", "0", "0", "1"]
+    assert cli._format_column(np.arange(3)) == ["0", "1", "2"]
+    assert cli._format_column((np.float64(-0.0), True, "a", 7)) == ["-0.0", "1", "a", "7"]
+    # a block longer than a chunk, then an empty one
+    k = np.arange(2 * cli._CHUNK_ROWS + 1)
+    x = np.resize(floats, len(k))
+    lines = "".join(cli._csv_lines(("k", "x"), [(k, x), [(), ()]]))
+    assert lines == "k,x\n" + "".join(f"{i},{v!r}\n" for i, v in zip(k.tolist(), x.tolist()))
 
 
 def test_libsvm_source_through_cli(tmp_path, monkeypatch):
@@ -508,6 +525,32 @@ def test_module_runs_as_a_script():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: proxrestart")
+
+
+def test_only_logistic_runs_import_scipy_special(tmp_path):
+    # scipy.special costs about 5 MB and 50 ms of start-up, so a fresh
+    # interpreter loads it on the first logistic gradient and not before
+    quadratic = write_config(tmp_path, base_config(), "quadratic.yaml")
+    logistic_doc = base_config()
+    logistic_doc["problem"].update(objective="logistic_ncvx", alpha=0.01)
+    logistic_doc["problem"]["dataset"]["kind"] = "logistic_sep"
+    logistic = write_config(tmp_path, logistic_doc, "logistic.yaml")
+    code = f"""if True:
+        import sys
+        import proxrestart, proxrestart.cli
+        assert 'scipy.special' not in sys.modules, 'import'
+        out = {str(tmp_path)!r}
+        assert proxrestart.cli.main(['check', '--config', {quadratic!r},
+                                     '--out', out + '/check', '--quiet']) == 0
+        assert 'scipy.special' not in sys.modules, 'quadratic check'
+        assert proxrestart.cli.main(['run', '--config', {logistic!r},
+                                     '--out', out + '/run', '--quiet']) == 0
+        assert 'scipy.special' in sys.modules, 'logistic run'
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 def test_check_refuses_experiment_mode(tmp_path, capsys):
