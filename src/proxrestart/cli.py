@@ -150,14 +150,12 @@ _NUM = (int, float)
 
 # kind -> (class, {field: (types, required)}); an optional field the config
 # leaves out is not passed, so the class's own default applies
+_MIN_PERIOD = {"min_period": (int, False)}  # the adaptive schemes only
 _SCHEMES = {
-    "fixed": (restart.FixedRestart, {"q": (int, True), "min_period": (int, False)}),
-    "function_value": (restart.FunctionValueRestart,
-                       {"rho": (_NUM, False), "min_period": (int, False)}),
-    "gradient_mapping": (restart.GradientMappingRestart,
-                         {"tau": (_NUM, False), "min_period": (int, False)}),
-    "non_monotone": (restart.NonMonotoneRestart,
-                     {"tau": (_NUM, False), "min_period": (int, False)}),
+    "fixed": (restart.FixedRestart, {"q": (int, True)}),
+    "function_value": (restart.FunctionValueRestart, {"rho": (_NUM, False), **_MIN_PERIOD}),
+    "gradient_mapping": (restart.GradientMappingRestart, {"tau": (_NUM, False), **_MIN_PERIOD}),
+    "non_monotone": (restart.NonMonotoneRestart, {"tau": (_NUM, False), **_MIN_PERIOD}),
     "never": (restart.NeverRestart, {}),
 }
 _REGULARIZERS = {
@@ -205,7 +203,10 @@ class SolverSpec:
             raise ConfigError(f"{path}.name: must be nonempty alphanumeric/_/- (got {self.name!r})")
         self.algorithm = _require(node, "algorithm", path, str, default="apg_restart", required=False)
         if self.algorithm not in _ALGORITHMS:
-            raise ConfigError(f"{path}.algorithm: unknown algorithm {self.algorithm!r}")
+            raise ConfigError(f"{path}.algorithm: unknown algorithm {self.algorithm!r}; "
+                              f"expected one of {_ALGORITHMS}")
+        if self.algorithm in BASELINES and "scheme" in node:
+            raise ConfigError(f"{path}.scheme: {self.algorithm} never restarts and takes no scheme")
         scheme = _build(node.get("scheme", {"kind": "never"}), f"{path}.scheme",
                         _SCHEMES, "scheme")
         # a field the entry leaves out takes SolverConfig's default

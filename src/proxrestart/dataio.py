@@ -44,6 +44,11 @@ _DENSITY = 0.3
 _LOGISTIC_SCALE = 4.0
 _LOGISTIC_COLUMN_SPREAD = 1000.0
 _ROBUST_SCALE = 1.0
+_LABEL_NOISE = 0.1    # share of logistic labels flipped
+_MARGIN = 1.0         # weight of the planted logistic separator
+_OUTLIER_FRAC = 0.1   # share of grossly corrupted robust targets
+_CONDITION = 100.0    # lasso curvature spread
+_NOISE = 0.01         # lasso target noise
 
 
 class ParseError(ValueError):
@@ -167,36 +172,33 @@ def _sparse_gaussian(rng, n, d, density, scale) -> np.ndarray:
     return np.where(mask, rng.standard_normal((n, d)) * scale, 0.0)
 
 
-def _make_logistic(rng, n, d, label_noise, margin):
+def _make_logistic(rng, n, d):
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
     labels = rng.choice((-1.0, 1.0), size=n)
     features = _sparse_gaussian(rng, n, d, _DENSITY, _LOGISTIC_SCALE)
     # Plant the separator on each row's support so the sparse texture stays.
     support = features != 0.0
-    features += support * (margin * labels[:, None] * w[None, :])
+    features += support * (_MARGIN * labels[:, None] * w[None, :])
     features *= np.geomspace(1.0 / np.sqrt(_LOGISTIC_COLUMN_SPREAD), 1.0, d)[None, :]
-    if label_noise > 0.0:
-        flips = rng.random(n) < label_noise
-        labels = np.where(flips, -labels, labels)
-    return features, labels
+    flips = rng.random(n) < _LABEL_NOISE
+    return features, np.where(flips, -labels, labels)
 
 
-def _make_robust(rng, n, d, outlier_frac):
+def _make_robust(rng, n, d):
     w = rng.standard_normal(d)
     features = _sparse_gaussian(rng, n, d, _DENSITY, _ROBUST_SCALE)
     targets = features @ w + 0.05 * rng.standard_normal(n)
-    n_out = int(round(outlier_frac * n))
-    if n_out:
-        rows = rng.choice(n, size=n_out, replace=False)
-        targets[rows] += rng.choice((-1.0, 1.0), size=n_out) * rng.uniform(5.0, 15.0, size=n_out)
+    n_out = int(round(_OUTLIER_FRAC * n))
+    rows = rng.choice(n, size=n_out, replace=False)
+    targets[rows] += rng.choice((-1.0, 1.0), size=n_out) * rng.uniform(5.0, 15.0, size=n_out)
     return features, targets
 
 
-def _make_lasso(rng, n, d, condition, noise):
+def _make_lasso(rng, n, d):
     # Controlled spectrum: singular values of A/sqrt(n) geometric in
-    # [1/sqrt(condition), 1], so the quadratic term has curvature in
-    # [1/condition, 1]. The planted solution is dense, which keeps the
+    # [1/sqrt(_CONDITION), 1], so the quadratic term has curvature in
+    # [1/_CONDITION, 1]. The planted solution is dense, which keeps the
     # active set large enough to see the spectrum's low end; the resulting
     # linear convergence regime then stays observable over a desk-scale
     # run instead of terminating at machine precision within a few dozen
@@ -205,46 +207,43 @@ def _make_lasso(rng, n, d, condition, noise):
     gv = rng.standard_normal((d, d))
     U, _ = np.linalg.qr(gu)
     V, _ = np.linalg.qr(gv)
-    sigma = np.sqrt(np.geomspace(1.0 / condition, 1.0, d)) * np.sqrt(n)
+    sigma = np.sqrt(np.geomspace(1.0 / _CONDITION, 1.0, d)) * np.sqrt(n)
     A = (U * sigma) @ V.T
     x_true = rng.choice((-1.0, 1.0), size=d) * rng.uniform(0.5, 1.5, size=d)
-    b = A @ x_true + noise * rng.standard_normal(n)
+    b = A @ x_true + _NOISE * rng.standard_normal(n)
     return A, b
 
 
-def generate_synthetic(kind: str, n: int, d: int, seed: int, *,
-                       label_noise: float = 0.1, margin: float = 1.0,
-                       outlier_frac: float = 0.1, condition: float = 100.0,
-                       noise: float = 0.01) -> Dataset:
+def generate_synthetic(kind: str, n: int, d: int, seed: int) -> Dataset:
     """Generate a desk-scale synthetic dataset, deterministic per seed.
 
     Kinds
     -----
     ``"logistic_sep"``
-        Sparse Gaussian features with a planted separator and
-        ``label_noise`` label flips (classification).
+        Sparse Gaussian features with a planted separator and 10% of the
+        labels flipped (classification).
     ``"robust_outliers"``
-        Sparse linear data where ``outlier_frac`` of the targets are
-        grossly corrupted -- the setting the robust regression loss is
-        made for (regression).
+        Sparse linear data where 10% of the targets are grossly
+        corrupted -- the setting the robust regression loss is made for
+        (regression).
     ``"lasso_known"``
         A least-squares + L1 instance with spectrum spread over
-        ``[1/condition, 1]`` (regression); :func:`lasso_l1_weight` gives
-        its default L1 weight.
+        ``[1/100, 1]`` (regression); :func:`lasso_l1_weight` gives its
+        default L1 weight.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     rng = np.random.default_rng(seed)
     if kind == "logistic_sep":
-        features, labels = _make_logistic(rng, n, d, label_noise, margin)
+        features, labels = _make_logistic(rng, n, d)
         return Dataset(CsrMatrix.from_dense(features), labels,
                        f"logistic_sep-{n}x{d}-seed{seed}")
     if kind == "robust_outliers":
-        features, targets = _make_robust(rng, n, d, outlier_frac)
+        features, targets = _make_robust(rng, n, d)
         return Dataset(CsrMatrix.from_dense(features), targets,
                        f"robust_outliers-{n}x{d}-seed{seed}")
     if kind == "lasso_known":
-        A, b = _make_lasso(rng, n, d, condition, noise)
+        A, b = _make_lasso(rng, n, d)
         return Dataset(CsrMatrix.from_dense(A), b,
                        f"lasso_known-{n}x{d}-seed{seed}")
     raise ValueError(f"unknown synthetic kind {kind!r}; expected one of {SYNTHETIC_KINDS}")

@@ -20,9 +20,9 @@ The adaptive predicates come in a strict and a relaxed form:
   ``tau = -0.2``.
 * non-monotone -- same cosine test against ``y_next - (z + x)/2``.
 
-``min_period`` suppresses firing until a period has at least that many
-iterations. Right after a restart ``z - y`` vanishes and the cosine tests
-are degenerate, so the adaptive schemes default to ``min_period = 2``.
+The adaptive schemes do not fire before a period has ``min_period``
+iterations (default 2: right after a restart ``z - y`` vanishes and the
+cosine tests are degenerate). ``label`` names a scheme in the CLI's CSVs.
 """
 
 from __future__ import annotations
@@ -75,16 +75,14 @@ def _cosine_fire(a: np.ndarray, b: np.ndarray, tau: float) -> bool:
     return float(np.dot(a, b)) >= tau * na * nb
 
 
-class _Scheme:
+class _Adaptive:
+    """An adaptive test ``_fire``, asked once a period has ``min_period`` iterations."""
+
     min_period: int
-    label: str  # names the scheme and its parameter in the CLI's CSVs
 
     def __post_init__(self):
         if self.min_period < 1:
             raise ValueError("min_period must be >= 1")
-
-    def _fire(self, obs: RestartObservation) -> bool:
-        raise NotImplementedError
 
     def should_restart(self, obs: RestartObservation) -> bool:
         """Decide whether the next iteration begins a new period."""
@@ -94,27 +92,25 @@ class _Scheme:
 
 
 @dataclass(frozen=True)
-class FixedRestart(_Scheme):
+class FixedRestart:
     """Restart every ``q`` iterations, giving periods of exactly ``q``."""
 
     q: int
-    min_period: int = 1
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("period length q must be >= 1")
-        super().__post_init__()
 
     @property
     def label(self) -> str:
         return f"fixed(q={self.q})"
 
-    def _fire(self, obs: RestartObservation) -> bool:
+    def should_restart(self, obs: RestartObservation) -> bool:
         return obs.since_restart + 1 == self.q
 
 
 @dataclass(frozen=True)
-class FunctionValueRestart(_Scheme):
+class FunctionValueRestart(_Adaptive):
     rho: float = 0.8
     min_period: int = 2
 
@@ -134,15 +130,21 @@ class FunctionValueRestart(_Scheme):
         return obs.F_curr > self.rho * obs.F_prev
 
 
-@dataclass(frozen=True)
-class GradientMappingRestart(_Scheme):
-    tau: float = -0.2
-    min_period: int = 2
+class _Cosine(_Adaptive):
+    """A cosine test against the momentum direction, with slack ``tau``."""
+
+    tau: float
 
     def __post_init__(self):
         if not -1.0 <= self.tau <= 0.0:
             raise ValueError("tau must be in [-1, 0]")
         super().__post_init__()
+
+
+@dataclass(frozen=True)
+class GradientMappingRestart(_Cosine):
+    tau: float = -0.2
+    min_period: int = 2
 
     @property
     def label(self) -> str:
@@ -153,14 +155,9 @@ class GradientMappingRestart(_Scheme):
 
 
 @dataclass(frozen=True)
-class NonMonotoneRestart(_Scheme):
+class NonMonotoneRestart(_Cosine):
     tau: float = -0.2
     min_period: int = 2
-
-    def __post_init__(self):
-        if not -1.0 <= self.tau <= 0.0:
-            raise ValueError("tau must be in [-1, 0]")
-        super().__post_init__()
 
     @property
     def label(self) -> str:
@@ -172,11 +169,10 @@ class NonMonotoneRestart(_Scheme):
 
 
 @dataclass(frozen=True)
-class NeverRestart(_Scheme):
+class NeverRestart:
     """Single period: plain accelerated proximal gradient."""
 
-    min_period: int = 1
     label = "never"
 
-    def _fire(self, obs: RestartObservation) -> bool:
+    def should_restart(self, obs: RestartObservation) -> bool:
         return False

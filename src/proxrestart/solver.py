@@ -53,17 +53,19 @@ Stepsize modes:
   :mod:`proxrestart.diagnostics`).
 * ``"experiment"`` -- ``beta = 1``, the aggressive practical choice. No
   descent certificate; the divergence guard may trip.
-* ``"custom"``     -- caller-provided ``beta``.
+* ``"custom"``     -- caller-provided ``beta``; no ``L`` is computed.
 
-In every mode ``lam = beta * (1 + lambda_factor * alpha)``; the factor
-sweeps the admissible interval ``[beta, (1 + alpha) * beta]`` and defaults
-to its upper end.
+The ``prox_grad`` baseline ignores the mode and steps by ``1/L``. A
+stepsize that divides by ``L`` needs it positive and finite. In every mode
+``lam = beta * (1 + lambda_factor * alpha)``; the factor sweeps the
+admissible interval ``[beta, (1 + alpha) * beta]`` and defaults to its
+upper end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -87,7 +89,6 @@ __all__ = [
 ]
 
 _MODES = ("theory", "experiment", "custom")
-BASELINES = ("prox_grad", "ag", "apg_never")
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,8 @@ class SolverTrace:
     :func:`apg_restart_step` by hand to see others, a checkpoint's
     included. The solver never touches a trace after returning it; its
     arrays are ordinary writable numpy arrays, so a caller that writes
-    into one changes it for every holder.
+    into one changes it for every holder. ``final_F`` is the objective at
+    ``final_x``, except after a divergence (see :class:`DivergenceError`).
     """
 
     def __init__(self, algorithm, stepsize_mode, lipschitz, F, grad_map_norm,
@@ -185,7 +187,11 @@ class SolverTrace:
 
 
 class DivergenceError(RuntimeError):
-    """Objective blew up; ``.trace`` holds the partial record."""
+    """Objective blew up; ``.trace`` holds the partial record.
+
+    Its ``final_x`` is the last iterate with a row, so ``F(final_x) == trace.F[-1]``;
+    its ``final_F`` is the value one step further that tripped the guard.
+    """
 
     def __init__(self, message, trace):
         super().__init__(message)
@@ -257,7 +263,7 @@ def apg_restart_step(state: SolverState, objective, regularizer,
     defaults to the configured stepsize mode's value.
     """
     if beta is None:
-        beta = _resolve_beta(objective, cfg)[0]
+        beta = _resolve_beta("apg_restart", objective, cfg)[0]
     k = state.k
     x, y, F_x, Ax, Ay = state.x, state.y, state.F, state.Ax, state.Ay
     restarted = state.pending_restart
@@ -305,30 +311,30 @@ def apg_restart_step(state: SolverState, objective, regularizer,
     return next_state, record
 
 
-def _resolve_beta(objective, cfg: SolverConfig):
-    """Return (beta, lipschitz-or-None) for the configured stepsize mode."""
-    if cfg.stepsize_mode == "theory":
-        L = objective.lipschitz()
-        if not 0.0 < L < math.inf:
-            raise ValueError("theory stepsizes need a positive finite Lipschitz estimate, "
-                             f"got {L!r}")
-        return 1.0 / (8.0 * L), L
-    if cfg.stepsize_mode == "experiment":
-        return 1.0, objective.lipschitz()
-    return float(cfg.beta), None
+def _resolve_beta(algorithm, objective, cfg: SolverConfig):
+    """Return ``(beta, lipschitz-or-None)``, ``algorithm``'s base stepsize (see module doc)."""
+    rule = "prox_grad" if algorithm == "prox_grad" else cfg.stepsize_mode
+    if rule == "custom":
+        return float(cfg.beta), None
+    L = objective.lipschitz()
+    if rule == "experiment":
+        return 1.0, L
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"{rule} stepsizes need a positive finite Lipschitz estimate, got {L!r}")
+    return (1.0 / L if rule == "prox_grad" else 1.0 / (8.0 * L)), L
 
 
-def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverConfig, x_init,
-           stepsize=None) -> SolverTrace:
+def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverConfig,
+           x_init) -> SolverTrace:
     """Iterate ``step`` from ``x_init`` and assemble the trace.
 
     ``step(state, objective, regularizer, cfg, beta)`` returns
-    ``(next_state, record)`` like :func:`apg_restart_step`; ``stepsize``
-    is ``(beta, lipschitz)``, by default the configured mode's. Everything
-    outside the update lives here: the divergence guard, the tolerance
-    stop and period bookkeeping.
+    ``(next_state, record)`` like :func:`apg_restart_step`, with ``beta``
+    resolved once per run for ``algorithm``. Everything outside the
+    update lives here: the divergence guard, the tolerance stop and
+    period bookkeeping.
     """
-    beta, lipschitz = stepsize or _resolve_beta(objective, cfg)
+    beta, lipschitz = _resolve_beta(algorithm, objective, cfg)
     x = np.array(x_init, dtype=np.float64, copy=True)
     Ax = spmv(objective.A, x)
     F_0 = objective.value_at(x, Ax) + regularizer.value(x)
@@ -431,24 +437,21 @@ def _ag_step(state, objective, regularizer, cfg, beta):
             StepRecord(state.F, gnorm, step, k == 0, lam, beta, alpha, subdiff))
 
 
-def run_baseline(kind: str, objective, regularizer, cfg: SolverConfig, x_init) -> SolverTrace:
-    """Run a comparison baseline: ``"prox_grad"``, ``"ag"`` or ``"apg_never"``.
+# baseline -> (step, proximal calls per iteration)
+_BASELINE_STEPS = {"prox_grad": (_prox_grad_step, 1), "ag": (_ag_step, 2)}
+BASELINES = tuple(_BASELINE_STEPS)
 
-    ``apg_never`` is the restart solver with restarts disabled (a single
-    momentum period); ``ag`` is the classical accelerated method with two
-    proximal updates per iteration; ``prox_grad`` is unaccelerated
-    proximal gradient with stepsize 1/L. The trace is the same kind
-    :func:`run` returns.
+
+def run_baseline(kind: str, objective, regularizer, cfg: SolverConfig, x_init) -> SolverTrace:
+    """Run a comparison baseline: ``"prox_grad"`` or ``"ag"``.
+
+    ``prox_grad`` is unaccelerated proximal gradient with stepsize 1/L in
+    every mode; ``ag`` is the classical accelerated method with two
+    proximal updates per iteration. Neither reads ``cfg.scheme``; the
+    restart solver without restarts is :func:`run` with
+    ``scheme=NeverRestart()``. The trace is the same kind :func:`run`
+    returns.
     """
-    if kind == "prox_grad":
-        L = objective.lipschitz()
-        if not 0.0 < L < math.inf:
-            raise ValueError("proximal gradient baseline needs a positive finite Lipschitz "
-                             f"estimate, got {L!r}")
-        return _drive(kind, _prox_grad_step, 1, objective, regularizer, cfg, x_init, (1.0 / L, L))
-    if kind == "ag":
-        return _drive(kind, _ag_step, 2, objective, regularizer, cfg, x_init)
-    if kind == "apg_never":
-        return _drive(kind, apg_restart_step, 1, objective, regularizer,
-                      replace(cfg, scheme=NeverRestart()), x_init)
-    raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
+    if kind not in _BASELINE_STEPS:
+        raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
+    return _drive(kind, *_BASELINE_STEPS[kind], objective, regularizer, cfg, x_init)

@@ -310,10 +310,14 @@ def test_seed_override(tmp_path):
 
 
 def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solver):
+    """Config of one solver on a LIBSVM file; a ``solver`` field set to None is left out."""
     doc = base_config()
     doc["problem"]["dataset"] = {"source": "libsvm", "path": str(path)}
     doc["problem"]["objective"] = objective
-    doc["solvers"][0].update({"max_iters": 30, "seeds": list(seeds)}, **solver)
+    entry = doc["solvers"][0]
+    entry.update({"max_iters": 30, "seeds": list(seeds)}, **solver)
+    for key in [key for key, value in entry.items() if value is None]:
+        del entry[key]
     return write_config(tmp_path, doc)
 
 
@@ -334,7 +338,8 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
     (lambda d: d["solvers"][0].update(stepsize_mode="custom", beta=True), "solvers[0].beta"),
     (lambda d: d["solvers"][0].update(scheme={"kind": "function_value", "rho": "fast"}),
      "solvers[0].scheme.rho"),
-    (lambda d: d["solvers"][0]["scheme"].update(min_period="x"), "solvers[0].scheme.min_period"),
+    (lambda d: d["solvers"][0].update(scheme={"kind": "function_value", "min_period": "x"}),
+     "solvers[0].scheme.min_period"),
     (lambda d: d["solvers"][0].update(seeds=[True]), "solvers[0].seeds: must be"),
     (lambda d: d["solvers"][0].update(seeds=[1, -1]), "solvers[0].seeds: must be a nonempty"),
     (lambda d: d["problem"]["dataset"].update(seed=-3), "problem.dataset.seed"),
@@ -347,6 +352,13 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
      "file not found"),
     (lambda d: d["solvers"][0].update(scheme={"kind": "fixed"}), "solvers[0].scheme.q"),
     (lambda d: d["problem"].update(regularizer={}), "problem.regularizer.kind"),
+    # never restarting is apg_restart's `never` scheme, not an algorithm
+    (lambda d: d["solvers"][0].update(algorithm="apg_never"),
+     "solvers[0].algorithm: unknown algorithm 'apg_never'"),
+    (lambda d: d["solvers"][0].update(algorithm="prox_grad"),
+     "solvers[0].scheme: prox_grad never restarts"),
+    (lambda d: d["solvers"][0].update(algorithm="ag", scheme={"kind": "never"}),
+     "solvers[0].scheme: ag never restarts"),
 ])
 def test_config_errors_name_the_field(tmp_path, mutate, fragment):
     doc = base_config()
@@ -396,6 +408,8 @@ ZERO_LIPSCHITZ = "gradient Lipschitz estimate is 0.0; solver 'demo' needs a posi
 INF_LIPSCHITZ = "gradient Lipschitz estimate is inf; solver 'demo' needs a positive finite one"
 INF_LIPSCHITZ_EXPERIMENT = "gradient Lipschitz estimate is inf; solver 'demo' needs a finite one"
 OVERFLOW = "1 1:1e308 2:1e308\n-1 1:-1e308 2:5e307\n"
+# a baseline takes no restart scheme, so base_config()'s is left out
+PROX_GRAD_EXPERIMENT = {"algorithm": "prox_grad", "stepsize_mode": "experiment", "scheme": None}
 
 
 @pytest.mark.parametrize("text,objective,solver,fragment", [
@@ -404,12 +418,10 @@ OVERFLOW = "1 1:1e308 2:1e308\n-1 1:-1e308 2:5e307\n"
     ("1 1:0.5\nnan 2:1.0\n", "quadratic", {}, "line 2: nonfinite label 'nan'"),
     (None, "quadratic", {}, "Is a directory"),
     ("1 1:0\n-1 2:0\n", "quadratic", {}, ZERO_LIPSCHITZ),
-    ("1 1:0\n-1 2:0\n", "quadratic", {"algorithm": "prox_grad", "stepsize_mode": "experiment"},
-     ZERO_LIPSCHITZ),
+    ("1 1:0\n-1 2:0\n", "quadratic", PROX_GRAD_EXPERIMENT, ZERO_LIPSCHITZ),
     ("", "quadratic", {}, "matrix has no rows"),
     (OVERFLOW, "quadratic", {}, INF_LIPSCHITZ),
-    (OVERFLOW, "quadratic", {"algorithm": "prox_grad", "stepsize_mode": "experiment"},
-     INF_LIPSCHITZ),
+    (OVERFLOW, "quadratic", PROX_GRAD_EXPERIMENT, INF_LIPSCHITZ),
     (OVERFLOW, "quadratic", {"stepsize_mode": "experiment"}, INF_LIPSCHITZ_EXPERIMENT),
 ], ids=["bad_token", "wrong_labels", "nonfinite_label", "directory",
         "zero_lipschitz_theory", "zero_lipschitz_prox_grad", "empty_file",

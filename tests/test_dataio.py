@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from proxrestart import (
+    CsrMatrix,
     Dataset,
     FunctionValueRestart,
     L1,
@@ -159,8 +160,12 @@ def test_load_libsvm_reads_files(tmp_path):
 
 def test_separable_instance_is_easy_to_fit():
     # no label noise and a wide margin: the logistic loss falls below 0.1
-    ds = generate_synthetic("logistic_sep", 200, 30, seed=7, label_noise=0.0, margin=12.0)
-    obj = LogisticObjective(ds.features, ds.labels, alpha=0.0)
+    rng = np.random.default_rng(7)
+    w = rng.standard_normal(30)
+    labels = rng.choice((-1.0, 1.0), size=200)
+    features = np.where(rng.random((200, 30)) < 0.3, rng.standard_normal((200, 30)), 0.0)
+    features += (features != 0.0) * (12.0 / np.linalg.norm(w) * labels[:, None] * w)
+    obj = LogisticObjective(CsrMatrix.from_dense(features), labels, alpha=0.0)
     cfg = SolverConfig(max_iters=2000, stepsize_mode="experiment", scheme=FunctionValueRestart())
     trace = run(obj, Zero(), cfg, np.zeros(30))
     assert trace.final_F < 0.1

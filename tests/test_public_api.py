@@ -10,6 +10,7 @@ import re
 import pytest
 
 import proxrestart
+from proxrestart import cli, dataio, solver
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(proxrestart.__path__)
@@ -36,3 +37,34 @@ def test_readme_quickstart_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md quickstart", "exec"), {})
     assert "pass" in out.getvalue() and "FAIL" not in out.getvalue()
+
+
+def _schema_enumerations(text):
+    """``{dotted key: options}`` of every ``key: a | b | ...`` line in the README's schema."""
+    block = re.search(r"### Config schema.*?```yaml\n(.*?)```", text, re.S).group(1)
+    parents = []  # (indent, key) of the open mappings
+    found = {}
+    for line in block.splitlines():
+        match = re.match(r"(\s*(?:- )?)(\w+):\s*([^#]*)", line)
+        if not match:
+            continue
+        indent, key, value = len(match.group(1)), match.group(2), match.group(3).strip()
+        while parents and parents[-1][0] >= indent:
+            parents.pop()
+        if "|" in value:
+            found[".".join([k for _, k in parents] + [key])] = tuple(
+                option.strip() for option in value.split("|"))
+        parents.append((indent, key))
+    return found
+
+
+def test_readme_schema_lists_what_the_parser_takes():
+    found = _schema_enumerations(README.read_text(encoding="utf-8"))
+    assert found == {
+        "problem.objective": tuple(cli._OBJECTIVES),
+        "problem.regularizer.kind": tuple(cli._REGULARIZERS),
+        "problem.dataset.kind": dataio.SYNTHETIC_KINDS,
+        "solvers.algorithm": cli._ALGORITHMS,
+        "solvers.scheme.kind": tuple(cli._SCHEMES),
+        "solvers.stepsize_mode": solver._MODES,
+    }

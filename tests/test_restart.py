@@ -116,10 +116,14 @@ def test_parameter_validation():
         GradientMappingRestart(tau=0.5)
     with pytest.raises(ValueError):
         NonMonotoneRestart(tau=-1.5)
-    for scheme in (FixedRestart(5), FunctionValueRestart(), GradientMappingRestart(),
-                   NonMonotoneRestart(), NeverRestart()):
+    for scheme in (FunctionValueRestart(), GradientMappingRestart(), NonMonotoneRestart()):
         with pytest.raises(ValueError, match="min_period"):
             replace(scheme, min_period=0)
+    # min_period belongs to the adaptive tests only
+    with pytest.raises(TypeError):
+        FixedRestart(5, min_period=2)
+    with pytest.raises(TypeError):
+        NeverRestart(min_period=2)
 
 
 @pytest.mark.parametrize("scheme, label", [

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -120,13 +121,11 @@ def test_ag_needs_two_prox_calls_per_iteration(small_quadratic):
 
 
 def test_ag_equals_never_restart_when_unregularized(small_quadratic):
-    cfg = SolverConfig(max_iters=100, stepsize_mode="theory")
-
-    def iterates(kind):
-        return prefix_iterates(
-            lambda c: run_baseline(kind, small_quadratic, Zero(), c, np.zeros(6)), cfg)
-
-    for xa, xb in zip(iterates("ag"), iterates("apg_never"), strict=True):
+    cfg = SolverConfig(max_iters=100, stepsize_mode="theory", scheme=NeverRestart())
+    ag = prefix_iterates(
+        lambda c: run_baseline("ag", small_quadratic, Zero(), c, np.zeros(6)), cfg)
+    never = prefix_iterates(lambda c: run(small_quadratic, Zero(), c, np.zeros(6)), cfg)
+    for xa, xb in zip(ag, never, strict=True):
         assert np.linalg.norm(xa - xb) <= 1e-12 * max(1.0, np.linalg.norm(xa))
 
 
@@ -160,8 +159,8 @@ def test_acceleration_beats_plain_prox_grad():
         assert len(hits), "run never reached the tolerance"
         return hits[0]
 
-    cfg = SolverConfig(max_iters=30000, stepsize_mode="experiment")
-    accel = run_baseline("apg_never", obj, Zero(), cfg, np.zeros(8))
+    cfg = SolverConfig(max_iters=30000, stepsize_mode="experiment", scheme=NeverRestart())
+    accel = run(obj, Zero(), cfg, np.zeros(8))
     plain = run_baseline("prox_grad", obj, Zero(), cfg, np.zeros(8))
     assert iters_to_tol(accel) < iters_to_tol(plain)
 
@@ -201,7 +200,7 @@ def test_stepsizes_stay_in_admissible_interval(small_quadratic):
         assert np.all(trace.lam <= (1.0 + trace.alpha_next) * trace.beta + 1e-15)
 
 
-@pytest.mark.parametrize("algorithm", ["apg_restart", "ag", "apg_never"])
+@pytest.mark.parametrize("algorithm", ["apg_restart", "ag"])
 def test_divergence_guard_carries_partial_trace(small_quadratic, algorithm):
     cfg = SolverConfig(max_iters=2000, stepsize_mode="custom", beta=1e9)
     with pytest.raises(DivergenceError) as info:
@@ -211,6 +210,21 @@ def test_divergence_guard_carries_partial_trace(small_quadratic, algorithm):
             run_baseline(algorithm, small_quadratic, Zero(), cfg, np.ones(6))
     assert len(info.value.trace) >= 1
     assert info.value.trace.algorithm == algorithm
+
+
+@pytest.mark.parametrize("algorithm", ["apg_restart", "ag"])
+def test_diverged_trace_keeps_its_last_row_iterate(small_quadratic, algorithm):
+    # final_x is the last iterate that has a row; final_F is the value one
+    # step further that tripped the guard, and no row holds it
+    cfg = SolverConfig(max_iters=2000, stepsize_mode="custom", beta=50.0)
+    with pytest.raises(DivergenceError) as info:
+        if algorithm == "apg_restart":
+            run(small_quadratic, Zero(), cfg, np.zeros(6))
+        else:
+            run_baseline(algorithm, small_quadratic, Zero(), cfg, np.zeros(6))
+    trace = info.value.trace
+    assert small_quadratic.value(trace.final_x) == trace.F[-1]
+    assert trace.final_F > 1e12 * (1.0 + abs(trace.F[0])) >= trace.F.max()
 
 
 def test_experiment_mode_uses_unit_beta(small_quadratic):
@@ -234,6 +248,9 @@ def test_config_validation():
         SolverConfig(max_iters=10, tolerance=-1e-3)
     with pytest.raises(ValueError):
         run_baseline("sgd", None, None, SolverConfig(max_iters=1), np.zeros(1))
+    # never restarting is a scheme of run, not a baseline
+    with pytest.raises(ValueError, match=re.escape("one of ('prox_grad', 'ag')")):
+        run_baseline("apg_never", None, None, SolverConfig(max_iters=1), np.zeros(1))
 
 
 @pytest.mark.parametrize("rows", [[[0.0, 0.0]], [[1e308, 1e308], [-1e308, 5e307]]],
@@ -559,10 +576,14 @@ BASELINE_FINGERPRINTS = {
 
 @pytest.mark.parametrize("kind, mode, tolerance", sorted(BASELINE_FINGERPRINTS))
 def test_baseline_traces_are_pinned(small_quadratic, kind, mode, tolerance):
-    # bit-for-bit pins of every trace column, period and counter of the baselines
-    cfg = SolverConfig(max_iters=200, stepsize_mode=mode, tolerance=tolerance)
+    # bit-for-bit pins of every trace column, period and counter of the
+    # baselines and of the restart solver that never restarts ("apg_never")
+    cfg = SolverConfig(max_iters=200, stepsize_mode=mode, tolerance=tolerance,
+                       scheme=NeverRestart())
 
     def solve(max_iters):
+        if kind == "apg_never":
+            return run(small_quadratic, L1(0.02), replace(cfg, max_iters=max_iters), np.ones(6))
         return run_baseline(kind, small_quadratic, L1(0.02), replace(cfg, max_iters=max_iters),
                             np.ones(6))
 
