@@ -36,6 +36,7 @@ from .restart import (
 )
 from .solver import (
     DivergenceError,
+    LipschitzError,
     PeriodRecord,
     SolverConfig,
     SolverState,
@@ -56,7 +57,7 @@ __all__ = [
     "RestartObservation", "FixedRestart", "FunctionValueRestart",
     "GradientMappingRestart", "NonMonotoneRestart", "NeverRestart",
     "SolverConfig", "SolverState", "StepRecord", "SolverTrace",
-    "PeriodRecord", "DivergenceError", "momentum_coefficient",
+    "PeriodRecord", "DivergenceError", "LipschitzError", "momentum_coefficient",
     "apg_restart_step", "run", "run_baseline",
     "InvariantReport", "check_invariants", "path_length_summary", "fit_rate",
     "Dataset", "ParseError", "parse_libsvm", "load_libsvm",

@@ -23,7 +23,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
@@ -34,7 +33,8 @@ import yaml
 
 from . import dataio, objectives, regularizers, restart
 from .diagnostics import check_invariants, path_length_summary
-from .solver import BASELINES, DivergenceError, SolverConfig, run, run_baseline
+from .solver import (BASELINES, DivergenceError, LipschitzError, SolverConfig, run,
+                     run_baseline)
 
 __all__ = ["ConfigError", "DataError", "CellError", "load_config", "run_experiment",
            "check_experiment", "compare_experiment", "main"]
@@ -128,28 +128,28 @@ def _csv_lines(header, blocks):
 
 # ---------------------------------------------------------------------------
 # config parsing
+#
+# Each section is read through a table {field: (types, required)}. A field
+# the config leaves out is not passed on, so the library's own default
+# applies, and a key outside the table is refused. A tagged section's tag
+# picks its table: tag value -> (what the section builds, table).
 
 _ALGORITHMS = ("apg_restart",) + BASELINES
-_OBJECTIVES = {"logistic_ncvx": objectives.LogisticObjective,
-               "robust": objectives.RobustRegressionObjective,
-               "quadratic": objectives.QuadraticObjective}
-
-
-def _require(mapping, key, path, types, default=None, required=True):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    value = mapping[key]
-    # YAML booleans pass isinstance(value, int), and no field takes one
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
-    return value
-
 _NUM = (int, float)
 
-# kind -> (class, {field: (types, required)}); an optional field the config
-# leaves out is not passed, so the class's own default applies
+_ROOT = {"schema_version": (int, True), "problem": (dict, True), "solvers": (list, True)}
+_PROBLEM = {"regularizer": ((dict, type(None)), False), "dataset": (dict, True)}
+_OBJECTIVES = {
+    "logistic_ncvx": (objectives.LogisticObjective, {**_PROBLEM, "alpha": (_NUM, False)}),
+    "robust": (objectives.RobustRegressionObjective, _PROBLEM),
+    "quadratic": (objectives.QuadraticObjective, _PROBLEM),
+}
+# a cell builds its dataset from the source's name and fields
+_DATASETS = {
+    "synthetic": ("synthetic", {"kind": (str, True), "n": (int, True), "d": (int, True),
+                                "seed": (int, False)}),
+    "libsvm": ("libsvm", {"path": (str, True), "expected_dim": (int, False)}),
+}
 _MIN_PERIOD = {"min_period": (int, False)}  # the adaptive schemes only
 _SCHEMES = {
     "fixed": (restart.FixedRestart, {"q": (int, True)}),
@@ -164,97 +164,99 @@ _REGULARIZERS = {
     "squared_l2": (regularizers.SquaredL2, {"mu": (_NUM, True)}),
     "elastic_net": (regularizers.ElasticNet, {"mu1": (_NUM, True), "mu2": (_NUM, True)}),
 }
+_SOLVER = {"name": (str, True), "algorithm": (str, False), "scheme": (dict, False),
+           "seeds": (list, True), "max_iters": (int, True), "stepsize_mode": (str, False),
+           "lambda_factor": (_NUM, False), "beta": (_NUM, False), "tolerance": (_NUM, False)}
 
 
-# SolverConfig fields a solver entry may set besides its scheme
-_SOLVER_FIELDS = {"max_iters": (int, True), "stepsize_mode": (str, False),
-                  "lambda_factor": (_NUM, False), "beta": (_NUM, False),
-                  "tolerance": (_NUM, False)}
+def _require(mapping, key, path, types):
+    if key not in mapping:
+        raise ConfigError(f"{path}.{key}: missing required field")
+    value = mapping[key]
+    # YAML booleans pass isinstance(value, int), and no field takes one
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
+    return value
 
 
-def _construct(cls, fields, node, path, **extra):
-    """Call ``cls`` with ``node``'s ``fields`` (read before the call) plus ``extra``."""
-    kwargs = {key: _require(node, key, path, types)
+def _read(node, fields, path, tag=None):
+    """Return the values of ``fields`` that the config section ``node`` sets.
+
+    With ``tag``, ``node[tag]`` picks ``(target, table)`` from ``fields``
+    and the result is ``(target, values of table)``.
+    """
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
+    if tag is not None:
+        value = _require(node, tag, path, str)
+        if value not in fields:
+            raise ConfigError(f"{path}.{tag}: unknown {tag} {value!r}; "
+                              f"expected one of {tuple(fields)}")
+        target, fields = fields[value]
+    for key in node:
+        if key != tag and key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field; expected one of {tuple(fields)}")
+    values = {key: _require(node, key, path, types)
               for key, (types, required) in fields.items() if required or key in node}
+    return values if tag is None else (target, values)
+
+
+def _make(cls, kwargs, path):
+    """Return ``cls(**kwargs)``, a ``ValueError`` it raises being a config error at ``path``."""
     try:
-        return cls(**kwargs, **extra)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _build(node, path, table, what):
-    """Construct the ``table`` entry that ``node['kind']`` names from ``node``'s fields."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a mapping with a 'kind' key")
-    kind = _require(node, "kind", path, str)
-    if kind not in table:
-        raise ConfigError(f"{path}.kind: unknown {what} {kind!r}; expected one of {tuple(table)}")
-    return _construct(*table[kind], node, path)
 
 
 class SolverSpec:
     """One solver entry: its name, algorithm, seeds and the one config every cell runs."""
 
     def __init__(self, node, path):
-        if not isinstance(node, dict):
-            raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
-        self.name = _require(node, "name", path, str)
+        fields = _read(node, _SOLVER, path)
+        self.name = fields.pop("name")
         if not self.name or not all(c.isalnum() or c in "_-" for c in self.name):
             raise ConfigError(f"{path}.name: must be nonempty alphanumeric/_/- (got {self.name!r})")
-        self.algorithm = _require(node, "algorithm", path, str, default="apg_restart", required=False)
+        self.algorithm = fields.pop("algorithm", "apg_restart")
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"{path}.algorithm: unknown algorithm {self.algorithm!r}; "
                               f"expected one of {_ALGORITHMS}")
-        if self.algorithm in BASELINES and "scheme" in node:
+        if self.algorithm in BASELINES and "scheme" in fields:
             raise ConfigError(f"{path}.scheme: {self.algorithm} never restarts and takes no scheme")
-        scheme = _build(node.get("scheme", {"kind": "never"}), f"{path}.scheme",
-                        _SCHEMES, "scheme")
-        # a field the entry leaves out takes SolverConfig's default
-        self.config = _construct(SolverConfig, _SOLVER_FIELDS, node, path, scheme=scheme)
-        seeds = _require(node, "seeds", path, list)
+        scheme = _make(*_read(fields.pop("scheme", {"kind": "never"}), _SCHEMES,
+                              f"{path}.scheme", tag="kind"), f"{path}.scheme")
+        self.seeds = fields.pop("seeds")
         # numpy generators take nonnegative seeds only
-        if not seeds or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                                for s in seeds):
+        if not self.seeds or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                                     for s in self.seeds):
             raise ConfigError(f"{path}.seeds: must be a nonempty list of nonnegative integers")
-        self.seeds = list(seeds)
+        # a field the entry leaves out takes SolverConfig's default
+        self.config = _make(SolverConfig, {**fields, "scheme": scheme}, path)
 
 
 class ProblemSpec:
     def __init__(self, node, path="problem"):
-        self.objective = _require(node, "objective", path, str)
-        if self.objective not in _OBJECTIVES:
-            raise ConfigError(f"{path}.objective: unknown objective {self.objective!r}")
-        self.alpha = float(_require(node, "alpha", path, _NUM, default=0.01, required=False))
-        # only the logistic objective reads alpha
-        if self.objective == "logistic_ncvx" and self.alpha < 0:
-            raise ConfigError(f"{path}.alpha: must be nonnegative (got {self.alpha!r})")
-        reg = node.get("regularizer")
-        self.regularizer = (regularizers.Zero() if reg is None else
-                            _build(reg, f"{path}.regularizer", _REGULARIZERS, "regularizer"))
-        ds = _require(node, "dataset", path, dict)
+        self.objective, fields = _read(node, _OBJECTIVES, path, tag="objective")
+        reg, dataset = fields.pop("regularizer", None), fields.pop("dataset")
+        self.objective_args = fields  # such as the logistic loss's alpha
+        if fields.get("alpha", 0) < 0:
+            raise ConfigError(f"{path}.alpha: must be nonnegative (got {fields['alpha']!r})")
+        self.regularizer = _make(*_read({"kind": "none"} if reg is None else reg, _REGULARIZERS,
+                                        f"{path}.regularizer", tag="kind"), f"{path}.regularizer")
         dpath = f"{path}.dataset"
-        self.source = _require(ds, "source", dpath, str)
+        self.source, self.data = _read(dataset, _DATASETS, dpath, tag="source")
         if self.source == "synthetic":
-            self.kind = _require(ds, "kind", dpath, str)
-            if self.kind not in dataio.SYNTHETIC_KINDS:
-                raise ConfigError(f"{dpath}.kind: unknown kind {self.kind!r}")
-            self.n = _require(ds, "n", dpath, int)
-            self.d = _require(ds, "d", dpath, int)
-            self.dataset_seed = _require(ds, "seed", dpath, int, default=None, required=False)
-            if self.dataset_seed is not None and self.dataset_seed < 0:
-                raise ConfigError(f"{dpath}.seed: must be nonnegative (got {self.dataset_seed})")
-            if self.n < 1 or self.d < 1:
+            if self.data["kind"] not in dataio.SYNTHETIC_KINDS:
+                raise ConfigError(f"{dpath}.kind: unknown kind {self.data['kind']!r}")
+            if self.data["n"] < 1 or self.data["d"] < 1:
                 raise ConfigError(f"{dpath}: n and d must be >= 1")
-        elif self.source == "libsvm":
-            self.path = _require(ds, "path", dpath, str)
-            self.expected_dim = _require(ds, "expected_dim", dpath, int, default=None, required=False)
-            if not os.path.exists(self.path):
-                raise ConfigError(f"{dpath}.path: file not found: {self.path}")
-        else:
-            raise ConfigError(f"{dpath}.source: expected 'synthetic' or 'libsvm'")
-
-    def _data_seed(self, seed: int) -> int:
-        return self.dataset_seed if self.dataset_seed is not None else seed
+            if self.data.get("seed", 0) < 0:
+                raise ConfigError(f"{dpath}.seed: must be nonnegative (got {self.data['seed']})")
+        elif not os.path.exists(self.data["path"]):
+            raise ConfigError(f"{dpath}.path: file not found: {self.data['path']}")
+        elif self.data.get("expected_dim", 0) < 0:
+            raise ConfigError(f"{dpath}.expected_dim: must be nonnegative "
+                              f"(got {self.data['expected_dim']})")
 
     def describe(self, seed: int) -> str:
         """Name the data a cell with this seed runs on.
@@ -264,8 +266,9 @@ class ProblemSpec:
         input of :meth:`instance`: the path, or the kind, size and data seed.
         """
         if self.source == "libsvm":
-            return self.path
-        return f"synthetic {self.kind} {self.n}x{self.d} seed {self._data_seed(seed)}"
+            return self.data["path"]
+        # a pinned dataset seed overrides the cell seed
+        return "synthetic {kind} {n}x{d} seed {seed}".format(**{"seed": seed, **self.data})
 
     def instance(self, seed: int):
         """Build the ``(dataset, objective)`` pair for a cell.
@@ -280,27 +283,25 @@ class ProblemSpec:
         """
         try:
             if self.source == "libsvm":
-                ds = dataio.load_libsvm(self.path, expected_dim=self.expected_dim)
+                ds = dataio.load_libsvm(**self.data)
             else:
-                ds = dataio.generate_synthetic(self.kind, self.n, self.d, self._data_seed(seed))
-            kwargs = {"alpha": self.alpha} if self.objective == "logistic_ncvx" else {}
-            return ds, _OBJECTIVES[self.objective](ds.features, ds.labels, **kwargs)
+                ds = dataio.generate_synthetic(**{"seed": seed, **self.data})
+            return ds, self.objective(ds.features, ds.labels, **self.objective_args)
         except (OSError, ValueError) as exc:
             raise DataError(f"{self.describe(seed)}: {exc}") from None
 
 
 class ExperimentConfig:
     def __init__(self, doc):
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a mapping")
-        version = _require(doc, "schema_version", "<root>", int)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-        self.problem = ProblemSpec(_require(doc, "problem", "<root>", dict))
-        solver_nodes = _require(doc, "solvers", "<root>", list)
-        if not solver_nodes:
+        fields = _read(doc, _ROOT, "<root>")
+        if fields["schema_version"] != SCHEMA_VERSION:
+            raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, "
+                              f"got {fields['schema_version']}")
+        self.problem = ProblemSpec(fields["problem"])
+        if not fields["solvers"]:
             raise ConfigError("solvers: at least one solver is required")
-        self.solvers = [SolverSpec(node, f"solvers[{i}]") for i, node in enumerate(solver_nodes)]
+        self.solvers = [SolverSpec(node, f"solvers[{i}]")
+                        for i, node in enumerate(fields["solvers"])]
         names = [s.name for s in self.solvers]
         if len(set(names)) != len(names):
             raise ConfigError("solvers: names must be unique")
@@ -320,24 +321,12 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # execution
 
-def _run_cell(config: ExperimentConfig, spec: SolverSpec, seed: int, instance):
+def _run_cell(config: ExperimentConfig, spec: SolverSpec, instance):
     dataset, objective = instance
-    cfg = spec.config
-    # every mode but custom computes L (cached, so no extra work), and
-    # entries near the float range's end overflow it to inf; theory
-    # stepsizes and prox_grad also divide by it, and an all-zero matrix
-    # under the quadratic or robust loss gives L = 0
-    if cfg.stepsize_mode != "custom" or spec.algorithm == "prox_grad":
-        L = objective.lipschitz()
-        divides = cfg.stepsize_mode == "theory" or spec.algorithm == "prox_grad"
-        if not 0.0 <= L < math.inf or (divides and L == 0.0):
-            raise DataError(f"{config.problem.describe(seed)}: gradient Lipschitz estimate "
-                            f"is {L!r}; solver {spec.name!r} needs a "
-                            f"{'positive finite' if divides else 'finite'} one")
     x_init = np.zeros(dataset.n_cols)
     if spec.algorithm == "apg_restart":
-        return run(objective, config.problem.regularizer, cfg, x_init)
-    return run_baseline(spec.algorithm, objective, config.problem.regularizer, cfg, x_init)
+        return run(objective, config.problem.regularizer, spec.config, x_init)
+    return run_baseline(spec.algorithm, objective, config.problem.regularizer, spec.config, x_init)
 
 
 def _cells(config: ExperimentConfig, seed_override):
@@ -348,9 +337,10 @@ def _cells(config: ExperimentConfig, seed_override):
     cached Lipschitz bound: the first of them builds it, and it is
     dropped once the last of them has run. The generator lets go of each
     trace before the next cell runs, so a caller that does the same holds
-    one trace at a time. Any other error than a
+    one trace at a time. A :class:`~proxrestart.solver.LipschitzError` is
+    raised again as a :class:`DataError`, and any other error than a
     :class:`ConfigError` or :class:`DataError` raised in a cell, building
-    its instance included, is raised again as a :class:`CellError`.
+    its instance included, as a :class:`CellError`.
     """
     cells = [(spec, seed) for spec in config.solvers
              for seed in ([seed_override] if seed_override is not None else spec.seeds)]
@@ -362,11 +352,13 @@ def _cells(config: ExperimentConfig, seed_override):
             if key not in instances:
                 instances[key] = config.problem.instance(seed)
             cells_left[key] -= 1
-            trace = _run_cell(config, spec, seed,
+            trace = _run_cell(config, spec,
                               instances[key] if cells_left[key] else instances.pop(key))
             status = "ok"
         except DivergenceError as exc:
             trace, status = exc.trace, "diverged"
+        except LipschitzError as exc:
+            raise DataError(f"{key}: solver {spec.name!r}: {exc}") from None
         except (ConfigError, DataError):
             raise
         except Exception as exc:

@@ -91,15 +91,19 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
     lines : iterable of str
         The input, one sample per nonempty line (an open text file works).
     expected_dim : int, optional
-        Lower bound on the feature dimension; the result has
+        Nonnegative lower bound on the feature dimension; the result has
         ``max(largest index seen, expected_dim)`` columns.
 
     Raises
     ------
+    ValueError
+        If ``expected_dim`` is negative.
     ParseError
         On a nonnumeric token, a nonfinite label, a nonincreasing feature index, or an index
         below 1 -- the message carries the 1-based line number and token.
     """
+    if expected_dim is not None and expected_dim < 0:
+        raise ValueError(f"expected_dim must be nonnegative, got {expected_dim}")
     labels = []
     row_ptr = [0]
     col_idx: list[int] = []

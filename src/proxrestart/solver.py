@@ -55,8 +55,11 @@ Stepsize modes:
   descent certificate; the divergence guard may trip.
 * ``"custom"``     -- caller-provided ``beta``; no ``L`` is computed.
 
-The ``prox_grad`` baseline ignores the mode and steps by ``1/L``. A
-stepsize that divides by ``L`` needs it positive and finite. In every mode
+The ``prox_grad`` baseline ignores the mode and steps by ``1/L``. Every
+rule that computes ``L`` needs it finite and nonnegative (entries near the
+float range's end overflow it), and a stepsize that divides by it needs it
+positive (an all-zero matrix gives ``L = 0``); otherwise the run raises
+:class:`LipschitzError` before step 0. In every mode
 ``lam = beta * (1 + lambda_factor * alpha)``; the factor sweeps the
 admissible interval ``[beta, (1 + alpha) * beta]`` and defaults to its
 upper end.
@@ -81,6 +84,7 @@ __all__ = [
     "PeriodRecord",
     "SolverTrace",
     "DivergenceError",
+    "LipschitzError",
     "momentum_coefficient",
     "apg_restart_step",
     "run",
@@ -111,6 +115,8 @@ class SolverConfig:
             raise ValueError("lambda_factor must lie in [0, 1]")
         if self.stepsize_mode == "custom" and (self.beta is None or self.beta <= 0):
             raise ValueError("custom stepsize mode requires beta > 0")
+        if self.stepsize_mode != "custom" and self.beta is not None:
+            raise ValueError(f"beta applies in custom stepsize mode only, not {self.stepsize_mode}")
         if self.tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
 
@@ -196,6 +202,10 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, trace):
         super().__init__(message)
         self.trace = trace
+
+
+class LipschitzError(ValueError):
+    """The objective's gradient Lipschitz estimate cannot set the configured stepsize."""
 
 
 def momentum_coefficient(k: int, checkpoint: int) -> float:
@@ -317,10 +327,11 @@ def _resolve_beta(algorithm, objective, cfg: SolverConfig):
     if rule == "custom":
         return float(cfg.beta), None
     L = objective.lipschitz()
+    if not 0.0 <= L < math.inf or (L == 0.0 and rule != "experiment"):
+        need = "finite" if rule == "experiment" else "positive finite"
+        raise LipschitzError(f"{rule} stepsizes need a {need} Lipschitz estimate, got {L!r}")
     if rule == "experiment":
         return 1.0, L
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"{rule} stepsizes need a positive finite Lipschitz estimate, got {L!r}")
     return (1.0 / L if rule == "prox_grad" else 1.0 / (8.0 * L)), L
 
 
@@ -391,6 +402,9 @@ def run(objective, regularizer, cfg: SolverConfig, x_init) -> SolverTrace:
 
     Raises
     ------
+    LipschitzError
+        Before step 0, if the stepsize needs the objective's Lipschitz
+        estimate and it is not usable there (see the module doc).
     DivergenceError
         If the objective exceeds ``1e12 * (1 + |F(x_init)|)`` or turns
         nonfinite. The partial trace rides on the exception.
@@ -450,7 +464,9 @@ def run_baseline(kind: str, objective, regularizer, cfg: SolverConfig, x_init) -
     proximal updates per iteration. Neither reads ``cfg.scheme``; the
     restart solver without restarts is :func:`run` with
     ``scheme=NeverRestart()``. The trace is the same kind :func:`run`
-    returns.
+    returns, and the errors are those :func:`run` raises, a
+    :class:`LipschitzError` included, plus ``ValueError`` for an unknown
+    ``kind``.
     """
     if kind not in _BASELINE_STEPS:
         raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")

@@ -359,6 +359,25 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
      "solvers[0].scheme: prox_grad never restarts"),
     (lambda d: d["solvers"][0].update(algorithm="ag", scheme={"kind": "never"}),
      "solvers[0].scheme: ag never restarts"),
+    (lambda d: d["solvers"][0].update(beta=0.5), "solvers[0]: beta applies in custom"),
+    (lambda d: d["problem"].update(dataset={"source": "libsvm", "expected_dim": -5,
+                                            "path": str(fixture_path("logistic_sep"))}),
+     "problem.dataset.expected_dim: must be nonnegative"),
+    # a key no section reads is refused, not ignored
+    (lambda d: d.update(extra_root=1), "<root>.extra_root: unknown field"),
+    (lambda d: d["problem"].update(alpha=0.01), "problem.alpha: unknown field"),
+    (lambda d: d["problem"].update(loss="l2"), "problem.loss: unknown field"),
+    (lambda d: d["problem"]["dataset"].update(sedd=3), "problem.dataset.sedd: unknown field"),
+    (lambda d: d["problem"].update(dataset={"source": "libsvm", "seed": 3,
+                                            "path": str(fixture_path("logistic_sep"))}),
+     "problem.dataset.seed: unknown field"),
+    (lambda d: d["problem"]["regularizer"].update(muu=0.1), "problem.regularizer.muu: unknown"),
+    (lambda d: d["solvers"][0]["scheme"].update(min_period=2),
+     "solvers[0].scheme.min_period: unknown field"),
+    (lambda d: d["solvers"][0].update(scheme={"kind": "never", "q": 10}),
+     "solvers[0].scheme.q: unknown field"),
+    (lambda d: d["solvers"][0].update(stepsize_mod="experiment"),
+     "solvers[0].stepsize_mod: unknown field; expected one of ('name', "),
 ])
 def test_config_errors_name_the_field(tmp_path, mutate, fragment):
     doc = base_config()
@@ -380,8 +399,7 @@ def test_config_sections_take_the_library_defaults(tmp_path):
         {"name": "fv", "scheme": {"kind": "function_value"}, "max_iters": 1, "seeds": [0]},
         {"name": "gm", "scheme": {"kind": "gradient_mapping", "tau": 0}, "max_iters": 1,
          "seeds": [0]},
-        {"name": "never", "scheme": {"kind": "never", "q": "ignored"}, "max_iters": 1,
-         "seeds": [0]},
+        {"name": "never", "max_iters": 1, "seeds": [0]},
     ]
     config = load_config(write_config(tmp_path, doc))
     assert config.problem.regularizer == Zero()
@@ -389,11 +407,28 @@ def test_config_sections_take_the_library_defaults(tmp_path):
         FunctionValueRestart(), GradientMappingRestart(tau=0), NeverRestart()]
 
 
-def test_alpha_is_checked_only_where_it_is_read(tmp_path):
+def test_alpha_is_checked_only_where_it_is_read(tmp_path, capsys):
     doc = base_config()
-    doc["problem"]["alpha"] = -1.0  # the quadratic objective ignores alpha
+    doc["problem"]["alpha"] = -1.0  # the quadratic objective has no alpha
     cfg = write_config(tmp_path, doc)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: problem.alpha: unknown field")
+
+
+def test_keys_nothing_reads_are_refused(tmp_path, capsys):
+    # eleven keys in six sections, none of which the run would read
+    doc = base_config(extra_root=1)
+    doc["problem"].update(alpha=-3)
+    doc["problem"]["regularizer"]["muu"] = 0.1
+    doc["problem"]["dataset"] = {"source": "libsvm", "path": str(fixture_path("logistic_sep")),
+                                 "seed": 3, "kind": "logistic_sep", "expected_dim": -5}
+    doc["solvers"][0]["scheme"].update(min_period=11, tua=0.5)
+    doc["solvers"][0].update(stepsize_mod="experiment", max_iter=5, beta=0.5)
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: <root>.extra_root: unknown field") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):
@@ -404,9 +439,8 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-ZERO_LIPSCHITZ = "gradient Lipschitz estimate is 0.0; solver 'demo' needs a positive finite one"
-INF_LIPSCHITZ = "gradient Lipschitz estimate is inf; solver 'demo' needs a positive finite one"
-INF_LIPSCHITZ_EXPERIMENT = "gradient Lipschitz estimate is inf; solver 'demo' needs a finite one"
+POSITIVE_LIPSCHITZ = "solver 'demo': {} stepsizes need a positive finite Lipschitz estimate, got {}"
+INF_LIPSCHITZ_EXPERIMENT = "solver 'demo': experiment stepsizes need a finite Lipschitz estimate, got inf"
 OVERFLOW = "1 1:1e308 2:1e308\n-1 1:-1e308 2:5e307\n"
 # a baseline takes no restart scheme, so base_config()'s is left out
 PROX_GRAD_EXPERIMENT = {"algorithm": "prox_grad", "stepsize_mode": "experiment", "scheme": None}
@@ -417,11 +451,12 @@ PROX_GRAD_EXPERIMENT = {"algorithm": "prox_grad", "stepsize_mode": "experiment",
     ("1 1:0.5\n0 2:1.0\n", "logistic_ncvx", {}, "logistic labels must be -1 or +1"),
     ("1 1:0.5\nnan 2:1.0\n", "quadratic", {}, "line 2: nonfinite label 'nan'"),
     (None, "quadratic", {}, "Is a directory"),
-    ("1 1:0\n-1 2:0\n", "quadratic", {}, ZERO_LIPSCHITZ),
-    ("1 1:0\n-1 2:0\n", "quadratic", PROX_GRAD_EXPERIMENT, ZERO_LIPSCHITZ),
+    ("1 1:0\n-1 2:0\n", "quadratic", {}, POSITIVE_LIPSCHITZ.format("theory", "0.0")),
+    ("1 1:0\n-1 2:0\n", "quadratic", PROX_GRAD_EXPERIMENT,
+     POSITIVE_LIPSCHITZ.format("prox_grad", "0.0")),
     ("", "quadratic", {}, "matrix has no rows"),
-    (OVERFLOW, "quadratic", {}, INF_LIPSCHITZ),
-    (OVERFLOW, "quadratic", PROX_GRAD_EXPERIMENT, INF_LIPSCHITZ),
+    (OVERFLOW, "quadratic", {}, POSITIVE_LIPSCHITZ.format("theory", "inf")),
+    (OVERFLOW, "quadratic", PROX_GRAD_EXPERIMENT, POSITIVE_LIPSCHITZ.format("prox_grad", "inf")),
     (OVERFLOW, "quadratic", {"stepsize_mode": "experiment"}, INF_LIPSCHITZ_EXPERIMENT),
 ], ids=["bad_token", "wrong_labels", "nonfinite_label", "directory",
         "zero_lipschitz_theory", "zero_lipschitz_prox_grad", "empty_file",

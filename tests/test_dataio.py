@@ -52,6 +52,12 @@ def test_parse_expected_dim_is_a_floor():
     assert ds.n_cols == 10
     ds2 = parse_text("1 1:2.0 12:1.0\n", expected_dim=10)
     assert ds2.n_cols == 12
+    assert parse_text("1 1:0.5\n", expected_dim=0).n_cols == 1
+    # a negative floor is a mistake, not a floor of 0
+    with pytest.raises(ValueError, match="expected_dim must be nonnegative, got -5"):
+        parse_text("1 1:0.5\n", expected_dim=-5)
+    with pytest.raises(ValueError, match="expected_dim must be nonnegative, got -1"):
+        load_libsvm(fixture_path("logistic_sep"), expected_dim=-1)
 
 
 def test_parse_regression_labels():

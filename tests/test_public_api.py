@@ -39,9 +39,13 @@ def test_readme_quickstart_runs():
     assert "pass" in out.getvalue() and "FAIL" not in out.getvalue()
 
 
+def _schema_block(text):
+    return re.search(r"### Config schema.*?```yaml\n(.*?)```", text, re.S).group(1)
+
+
 def _schema_enumerations(text):
     """``{dotted key: options}`` of every ``key: a | b | ...`` line in the README's schema."""
-    block = re.search(r"### Config schema.*?```yaml\n(.*?)```", text, re.S).group(1)
+    block = _schema_block(text)
     parents = []  # (indent, key) of the open mappings
     found = {}
     for line in block.splitlines():
@@ -59,7 +63,15 @@ def _schema_enumerations(text):
 
 
 def test_readme_schema_lists_what_the_parser_takes():
-    found = _schema_enumerations(README.read_text(encoding="utf-8"))
+    text = README.read_text(encoding="utf-8")
+    # one field per line, a commented-out one included
+    fields = {match.group(1) for line in _schema_block(text).splitlines()
+              if (match := re.match(r"\s*(?:#\s*)?(?:-\s*)?(\w+):", line))}
+    tagged = (cli._OBJECTIVES, cli._DATASETS, cli._REGULARIZERS, cli._SCHEMES)
+    tables = [cli._ROOT, cli._SOLVER] + [table for section in tagged
+                                         for _, table in section.values()]
+    assert fields == {"objective", "source", "kind"}.union(*tables)
+    found = _schema_enumerations(text)
     assert found == {
         "problem.objective": tuple(cli._OBJECTIVES),
         "problem.regularizer.kind": tuple(cli._REGULARIZERS),

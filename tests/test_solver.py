@@ -16,6 +16,7 @@ from proxrestart import (
     FunctionValueRestart,
     GradientMappingRestart,
     L1,
+    LipschitzError,
     LogisticObjective,
     NeverRestart,
     NonMonotoneRestart,
@@ -246,6 +247,11 @@ def test_config_validation():
         SolverConfig(max_iters=10, stepsize_mode="custom")
     with pytest.raises(ValueError):
         SolverConfig(max_iters=10, tolerance=-1e-3)
+    # only custom mode reads beta, so no other mode takes one
+    with pytest.raises(ValueError, match="beta applies in custom stepsize mode only"):
+        SolverConfig(max_iters=3, beta=0.5)
+    with pytest.raises(ValueError, match="beta applies in custom stepsize mode only"):
+        SolverConfig(max_iters=3, stepsize_mode="experiment", beta=1.0)
     with pytest.raises(ValueError):
         run_baseline("sgd", None, None, SolverConfig(max_iters=1), np.zeros(1))
     # never restarting is a scheme of run, not a baseline
@@ -260,10 +266,19 @@ def test_stepsizes_need_a_positive_finite_lipschitz(rows):
     A = np.array(rows)
     objective = QuadraticObjective(CsrMatrix.from_dense(A), np.ones(len(A)))
     cfg = SolverConfig(max_iters=3, stepsize_mode="theory")
-    with pytest.raises(ValueError, match="positive finite Lipschitz estimate"):
+    with pytest.raises(LipschitzError, match="positive finite Lipschitz estimate"):
         run(objective, Zero(), cfg, np.zeros(2))
-    with pytest.raises(ValueError, match="positive finite Lipschitz estimate"):
+    with pytest.raises(LipschitzError, match="positive finite Lipschitz estimate"):
         run_baseline("prox_grad", objective, Zero(), cfg, np.zeros(2))
+    # beta = 1 does not divide by L, so only an infinite L stops an experiment-mode run,
+    # before step 0 rather than with an overflowed first step
+    experiment = SolverConfig(max_iters=3, stepsize_mode="experiment")
+    if objective.lipschitz() == 0.0:
+        assert len(run(objective, Zero(), experiment, np.zeros(2))) == 3
+    else:
+        with pytest.raises(LipschitzError, match="experiment stepsizes need a finite "
+                                                 "Lipschitz estimate, got inf"):
+            run(objective, Zero(), experiment, np.zeros(2))
 
 
 def test_step_restart_branch(small_quadratic):
