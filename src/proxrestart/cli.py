@@ -58,33 +58,24 @@ class CellError(RuntimeError):
     """An unexpected error inside a cell; the message names the solver, seed and exception."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _format_column(column) -> list:
-    """Format one column's values as strings, as :func:`_fmt` would each value.
+    """Format one column of values of one type as strings, by its numpy dtype.
 
-    Numpy columns are formatted by dtype in one pass: bools as ``0``/``1``,
-    integers with ``str``, and float64 values with ``repr`` once per
-    distinct bit pattern, since stepsize and momentum columns repeat a few
-    values. Keying on bits, not on float equality, keeps ``0.0`` and
-    ``-0.0`` apart.
+    Bools are written as ``0``/``1``, integers and strings with ``str``,
+    and float64 values with ``repr`` once per distinct bit pattern, since
+    stepsize and momentum columns repeat a few values. Keying on bits, not
+    on float equality, keeps ``0.0`` and ``-0.0`` apart.
     """
-    if isinstance(column, np.ndarray):
-        if column.dtype == bool:
-            return list(map(("0", "1").__getitem__, column.tolist()))
-        if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
-        if column.dtype == np.float64:
-            bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-            text = list(map(float.__repr__, bits.view(np.float64).tolist()))
-            return [text[i] for i in inverse.tolist()]
-    return list(map(_fmt, column))
+    if not isinstance(column, np.ndarray):
+        # numpy would widen ints that span int64 and uint64 (seeds may) to float64
+        column = np.array(column, dtype=object if column and type(column[0]) is int else None)
+    if column.dtype == bool:
+        return list(map(("0", "1").__getitem__, column.tolist()))
+    if column.dtype == np.float64:
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        text = list(map(float.__repr__, bits.view(np.float64).tolist()))
+        return [text[i] for i in inverse.tolist()]
+    return list(map(str, column.tolist()))
 
 
 def _write_atomic(path, lines) -> None:
@@ -293,10 +284,12 @@ class ProblemSpec:
 
 class ExperimentConfig:
     def __init__(self, doc):
+        # checked first: a document of another version may hold fields this one does not know
+        if isinstance(doc, dict) and "schema_version" in doc:
+            version = _require(doc, "schema_version", "<root>", int)
+            if version != SCHEMA_VERSION:
+                raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
         fields = _read(doc, _ROOT, "<root>")
-        if fields["schema_version"] != SCHEMA_VERSION:
-            raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, "
-                              f"got {fields['schema_version']}")
         self.problem = ProblemSpec(fields["problem"])
         if not fields["solvers"]:
             raise ConfigError("solvers: at least one solver is required")

@@ -32,8 +32,6 @@ __all__ = [
     "fixture_dataset",
 ]
 
-SYNTHETIC_KINDS = ("logistic_sep", "robust_outliers", "lasso_known")
-
 # Synthetic feature texture: sparse Gaussian entries, scaled so the
 # objectives' Lipschitz constants land near the unit stepsizes used by
 # the experiment-mode benchmarks. Logistic columns get a geometric scale
@@ -55,7 +53,7 @@ class ParseError(ValueError):
     """Malformed LIBSVM input; the message names the offending line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     features: CsrMatrix
     labels: np.ndarray
@@ -72,15 +70,6 @@ class Dataset:
     @property
     def n_cols(self) -> int:
         return self.features.n_cols
-
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.features == other.features
-            and np.array_equal(self.labels, other.labels)
-        )
 
 
 def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -> Dataset:
@@ -99,8 +88,9 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
     ValueError
         If ``expected_dim`` is negative.
     ParseError
-        On a nonnumeric token, a nonfinite label, a nonincreasing feature index, or an index
-        below 1 -- the message carries the 1-based line number and token.
+        On a nonnumeric or nonfinite label or value, a nonincreasing feature index, an index
+        below 1, or a ``_`` (which Python's number syntax would read as a digit separator)
+        -- the message carries the 1-based line number and token.
     """
     if expected_dim is not None and expected_dim < 0:
         raise ValueError(f"expected_dim must be nonnegative, got {expected_dim}")
@@ -114,6 +104,9 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
         tokens = raw.split()
         if not tokens:
             continue
+        if "_" in raw:
+            token = next(t for t in tokens if "_" in t)
+            raise ParseError(f"line {lineno}: digit separator '_' in token {token!r}")
         try:
             label = float(tokens[0])
         except ValueError:
@@ -134,6 +127,8 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
                 value = float(val_s)
             except ValueError:
                 raise ParseError(f"line {lineno}: nonnumeric value in token {token!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(f"line {lineno}: nonfinite value in token {token!r}")
             if index < 1:
                 raise ParseError(f"line {lineno}: feature index must be >= 1 in token {token!r}")
             if index <= prev_index:
@@ -218,6 +213,12 @@ def _make_lasso(rng, n, d):
     return A, b
 
 
+# each maker returns a dense feature matrix and its labels or targets
+_MAKERS = {"logistic_sep": _make_logistic, "robust_outliers": _make_robust,
+           "lasso_known": _make_lasso}
+SYNTHETIC_KINDS = tuple(_MAKERS)
+
+
 def generate_synthetic(kind: str, n: int, d: int, seed: int) -> Dataset:
     """Generate a desk-scale synthetic dataset, deterministic per seed.
 
@@ -238,19 +239,10 @@ def generate_synthetic(kind: str, n: int, d: int, seed: int) -> Dataset:
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     rng = np.random.default_rng(seed)
-    if kind == "logistic_sep":
-        features, labels = _make_logistic(rng, n, d)
-        return Dataset(CsrMatrix.from_dense(features), labels,
-                       f"logistic_sep-{n}x{d}-seed{seed}")
-    if kind == "robust_outliers":
-        features, targets = _make_robust(rng, n, d)
-        return Dataset(CsrMatrix.from_dense(features), targets,
-                       f"robust_outliers-{n}x{d}-seed{seed}")
-    if kind == "lasso_known":
-        A, b = _make_lasso(rng, n, d)
-        return Dataset(CsrMatrix.from_dense(A), b,
-                       f"lasso_known-{n}x{d}-seed{seed}")
-    raise ValueError(f"unknown synthetic kind {kind!r}; expected one of {SYNTHETIC_KINDS}")
+    if kind not in _MAKERS:
+        raise ValueError(f"unknown synthetic kind {kind!r}; expected one of {SYNTHETIC_KINDS}")
+    features, labels = _MAKERS[kind](rng, n, d)
+    return Dataset(CsrMatrix.from_dense(features), labels, f"{kind}-{n}x{d}-seed{seed}")
 
 
 def lasso_l1_weight(dataset: Dataset) -> float:

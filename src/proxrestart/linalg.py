@@ -140,19 +140,6 @@ class CsrMatrix:
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def __eq__(self, other):
-        if not isinstance(other, CsrMatrix):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.row_ptr, other.row_ptr)
-            and np.array_equal(self.col_idx, other.col_idx)
-            and np.array_equal(self.vals, other.vals)
-        )
-
-    def __repr__(self):
-        return f"CsrMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
-
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float array, with the bits of ``np.linalg.norm``.

@@ -123,16 +123,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PeriodRecord:
-    """Per-period summary row.
+    """Per-period summary row; period ``t`` is ``trace.periods[t]``.
 
-    ``F`` is the objective and ``subdiff_dist`` the exact distance from
-    zero to the composite subdifferential at the checkpoint iterate. The
-    period's path length is ``sqrt(trace.period_step_sq_sum(t))``.
+    ``subdiff_dist`` is the exact distance from zero to the composite
+    subdifferential at the checkpoint iterate, whose objective is
+    ``trace.F[checkpoint]`` (``final_F`` in a run of zero iterations).
+    The period's path length is ``sqrt(trace.period_step_sq_sum(t))``.
     """
 
-    t: int
     checkpoint: int
-    F: float
     subdiff_dist: float
 
 
@@ -352,12 +351,12 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
     F_cap = 1e12 * (1.0 + abs(F_0))
     state = SolverState(x, x.copy(), F_0, Ax, Ax)
     rows = []
-    openings = []  # (checkpoint, F, subdiff) of each period
+    openings = []  # (checkpoint, subdiff) of each period
 
     def build(final_x, final_F):
         n = len(rows)
         columns = list(zip(*rows))[:7] if n else [()] * 7
-        periods = [PeriodRecord(t, *opening) for t, opening in enumerate(openings)]
+        periods = [PeriodRecord(*opening) for opening in openings]
         return SolverTrace(algorithm, cfg.stepsize_mode, lipschitz, *columns,
                            periods, final_x, final_F, prox_per_iter * n)
 
@@ -365,7 +364,7 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
         x = state.x
         state, rec = step(state, objective, regularizer, cfg, beta)
         if rec.restarted:
-            openings.append((k, rec.F, rec.checkpoint_subdiff))
+            openings.append((k, rec.checkpoint_subdiff))
         rows.append(rec)
         if not (math.isfinite(state.F) and state.F <= F_cap):
             raise DivergenceError(
@@ -379,7 +378,7 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
     if cfg.max_iters == 0:
         # record the initial checkpoint anyway
         grad = objective.gradient_at(state.x, state.Ax)
-        openings.append((0, state.F, regularizer.subdiff_distance(grad, state.x)))
+        openings.append((0, regularizer.subdiff_distance(grad, state.x)))
     return build(state.x, state.F)
 
 

@@ -3,7 +3,8 @@
 Nothing here reuses the closed forms under test: the prox oracle minimizes
 the defining objective by golden-section search, and the gradient oracle
 uses central finite differences. ``prefix_iterates`` recovers a run's
-iterates from the solver's determinism alone.
+iterates from the solver's determinism alone, and ``same_dataset``
+compares two datasets bit for bit.
 """
 
 from dataclasses import replace
@@ -79,3 +80,13 @@ def prefix_iterates(solve, cfg):
     fine for N up to a few hundred. The run must not stop early.
     """
     return [solve(replace(cfg, max_iters=k)).final_x for k in range(cfg.max_iters + 1)]
+
+
+def same_dataset(a, b):
+    """True when ``a`` and ``b`` have the same name and shape, and bit-identical
+    CSR arrays and labels (so ``-0.0`` differs from ``0.0`` and a NaN equals itself)."""
+    A, B = a.features, b.features
+    pairs = ((A.row_ptr, B.row_ptr), (A.col_idx, B.col_idx), (A.vals, B.vals),
+             (a.labels, b.labels))
+    return (a.name == b.name and A.shape == B.shape
+            and all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in pairs))

@@ -1,5 +1,6 @@
 import filecmp
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -271,7 +272,12 @@ def test_columns_format_as_each_value_would():
     flags = np.array([True, False, False, True])
     assert cli._format_column(flags) == ["1", "0", "0", "1"]
     assert cli._format_column(np.arange(3)) == ["0", "1", "2"]
-    assert cli._format_column((np.float64(-0.0), True, "a", 7)) == ["-0.0", "1", "a", "7"]
+    # row tables arrive as tuples of one Python type per column
+    assert cli._format_column((np.float64(-0.0), 0.5)) == ["-0.0", "0.5"]
+    assert cli._format_column((True, False)) == ["1", "0"]
+    assert cli._format_column(("a", "bb")) == ["a", "bb"]
+    # seeds on both sides of 2**63 stay integers, not float64
+    assert cli._format_column((7, 2**63, 2**70)) == ["7", str(2**63), str(2**70)]
     # a block longer than a chunk, then an empty one
     k = np.arange(2 * cli._CHUNK_ROWS + 1)
     x = np.resize(floats, len(k))
@@ -326,6 +332,8 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda d: d.pop("schema_version"), "schema_version"),
     (lambda d: d.update(schema_version=99), "schema_version"),
+    # the version is read before any field it might not know
+    (lambda d: d.update(schema_version=2, future_key=1), "schema_version: expected 1, got 2"),
     (lambda d: d.update(solvers=[]), "at least one solver"),
     (lambda d: d.update(solvers=[5]), "solvers[0]: expected a mapping, got int"),
     (lambda d: d["solvers"].append(None), "solvers[1]: expected a mapping, got NoneType"),
@@ -450,6 +458,7 @@ PROX_GRAD_EXPERIMENT = {"algorithm": "prox_grad", "stepsize_mode": "experiment",
     ("1 1:0.5\n-1 2:a\n", "quadratic", {}, "line 2: nonnumeric value in token '2:a'"),
     ("1 1:0.5\n0 2:1.0\n", "logistic_ncvx", {}, "logistic labels must be -1 or +1"),
     ("1 1:0.5\nnan 2:1.0\n", "quadratic", {}, "line 2: nonfinite label 'nan'"),
+    ("1 1:0.5\n-1 2:nan\n", "quadratic", {}, "line 2: nonfinite value in token '2:nan'"),
     (None, "quadratic", {}, "Is a directory"),
     ("1 1:0\n-1 2:0\n", "quadratic", {}, POSITIVE_LIPSCHITZ.format("theory", "0.0")),
     ("1 1:0\n-1 2:0\n", "quadratic", PROX_GRAD_EXPERIMENT,
@@ -458,7 +467,7 @@ PROX_GRAD_EXPERIMENT = {"algorithm": "prox_grad", "stepsize_mode": "experiment",
     (OVERFLOW, "quadratic", {}, POSITIVE_LIPSCHITZ.format("theory", "inf")),
     (OVERFLOW, "quadratic", PROX_GRAD_EXPERIMENT, POSITIVE_LIPSCHITZ.format("prox_grad", "inf")),
     (OVERFLOW, "quadratic", {"stepsize_mode": "experiment"}, INF_LIPSCHITZ_EXPERIMENT),
-], ids=["bad_token", "wrong_labels", "nonfinite_label", "directory",
+], ids=["bad_token", "wrong_labels", "nonfinite_label", "nonfinite_value", "directory",
         "zero_lipschitz_theory", "zero_lipschitz_prox_grad", "empty_file",
         "inf_lipschitz_theory", "inf_lipschitz_prox_grad", "inf_lipschitz_experiment"])
 def test_bad_data_exit_code(tmp_path, capsys, text, objective, solver, fragment):
@@ -598,6 +607,37 @@ def test_only_logistic_runs_import_scipy_special(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+BENCH = os.path.join(os.path.dirname(CONFIGS), "perfbench")
+TRACED_LAYERS = ("linalg.spmv", "linalg.spmv_transpose", "linalg.CsrMatrix",
+                 "regularizers.prox", "restart.should_restart", "solver.run")
+
+
+def test_bench_tracer_sees_every_layer(tmp_path):
+    # perfbench/tracing.py wraps package names from outside the package; a
+    # renamed or bypassed one would read as a layer that costs nothing. The
+    # wrappers patch classes for the whole interpreter, hence the subprocess.
+    cfg = write_config(tmp_path, base_config())
+    code = f"""if True:
+        import collections, json, sys
+        sys.path.insert(0, {BENCH!r})
+        import tracing
+        from proxrestart import cli
+        tracer = tracing.Tracer()
+        tracing.instrument(tracer, full=True)
+        code = cli.main(['check', '--config', {cfg!r}, '--out', {str(tmp_path / "o")!r},
+                         '--quiet'])
+        spans = collections.Counter(tracer.names[i] for i in tracer.name_id)
+        print(json.dumps({{'exit': code, 'spans': spans}}))
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["exit"] == 0
+    assert [name for name in TRACED_LAYERS if not report["spans"].get(name)] == [], report
 
 
 def test_check_refuses_experiment_mode(tmp_path, capsys):

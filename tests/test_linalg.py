@@ -290,14 +290,6 @@ def test_adjoint_identity(seed):
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-def test_csr_equality_and_repr():
-    A = CsrMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
-    B = CsrMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
-    C = CsrMatrix.from_dense([[1.0, 0.0], [0.0, 3.0]])
-    assert A == B and A != C
-    assert "2x2" in repr(A)
-
-
 def test_csr_immutable():
     A = CsrMatrix.from_dense(np.eye(2))
     for name in ("n_rows", "n_cols", "shape", "nnz", "row_ptr", "col_idx", "vals", "extra"):

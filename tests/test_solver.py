@@ -171,7 +171,7 @@ def test_checkpoint_values_strictly_decrease_on_lasso():
     obj = QuadraticObjective(ds.features, ds.labels)
     cfg = SolverConfig(max_iters=300, stepsize_mode="theory", scheme=FixedRestart(10))
     trace = run(obj, L1(lasso_l1_weight(ds)), cfg, np.zeros(12))
-    values = [p.F for p in trace.periods]
+    values = [trace.F[p.checkpoint] for p in trace.periods]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -182,7 +182,9 @@ def test_zero_iterations_returns_init(small_quadratic):
     assert len(trace) == 0
     assert len(trace.periods) == 1
     assert np.array_equal(trace.final_x, x0)
-    assert trace.periods[0].F == trace.final_F
+    # the one period opens at x0, whose objective is final_F
+    assert trace.periods[0].checkpoint == 0
+    assert trace.final_F == small_quadratic.value(x0)
 
 
 def test_stopping_tolerance_cuts_run_short(small_quadratic):
@@ -549,12 +551,13 @@ def _trace_fingerprint(trace, solve):
                  "alpha_next", "final_x"):
         h.update(getattr(trace, name).tobytes())
     ends = [p.checkpoint for p in trace.periods[1:]] + [len(trace)]
-    for period, end in zip(trace.periods, ends, strict=True):
+    for t, (period, end) in enumerate(zip(trace.periods, ends, strict=True)):
         sq_sum = 0.0
         for step in trace.step_norm[period.checkpoint:end]:
             sq_sum += step * step
-        h.update(np.array([period.t, period.checkpoint], dtype=np.int64).tobytes())
-        h.update(np.array([period.F, np.sqrt(sq_sum), period.subdiff_dist]).tobytes())
+        h.update(np.array([t, period.checkpoint], dtype=np.int64).tobytes())
+        h.update(np.array([trace.F[period.checkpoint], np.sqrt(sq_sum),
+                           period.subdiff_dist]).tobytes())
         h.update(solve(period.checkpoint).final_x.tobytes())
     h.update(np.array([trace.final_F, trace.lipschitz]).tobytes())
     h.update(np.array([trace.prox_calls, len(trace)], dtype=np.int64).tobytes())
