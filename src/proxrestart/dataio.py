@@ -75,6 +75,20 @@ class Dataset:
 def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -> Dataset:
     """Parse LIBSVM-format text into a :class:`Dataset`.
 
+    The input is read in blocks of whole lines, about 1 MiB of text each,
+    so memory grows with one block plus the output arrays. numpy parses a
+    block when all of it is in the common grammar:
+
+    - ASCII text of ``0-9 + - . e E :``, spaces, tabs, ``\\r`` and line
+      ends, with each item of ``lines`` one line;
+    - labels and values decimal floats, ``[+-](d+[.d*]|.d+)[(e|E)[+-]d+]``;
+    - indices of 1 to 15 digits and nothing else.
+
+    Any other block goes through a per-line reader, which takes whatever
+    Python's ``float`` and ``int`` take (``+3`` as an index, Unicode digits
+    and spaces, ...). Either way the dataset, or the error and its line
+    number, is the one that reader gives for the whole input.
+
     Parameters
     ----------
     lines : iterable of str
@@ -94,13 +108,67 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
     """
     if expected_dim is not None and expected_dim < 0:
         raise ValueError(f"expected_dim must be nonnegative, got {expected_dim}")
-    labels = []
-    row_ptr = [0]
-    col_idx: list[int] = []
-    vals: list[float] = []
-    max_index = 0
+    # a tuple is true, so the reader runs only where the vectorised parse gives up
+    parts = [_parse_block(block) or _parse_lines(block, first) for first, block in _blocks(lines)]
+    labels, lengths, col_idx, vals = (
+        np.concatenate(arrays) for arrays in zip(*(parts or [_parse_lines((), 1)])))
+    del parts
+    row_ptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=row_ptr[1:])
+    dim = max(int(col_idx.max(initial=-1)) + 1, expected_dim or 0)
+    return Dataset(CsrMatrix(len(labels), dim, row_ptr, col_idx, vals), labels, name)
 
-    for lineno, raw in enumerate(lines, start=1):
+
+# Text is parsed in blocks of whole lines of about this many characters.
+_BLOCK_CHARS = 1 << 20
+
+# Byte classes of the vectorised grammar, as a ``bytes.translate`` table;
+# class 0 sends the block to the per-line reader.
+_WS, _DIGIT, _COLON, _DOT, _EXP, _SIGN = 1, 2, 3, 4, 5, 6
+_CLASSES = bytearray(256)
+for _chars, _cls in ((b" \t\r\n", _WS), (b"0123456789", _DIGIT), (b":", _COLON), (b".", _DOT),
+                     (b"eE", _EXP), (b"+-", _SIGN)):
+    for _c in _chars:
+        _CLASSES[_c] = _cls
+_CLASSES = bytes(_CLASSES)
+_MAX_INDEX_DIGITS = 15  # far inside int64; a longer index goes to the per-line reader
+
+
+def _symbol_ok(prev, kind, nxt):
+    """Whether a sign, point or exponent mark between bytes of these classes can be in a float."""
+    first = prev in (_WS, _COLON)
+    if kind == _SIGN:
+        return (first or prev == _EXP) and (nxt == _DIGIT or (first and nxt == _DOT))
+    if kind == _DOT:
+        return _DIGIT in (prev, nxt)
+    return kind != _EXP or (prev in (_DIGIT, _DOT) and nxt in (_DIGIT, _SIGN))
+
+
+_SYMBOL_OK = np.array([[[_symbol_ok(p, k, n) for n in range(7)] for k in range(7)]
+                       for p in range(7)])
+
+
+def _blocks(lines):
+    """Yield ``(number of the first line, list of lines)``, ``_BLOCK_CHARS`` at a time."""
+    block, size, first = [], 0, 1
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size >= _BLOCK_CHARS:
+            yield first, block
+            first += len(block)
+            block, size = [], 0
+    if block:
+        yield first, block
+
+
+def _parse_lines(lines, first_lineno):
+    """The per-line reader: parse ``lines`` token by token, or raise :class:`ParseError`.
+
+    Returns the labels, the entries per row, the 0-based columns and the values.
+    """
+    labels, lengths, col_idx, vals = [], [], [], []
+    for lineno, raw in enumerate(lines, start=first_lineno):
         tokens = raw.split()
         if not tokens:
             continue
@@ -136,12 +204,93 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
             prev_index = index
             col_idx.append(index - 1)
             vals.append(value)
-        row_ptr.append(len(vals))
-        max_index = max(max_index, prev_index)
+        lengths.append(len(tokens) - 1)
+    return (np.array(labels, dtype=np.float64), np.array(lengths, dtype=np.int64),
+            np.array(col_idx, dtype=np.int64), np.array(vals, dtype=np.float64))
 
-    dim = max(max_index, expected_dim or 0)
-    features = CsrMatrix(len(labels), dim, row_ptr, col_idx, vals)
-    return Dataset(features, np.array(labels, dtype=np.float64), name)
+
+def _parse_block(lines):
+    """Parse ``lines`` as :func:`_parse_lines` does, or return None if any of it is outside
+    the fast grammar.
+
+    Each check refuses what the per-line reader would refuse or read
+    differently, so a block that passes gives that reader's result.
+    """
+    # A newline before and after each line; every field then has whitespace on both sides.
+    text = "\n" + "\n".join(lines) + "\n"
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    classes = raw.translate(_CLASSES)
+    if b"\0" in classes:
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    cls = np.frombuffer(classes, dtype=np.uint8)
+    # An item of ``lines`` is one line to the reader, so its only newline may be its last byte.
+    newlines = np.flatnonzero(buf == 10)
+    lens = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    joins = np.cumsum(lens + 1)
+    if len(newlines) != len(lines) + 1 + np.count_nonzero(buf[joins[lens > 0] - 1] == 10):
+        return None
+
+    # Fields are maximal runs of non-whitespace; the first on each line is its label.
+    solid = cls > _WS
+    starts = np.flatnonzero(solid[1:] > solid[:-1]) + 1
+    if not len(starts):
+        return None  # blank lines only; np.fromstring would read that text as [-1.0]
+    is_label = np.zeros(len(starts) + 1, dtype=bool)
+    is_label[np.searchsorted(starts, newlines)] = True
+    is_label = is_label[:-1]
+    feature = np.flatnonzero(~is_label)
+
+    # Exactly one colon in each feature field and none in a label (the k-th colon lies
+    # in the k-th feature field), with 1 to 15 index bytes before it and a value after it.
+    colon = np.flatnonzero(cls == _COLON)
+    if len(colon) != len(feature):
+        return None
+    digits = colon - starts[feature]
+    if (np.any((digits < 1) | (digits > _MAX_INDEX_DIGITS)) or np.any(cls[colon + 1] == _WS)
+            or np.any(colon >= np.append(starts, len(buf))[feature + 1])):
+        return None
+
+    # Each label and value is a decimal float, ``[+-](d+[.d*]|.d+)[(e|E)[+-]d+]``: checked
+    # from the neighbours of its signs, points and exponent marks ...
+    sym = np.flatnonzero(cls >= _DOT)
+    kind = cls[sym]
+    if not _SYMBOL_OK[cls[sym - 1], kind, cls[sym + 1]].all():
+        return None
+    # ... and from the order of its points and exponent marks: at most one of each, the
+    # point first. (A symbol before a colon fails the index's digit check below.)
+    marks = kind != _SIGN
+    mark_kind = kind[marks]
+    mark_field = np.searchsorted(starts, sym[marks], side="right")
+    if np.any((mark_field[1:] == mark_field[:-1])
+              & ((mark_kind[:-1] != _DOT) | (mark_kind[1:] != _EXP))):
+        return None
+
+    # Indices from their digits, cut out of the text: row k of ``at`` holds the positions
+    # of the ``width`` bytes before colon k, of which the last ``digits[k]`` are its index
+    # (the others are ignored, and may wrap around to the end of the block).
+    width = int(digits.max(initial=0))
+    at = colon[:, None] - np.arange(width, 0, -1)
+    in_index = np.arange(width) >= width - digits[:, None]
+    if not np.all((cls[at] == _DIGIT) | ~in_index):
+        return None
+    col_idx = np.where(in_index, buf[at] - 48, 0) @ 10 ** np.arange(width - 1, -1, -1)
+    cut = buf.copy()
+    cut[colon] = 32
+    cut[at[in_index]] = 32
+    new_row = is_label[feature - 1]
+    if np.any(col_idx < 1) or np.any((col_idx[1:] <= col_idx[:-1]) & ~new_row[1:]):
+        return None
+    col_idx -= 1
+
+    # Each label and value is now one whitespace-separated decimal float.
+    numbers = np.fromstring(cut.tobytes(), dtype=np.float64, sep=" ")
+    if len(numbers) != len(starts) or not np.all(np.isfinite(numbers)):
+        return None
+    lengths = np.diff(np.append(np.flatnonzero(is_label), len(starts))) - 1
+    return numbers[is_label], lengths, col_idx, numbers[feature]
 
 
 def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
@@ -152,12 +301,12 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
 def serialize_libsvm(dataset: Dataset) -> str:
     """Render a dataset back to LIBSVM text (1-based indices, exact floats)."""
     A = dataset.features
+    row_ptr, col_idx, vals = A.row_ptr.tolist(), A.col_idx.tolist(), A.vals.tolist()
     out = []
-    for i in range(A.n_rows):
-        parts = [repr(float(dataset.labels[i]))]
-        for p in range(A.row_ptr[i], A.row_ptr[i + 1]):
-            parts.append(f"{A.col_idx[p] + 1}:{float(A.vals[p])!r}")
-        out.append(" ".join(parts))
+    for i, label in enumerate(np.asarray(dataset.labels, dtype=np.float64).tolist()):
+        lo, hi = row_ptr[i], row_ptr[i + 1]
+        entries = [f"{j + 1}:{x!r}" for j, x in zip(col_idx[lo:hi], vals[lo:hi])]
+        out.append(" ".join([repr(label)] + entries))
     return "\n".join(out) + ("\n" if out else "")
 
 

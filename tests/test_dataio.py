@@ -1,8 +1,12 @@
 import hashlib
 import io
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import same_dataset
 from proxrestart import (
@@ -22,11 +26,23 @@ from proxrestart import (
     run_baseline,
     serialize_libsvm,
 )
+from proxrestart import dataio
 from proxrestart.dataio import SYNTHETIC_KINDS, fixture_dataset, fixture_path, load_libsvm
 
 
 def parse_text(text, **kw):
     return parse_libsvm(io.StringIO(text), **kw)
+
+
+def parse_by_lines(source, **kw):
+    """``parse_libsvm`` with every block sent to the per-line reader."""
+    with mock.patch.object(dataio, "_parse_block", return_value=None):
+        return parse_libsvm(source, **kw)
+
+
+# Filler text and the number of its lines in each block, to place lines around block ends.
+_FILLER = "1 1:1\n"
+_BLOCK_LINES = -(-dataio._BLOCK_CHARS // len(_FILLER))
 
 
 def test_parse_basic_line():
@@ -86,10 +102,163 @@ def test_parse_regression_labels():
     ("1 1_0:2\n", "line 1: digit separator '_' in token '1_0:2'"),
     ("1 1:1\n1_0 1:2\n", "line 2: digit separator '_' in token '1_0'"),
     ("1 1:2_5\n", "line 1: digit separator '_' in token '1:2_5'"),
+    # line numbers run on across blocks, whichever path each block took
+    pytest.param(_FILLER * (_BLOCK_LINES - 1) + "1 1:x\n" + _FILLER,
+                 f"line {_BLOCK_LINES}: nonnumeric value in token '1:x'", id="last-line-of-a-block"),
+    pytest.param(_FILLER * _BLOCK_LINES + "1 1:x\n" + _FILLER,
+                 f"line {_BLOCK_LINES + 1}: nonnumeric value in token '1:x'",
+                 id="first-line-of-a-block"),
+    pytest.param("1 +1:1\n" + _FILLER * (_BLOCK_LINES - 1) + "1 0:1\n",
+                 f"line {_BLOCK_LINES + 1}: feature index must be >= 1", id="after-a-per-line-block"),
+    pytest.param(_FILLER * (_BLOCK_LINES - 3) + "\n" * 40 + "1 1:x\n",
+                 f"line {_BLOCK_LINES + 38}: nonnumeric value", id="blank-lines-across-blocks"),
 ])
 def test_parse_errors_name_the_line(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_text(text)
+
+
+def test_parse_spans_blocks():
+    # three blocks: the per-line reader's dataset from text or a list, and expected_dim a floor
+    text = "".join(f"{i % 3 - 1} {i % 7 + 1}:{i * 0.5} 9:{-i}e-3\n" for i in range(100_000))
+    assert len(text) > 2 * dataio._BLOCK_CHARS
+    want = parse_by_lines(io.StringIO(text))
+    assert want.n_rows == 100_000 and want.n_cols == 9
+    assert same_dataset(parse_text(text), want)
+    assert same_dataset(parse_libsvm(text.splitlines()), want)
+    assert parse_text(text, expected_dim=5).n_cols == 9
+    assert parse_text(text, expected_dim=12).n_cols == 12
+
+
+def test_well_formed_text_takes_the_vectorised_path():
+    # a fast path that always fell back would pass every other test here
+    texts = [fixture_path(kind).read_text(encoding="utf-8") for kind in SYNTHETIC_KINDS]
+    texts.append("1 1:0.1 2:1e-300 3:123456789.123456789\n-1 1:-0.0\n")
+    want = [parse_by_lines(io.StringIO(text)) for text in texts]
+    with mock.patch.object(dataio, "_parse_lines", side_effect=AssertionError("per-line reader")):
+        for text, expected in zip(texts, want):
+            assert same_dataset(parse_text(text), expected)
+        for kind in SYNTHETIC_KINDS:
+            assert fixture_dataset(kind).n_rows == 200
+
+
+# Decimal floats in the vectorised grammar: a sign, 5 / 5. / .5 / 5.25 with any leading
+# zeros, and an exponent of up to two digits; the repr of any finite double; and limits.
+_SIGN = st.sampled_from(["", "+", "-"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=4)
+_MANTISSA = st.one_of(_DIGITS, _DIGITS.map(lambda d: d + "."), _DIGITS.map(lambda d: "." + d),
+                      st.tuples(_DIGITS, _DIGITS).map(".".join))
+_EXPONENT = st.one_of(st.just(""), st.tuples(st.sampled_from("eE"), _SIGN,
+                                             st.text("0123456789", min_size=1, max_size=2)).map("".join))
+_FLOAT = st.one_of(st.tuples(_SIGN, _MANTISSA, _EXPONENT).map("".join),
+                   st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.sampled_from(["-0.0", "4.9e-324", "2.2250738585072009e-308", "1e-400"]))
+_SPACE = st.sampled_from([" ", "\t", "  ", " \t", "\r", " \r "])
+_BLANK = st.sampled_from(["", " ", "\t \r"])
+
+# Near misses: forms the per-line reader takes but the vectorised grammar does not, and
+# forms neither takes.
+_FLOAT_MISS = st.sampled_from([
+    "1e400", "-1e400", "inf", "-inf", "nan", "0x1p3", "1_0", "\u0663", "\u0663.5", "1e", "1e+",
+    "e5", ".e1", ".", "+", "-", "--1", "+-1", "1..2", "1.2.3", "1e5.3", "1e5e3", "1-2", "5e-",
+    "1:2", ":", "abc"])
+_INDEX_MISS = st.sampled_from(["+3", "3.0", "1e0", "0", "00", "", "x", "-1", "1234567890123456",
+                               "\u0663", "3_0", "0x1"])
+_SPACE_MISS = st.sampled_from(["\u2003", "\x0b", "\x0c", "\xa0", "\x1c", "\x85"])
+
+
+@st.composite
+def _row(draw, floats=_FLOAT, space=_SPACE, index_miss=None):
+    """A line of increasing indices, or a blank one; near misses come only from the arguments."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(_BLANK)
+    columns = sorted(draw(st.sets(st.integers(1, 10**15 - 1), max_size=4)))
+    if index_miss is not None and draw(st.booleans()):
+        columns = draw(st.permutations(columns + columns[:1]))  # repeats and disorder
+    tokens = [draw(floats)]
+    for c in columns:
+        index = "0" * draw(st.integers(0, min(2, 15 - len(str(c))))) + str(c)
+        if index_miss is not None and draw(st.integers(0, 3)) == 0:
+            index = draw(index_miss)
+        tokens.append(f"{index}:{draw(floats)}")
+    parts = [draw(st.just("") | space)]
+    for token in tokens:
+        parts += [token, draw(space)]
+    return "".join(parts[:-1] + [draw(st.just("") | space)])
+
+
+def _read(parse, source):
+    try:
+        return parse(source)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_row(), min_size=1, max_size=6), final_newline=st.booleans())
+def test_vectorised_parse_gives_the_readers_dataset(rows, final_newline):
+    # every input of the fast grammar is parsed without the per-line reader, bit for bit
+    # as that reader parses it, from a file and from lists of lines with and without ends
+    assume(any(row.split() for row in rows))
+    text = "\n".join(rows) + ("\n" if final_newline else "")
+    want = parse_by_lines(io.StringIO(text))
+    with mock.patch.object(dataio, "_parse_lines", side_effect=AssertionError("per-line reader")):
+        for source in (io.StringIO(text), rows, [row + "\n" for row in rows]):
+            assert same_dataset(parse_libsvm(source), want)
+
+
+@st.composite
+def _one_near_miss(draw):
+    """Lines of the fast grammar with one near miss put in: a label, value or index, a
+    separator, a repeated index, or two lines in one item."""
+    items = draw(st.lists(_row(), min_size=1, max_size=5))
+    i = draw(st.integers(0, len(items) - 1))
+    pieces = re.split(r"(\s+)", items[i])  # tokens at even positions, separators at odd
+    tokens = [j for j in range(0, len(pieces), 2) if pieces[j]]
+    kind = draw(st.sampled_from(["token", "space", "order", "join"]))
+    if kind == "join" and i + 1 < len(items):
+        items[i:i + 2] = [items[i] + "\n" + items[i + 1]]
+    elif kind == "space" and len(pieces) > 1:
+        pieces[draw(st.sampled_from(range(1, len(pieces), 2)))] = draw(_SPACE_MISS)
+    elif kind == "order" and len(tokens) > 1:
+        pieces.append(" " + pieces[tokens[-1]])
+    elif tokens:
+        j = draw(st.sampled_from(tokens))
+        index, colon, value = pieces[j].rpartition(":")
+        if colon and draw(st.booleans()):
+            index = draw(_INDEX_MISS)
+        else:
+            value = draw(_FLOAT_MISS)
+        pieces[j] = index + colon + value
+    else:
+        pieces = [draw(_SPACE_MISS)]
+    if kind != "join":
+        items[i] = "".join(pieces)
+    return items
+
+
+def _same_result(make_source):
+    # the dataset, or the error message, of the per-line reader
+    got, want = _read(parse_libsvm, make_source()), _read(parse_by_lines, make_source())
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str) and same_dataset(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=_one_near_miss(), final_newline=st.booleans())
+def test_one_near_miss_gives_the_readers_result(items, final_newline):
+    # an item of a list that holds a newline is one line to the per-line reader
+    text = "\n".join(items) + ("\n" if final_newline else "")
+    _same_result(lambda: io.StringIO(text))
+    _same_result(lambda: items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(_row(_FLOAT_MISS | _FLOAT, _SPACE_MISS | _SPACE, _INDEX_MISS), max_size=5))
+def test_near_misses_give_the_readers_result(rows):
+    _same_result(lambda: io.StringIO("\n".join(rows)))
 
 
 @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
