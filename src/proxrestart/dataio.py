@@ -132,6 +132,7 @@ for _chars, _cls in ((b" \t\r\n", _WS), (b"0123456789", _DIGIT), (b":", _COLON),
         _CLASSES[_c] = _cls
 _CLASSES = bytes(_CLASSES)
 _MAX_INDEX_DIGITS = 15  # far inside int64; a longer index goes to the per-line reader
+_MAX_INDEX = int(np.iinfo(np.int64).max)  # the per-line reader refuses a larger index
 
 
 def _symbol_ok(prev, kind, nxt):
@@ -199,6 +200,8 @@ def _parse_lines(lines, first_lineno):
                 raise ParseError(f"line {lineno}: nonfinite value in token {token!r}")
             if index < 1:
                 raise ParseError(f"line {lineno}: feature index must be >= 1 in token {token!r}")
+            if index > _MAX_INDEX:
+                raise ParseError(f"line {lineno}: feature index beyond int64 in token {token!r}")
             if index <= prev_index:
                 raise ParseError(f"line {lineno}: nonincreasing feature index in token {token!r}")
             prev_index = index

@@ -486,6 +486,15 @@ def test_bad_data_exit_code(tmp_path, capsys, text, objective, solver, fragment)
         assert fragment in err
 
 
+def test_index_beyond_int64_exit_code(tmp_path, capsys):
+    path = tmp_path / "big.libsvm"
+    path.write_text("1 1:1\n-1 12345678901234567890:2\n", encoding="utf-8")
+    cfg = libsvm_config(tmp_path, path)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert capsys.readouterr().err == (f"data error: {path}: line 2: feature index beyond int64 "
+                                       "in token '12345678901234567890:2'\n")
+
+
 def test_zero_lipschitz_runs_at_experiment_stepsizes(tmp_path):
     # beta = 1 does not divide by L, so an all-zero matrix is usable there
     path = tmp_path / "zero.libsvm"

@@ -118,6 +118,16 @@ def test_parse_errors_name_the_line(text, fragment):
         parse_text(text)
 
 
+def test_index_beyond_int64_is_a_parse_error():
+    # int() reads any length of digits; the matrix's index array is int64
+    big = "12345678901234567890"
+    with pytest.raises(ParseError, match=f"^line 2: feature index beyond int64 in token '{big}:2'$"):
+        parse_text(f"1 1:1\n-1 {big}:2\n")
+    with pytest.raises(ParseError, match="line 1: feature index beyond int64"):
+        parse_text(f"1 {2**63}:1\n")
+    assert parse_text(f"1 {2**63 - 1}:1\n").n_cols == 2**63 - 1
+
+
 def test_parse_spans_blocks():
     # three blocks: the per-line reader's dataset from text or a list, and expected_dim a floor
     text = "".join(f"{i % 3 - 1} {i % 7 + 1}:{i * 0.5} 9:{-i}e-3\n" for i in range(100_000))

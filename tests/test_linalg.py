@@ -1,11 +1,16 @@
+import multiprocessing
 import os
+import queue
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import _sparsetools
 
 from proxrestart import (CsrMatrix, fixture_dataset, generate_synthetic, linalg,
                          spectral_norm_sq, spmv, spmv_transpose)
@@ -306,3 +311,223 @@ def test_csr_keeps_only_scipys_arrays():
     assert (A.n_rows, A.n_cols, A.shape, A.nnz) == (3, 4, (3, 4), 3)
     assert list(A.row_ptr) == [0, 2, 2, 3] and list(A.col_idx) == [1, 3, 0]
     assert list(A.vals) == [1.0, -2.0, 5.0]
+
+
+# --- products split over two threads ----------------------------------------------
+
+SPLIT = linalg._SPLIT_MIN_NNZ
+
+
+class KernelCalls:
+    """Stands in for scipy's ``_sparsetools`` in ``linalg``: runs the real kernel and
+    records the thread and row count of each call; ``fail_on`` is "worker" or "caller"."""
+
+    def __init__(self):
+        self.calls = []
+        self.fail_on = None
+
+    def csr_matvec(self, n_rows, *args):
+        in_worker = threading.current_thread().name == "proxrestart-csr-matvec"
+        self.calls.append((threading.get_ident(), n_rows))
+        if self.fail_on == ("worker" if in_worker else "caller"):
+            raise RuntimeError(f"kernel failed in the {self.fail_on}")
+        _sparsetools.csr_matvec(n_rows, *args)
+
+    def threads(self):
+        return len({ident for ident, _ in self.calls})
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """Record linalg's kernel calls, on a host taken to have two CPUs."""
+    calls = KernelCalls()
+    monkeypatch.setattr(linalg, "_sparsetools", calls)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    return calls
+
+
+def one_kernel_call(M, v):
+    out = np.zeros(M.shape[0])
+    _sparsetools.csr_matvec(M.shape[0], M.shape[1], M.indptr, M.indices, M.data, v, out)
+    return out.tobytes()
+
+
+def with_row_counts(rng, counts, d):
+    """A matrix whose row ``i`` stores ``counts[i]`` entries at random columns."""
+    counts = np.asarray(counts)
+    row_ptr = np.concatenate(([0], np.cumsum(counts)))
+    cols = np.concatenate([np.sort(rng.choice(d, c, replace=False)) for c in counts])
+    vals = rng.standard_normal(int(row_ptr[-1]))
+    vals[rng.random(len(vals)) < 0.05] = -0.0
+    return CsrMatrix(len(counts), d, row_ptr, cols, vals)
+
+
+def with_nnz(rng, n, d, nnz):
+    return with_row_counts(rng, np.bincount(rng.choice(n * d, nnz, replace=False) // d,
+                                            minlength=n), d)
+
+
+def one_row(n, d, row):
+    counts = np.zeros(n, dtype=np.int64)
+    counts[row] = d
+    return lambda rng: with_row_counts(rng, counts, d)
+
+
+# (builder, whether the forward product splits, whether the transposed one does)
+SPLIT_CASES = {
+    "tall_below": (lambda rng: with_nnz(rng, 4096, 512, SPLIT - 1), False, False),
+    "tall_at": (lambda rng: with_nnz(rng, 4096, 512, SPLIT), True, True),
+    "wide_below": (lambda rng: with_nnz(rng, 512, 4096, SPLIT - 1), False, False),
+    "wide_at": (lambda rng: with_nnz(rng, 512, 4096, SPLIT), True, True),
+    # nnz / 2 is reached at row 250; rows 250-449 are empty and start the second half
+    "empty_rows_at_cut": (lambda rng: with_row_counts(
+        rng, [SPLIT // 500 + 1] * 250 + [0] * 200 + [SPLIT // 500 + 1] * 250, 1024), True, True),
+    # one row stores every entry: its transpose has one entry per row
+    "one_row_first": (one_row(8, SPLIT, 0), True, True),
+    "one_row_middle": (one_row(8, SPLIT, 3), True, True),
+    "one_row_last": (one_row(8, SPLIT, 7), False, True),  # nothing after it to split off
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_products_match_one_kernel_call(kernel, case):
+    build, forward_splits, transposed_splits = SPLIT_CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    A = build(rng)
+    A_t = A._transpose_csr()
+    x = rng.standard_normal(2 * A.n_cols)[::2]  # strided
+    y = rng.standard_normal(A.n_rows)
+    y[rng.random(A.n_rows) < 0.3] = -0.0
+    for product, M, v, splits in ((spmv, A._csr, x, forward_splits),
+                                  (spmv, A._csr, np.ascontiguousarray(x), forward_splits),
+                                  (spmv_transpose, A_t, y, transposed_splits)):
+        kernel.calls.clear()
+        assert product(A, v).tobytes() == one_kernel_call(M, v)
+        assert (len(kernel.calls), kernel.threads()) == ((2, 2) if splits else (1, 1))
+        assert sum(rows for _, rows in kernel.calls) == M.shape[0]
+
+
+def test_small_products_and_one_cpu_run_whole(kernel, monkeypatch):
+    small = fixture_dataset("lasso_known").features
+    spmv(small, np.ones(small.n_cols))
+    spmv_transpose(small, np.ones(small.n_rows))
+    A = with_nnz(np.random.default_rng(1), 4096, 512, SPLIT)
+    x = np.random.default_rng(2).standard_normal(512)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+    assert spmv(A, x).tobytes() == one_kernel_call(A._csr, x)
+    assert len(kernel.calls) == 3 and kernel.threads() == 1
+
+
+def test_busy_worker_runs_the_product_whole(kernel):
+    A = with_nnz(np.random.default_rng(2), 4096, 512, SPLIT)
+    x = np.random.default_rng(3).standard_normal(512)
+    with linalg._busy:  # another thread's split product holds the worker
+        assert spmv(A, x).tobytes() == one_kernel_call(A._csr, x)
+    assert kernel.calls == [(threading.get_ident(), A.n_rows)]
+
+
+@pytest.mark.parametrize("fail_on", ["worker", "caller"])
+def test_kernel_error_reaches_the_caller(kernel, fail_on):
+    A = with_nnz(np.random.default_rng(4), 4096, 512, SPLIT)
+    x = np.random.default_rng(5).standard_normal(512)
+    kernel.fail_on = fail_on
+    with pytest.raises(RuntimeError, match=f"kernel failed in the {fail_on}"):
+        spmv(A, x)
+    # the worker has answered, so the next split product gets its own reply
+    kernel.fail_on = None
+    kernel.calls.clear()
+    assert spmv(A, x).tobytes() == one_kernel_call(A._csr, x)
+    assert kernel.threads() == 2
+
+
+class InterruptedReplies:
+    def get(self):
+        raise KeyboardInterrupt
+
+
+def test_interrupted_wait_retires_the_worker(kernel, monkeypatch):
+    # a reply still owed to an interrupted caller must not answer the next one
+    A = with_nnz(np.random.default_rng(9), 4096, 512, SPLIT)
+    x = np.random.default_rng(10).standard_normal(512)
+    monkeypatch.setattr(linalg, "_worker", (queue.SimpleQueue(), InterruptedReplies()))
+    with pytest.raises(KeyboardInterrupt):
+        spmv(A, x)
+    assert linalg._worker is None and not linalg._busy.locked()
+    assert spmv(A, x).tobytes() == one_kernel_call(A._csr, x)
+
+
+def test_concurrent_callers_get_the_reference_bytes(kernel):
+    rng = np.random.default_rng(6)
+    A = with_nnz(rng, 4096, 512, 2 * SPLIT)
+    x, y = rng.standard_normal(512), rng.standard_normal(4096)
+    want = (one_kernel_call(A._csr, x), one_kernel_call(A._transpose_csr(), y))
+
+    def rounds(_):
+        return [(spmv(A, x).tobytes(), spmv_transpose(A, y).tobytes()) for _ in range(100)]
+
+    with ThreadPoolExecutor(2) as pool:
+        results = [r for thread_results in pool.map(rounds, range(2)) for r in thread_results]
+    assert all(r == want for r in results)
+    assert not linalg._busy.locked()
+
+
+def _product_in_child(A, x, conn):
+    linalg._sparsetools.calls.clear()
+    conn.send((spmv(A, x).tobytes(), linalg._sparsetools.threads()))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_split_product_in_forked_child(kernel):
+    A = with_nnz(np.random.default_rng(7), 4096, 512, SPLIT)
+    x = np.random.default_rng(8).standard_normal(512)
+    want = spmv(A, x).tobytes()  # the worker thread now runs in this process only
+    assert linalg._worker is not None and kernel.threads() == 2
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_product_in_child, args=(A, x, sender))
+    child.start()
+    try:
+        assert receiver.poll(60), "the forked child's split product did not finish"
+        assert receiver.recv() == (want, 2)
+    finally:
+        child.kill()
+        child.join()
+
+
+AFFINITY_RUN = """
+import os, sys
+if {cpu} is not None:
+    os.sched_setaffinity(0, {{{cpu}}})
+from proxrestart import linalg
+from proxrestart.cli import main
+code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--quiet"])
+print(linalg._usable_cpus(), linalg._worker is not None)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_trace_bytes_do_not_depend_on_the_cpus(tmp_path):
+    import yaml
+
+    # 2000 x 300 at density 0.3: about 1.8e5 entries, so both products split on two CPUs
+    config = tmp_path / "large.yaml"
+    config.write_text(yaml.safe_dump({
+        "schema_version": 1,
+        "problem": {"objective": "logistic_ncvx", "alpha": 0.01, "regularizer": {"kind": "l1", "mu": 1e-3},
+                    "dataset": {"source": "synthetic", "kind": "logistic_sep", "n": 2000, "d": 300}},
+        "solvers": [{"name": "fixed_10", "algorithm": "apg_restart", "scheme": {"kind": "fixed", "q": 10},
+                     "max_iters": 30, "seeds": [0]}],
+    }), encoding="utf-8")
+    cpus = os.sched_getaffinity(0)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    traces = {}
+    for cpu in (None, min(cpus)):
+        out = tmp_path / f"out_{cpu}"
+        done = subprocess.run([sys.executable, "-c", AFFINITY_RUN.format(cpu=cpu), str(config), str(out)],
+                              check=True, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        usable, split = done.stdout.split()
+        assert (int(usable), split) == ((len(cpus), str(len(cpus) > 1)) if cpu is None else (1, "False"))
+        traces[cpu] = (out / "fixed_10_seed0.csv").read_bytes()
+    assert traces[None] == traces[min(cpus)]
