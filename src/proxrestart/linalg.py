@@ -13,14 +13,25 @@ ascending row order, the same order in which a column sweep over ``A``
 accumulates ``(A.T @ y)[j]``; so the copy saves a transpose per call
 without moving an output bit.
 
-A forward or transposed product over at least ``_SPLIT_MIN_NNZ`` (2**17)
-stored entries, in a process allowed to run on two or more CPUs, runs on
-two threads: this one and a worker thread, each over half of the rows.
-That includes the products inside :func:`spectral_norm_sq`'s Lanczos
-branch. Each output entry is still summed by one thread over its whole
-row, so the bits do not depend on the split or on the CPU count. Every
-other operation here, elementwise or reduction, runs on the caller's
-thread only.
+In a process allowed to run on two or more CPUs, some passes run on two
+threads: this one and a worker thread, each over one range of rows
+(:func:`_split_rows`). The rows are cut once per matrix, where ``indptr``
+crosses ``nnz / 2``. Two kinds of pass split:
+
+* a forward or transposed product over at least ``_SPLIT_MIN_NNZ``
+  (2**17) stored entries, the products inside :func:`spectral_norm_sq`'s
+  Lanczos branch included;
+* on a matrix of at least ``_SPLIT_MIN_ROWS`` (2**15) rows, the
+  elementwise passes over the rows in each iteration: the logistic loss
+  terms and gradient weights (:mod:`proxrestart.objectives`) and the
+  restart step's carried ``A z`` and ``A y`` (:mod:`proxrestart.solver`).
+  Those passes cut at the forward product's cut, so each thread reads
+  the half of ``A x`` it wrote.
+
+Each output entry is still computed by one thread, from the same
+operands in the same order, so the bits do not depend on the split or on
+the CPU count. Reductions (sums, norms, dot products) never split: each
+stays one call over the whole array, on the caller's thread.
 
 :func:`spectral_norm_sq` gives the objectives their upper bound on
 ``||A||_2^2``: a dense LAPACK SVD for small matrices, Lanczos with the
@@ -64,10 +75,11 @@ class CsrMatrix:
     (int32 indices whenever they fit). The CSR copy of the transpose that
     :func:`spmv_transpose` uses is built on its first call, not here, so a
     matrix that is only parsed, validated or multiplied forward never
-    holds it.
+    holds it. Beside each CSR matrix sits the row at which its products
+    and the row passes split (:func:`_row_cut`).
     """
 
-    __slots__ = ("_csr", "_csr_t")
+    __slots__ = ("_csr", "_csr_t", "_cut", "_cut_t")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, vals):
         if n_rows < 0 or n_cols < 0:
@@ -86,7 +98,7 @@ class CsrMatrix:
         # scipy backs the actual products; its CSR matvec walks each row in
         # ascending column order, which fixes the accumulation order.
         self._csr = sp.csr_matrix((vals, col_idx, row_ptr), shape=(n_rows, n_cols))
-        self._csr_t = None
+        self._csr_t = self._cut_t = None
         row_ptr, col_idx = self.row_ptr, self.col_idx
         if np.any(np.diff(row_ptr) < 0):
             raise ValueError("row_ptr must be nondecreasing")
@@ -102,6 +114,7 @@ class CsrMatrix:
             raise ValueError(f"row {i}: column indices not strictly increasing")
         if not np.all(np.isfinite(self.vals)):
             raise ValueError("matrix values contain NaN or Inf")
+        self._cut = _row_cut(self._csr)
 
     @property
     def n_rows(self) -> int:
@@ -145,6 +158,7 @@ class CsrMatrix:
         if self._csr_t is None:
             csr_t = self._csr.T.tocsr()
             csr_t.sort_indices()
+            self._cut_t = _row_cut(csr_t)
             self._csr_t = csr_t
         return self._csr_t
 
@@ -180,7 +194,18 @@ def _usable_cpus() -> int:
 # (5 * 10**5 entries): forward 805 -> 490 us, transposed 470 -> 395 us.
 _SPLIT_MIN_NNZ = 1 << 17
 
-# The worker thread that runs one half of each split product, as its
+# An elementwise pass over the rows of a matrix with at least this many
+# rows is split over two threads. Each split costs a handoff of tens of
+# us, so a pass must be long to gain. Timed on a 2-core x86 host (numpy
+# 2.4, scipy 1.17): 100 restart-solver iterations on logistic instances
+# with 2 and 10 stored entries per row, each with every row pass split
+# against none, in six alternating repeats: at 2**13 and 2**14 rows the
+# split was 12-55% slower per iteration, at 2**15 rows 1-4% faster, and
+# from 46 341 rows on 0-20% faster (15% at 10 entries per row, the
+# bench instance's density).
+_SPLIT_MIN_ROWS = 1 << 15
+
+# The worker thread that runs the lower rows of each split pass, as its
 # (requests, replies) queue pair; started on the first split. ``_busy`` is
 # held by the one caller using it, so each reply answers that caller.
 _worker = None
@@ -188,13 +213,17 @@ _busy = threading.Lock()
 
 
 def _serve(requests, replies) -> None:
-    """The worker's loop. It runs only the compiled kernel, never a Python
-    entry point of this package, so a profiler that wraps those entry
-    points sees each product once, on the caller's thread."""
+    """The worker's loop: run each part it is handed on its rows.
+
+    A part calls only compiled code (numpy and scipy ufuncs, scipy's CSR
+    kernel), never a Python entry point of this package, so a profiler
+    that wraps those entry points sees each split pass once, on the
+    caller's thread.
+    """
     while True:
-        args = requests.get()
+        part, arrays = requests.get()
         try:
-            _sparsetools.csr_matvec(*args)
+            part(*arrays)
         except BaseException as exc:  # handed to the caller, which re-raises it
             replies.put(exc)
         else:
@@ -207,8 +236,7 @@ def _start_worker():
         import queue  # here, so that a process that never splits does not load it
 
         pair = (queue.SimpleQueue(), queue.SimpleQueue())
-        threading.Thread(target=_serve, args=pair, name="proxrestart-csr-matvec",
-                         daemon=True).start()
+        threading.Thread(target=_serve, args=pair, name="proxrestart-rows", daemon=True).start()
         _worker = pair
     return _worker
 
@@ -225,45 +253,38 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _csr_matvec(M: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``M @ x`` by scipy's compiled CSR kernel, without its dispatch layer.
-
-    This is the kernel ``M.dot(x)`` ends in for a float64 vector, with the
-    same zero-initialised output, so the result is bit-identical to it.
-    The caller has checked that ``x`` is a float64 vector of length
-    ``M.shape[1]``. A product over at least ``_SPLIT_MIN_NNZ`` entries may
-    run split (:func:`_split_matvec`).
-    """
-    n_rows, n_cols = M.shape
-    out = np.zeros(n_rows)
-    if len(M.data) < _SPLIT_MIN_NNZ or not _split_matvec(M, x, out):
-        _sparsetools.csr_matvec(n_rows, n_cols, M.indptr, M.indices, M.data, x, out)
-    return out
+def _row_cut(M: sp.csr_matrix) -> int:
+    """The row where ``M``'s passes split: the first whose ``indptr`` entry
+    reaches ``nnz // 2``. The key takes ``indptr``'s dtype, so numpy does
+    not first copy an int32 ``indptr`` to int64."""
+    ip = M.indptr
+    return int(np.searchsorted(ip, ip.dtype.type(len(M.data) // 2)))
 
 
-def _split_matvec(M: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> bool:
-    """Write ``M @ x`` into the zeroed ``out`` on two threads, or return False.
+def _split_rows(cut: int, part, *arrays) -> None:
+    """Run ``part(*arrays)``, split at row ``cut`` over two threads if it can.
 
-    The rows are cut where ``indptr`` crosses ``nnz / 2``: the worker
-    thread runs the kernel on the rows below the cut and this thread on
-    the rest, each into its own slice of ``out``. Every output entry is
-    still one row's sum in the same order, so the bits do not depend on
-    the split. Returns False, having done nothing, when the cut leaves a
-    half without rows, when the process may use only one CPU, or when the
-    worker is busy with another thread's product.
+    The worker thread runs ``part`` on ``a[:cut]`` of each array and this
+    thread on ``a[cut:]``, each writing its own rows of the outputs. An
+    array one entry longer than the last one (an ``indptr``) gives the
+    worker ``a[:cut + 1]``, so both halves hold the entry at the cut.
+    ``part`` must compute each row's outputs from that row's inputs alone,
+    so the bits do not depend on the split, and must call only compiled
+    code (see :func:`_serve`). It runs once over the whole arrays, on this
+    thread, when the cut leaves a half without rows, when the process may
+    use only one CPU, or when the worker is busy with another thread's
+    pass.
     """
     global _worker
-    n_rows, n_cols = M.shape
-    ip, indices, data = M.indptr, M.indices, M.data
-    cut = int(np.searchsorted(ip, len(data) // 2))
+    n_rows = len(arrays[-1])
     if not 0 < cut < n_rows or _usable_cpus() < 2 or not _busy.acquire(blocking=False):
-        return False
+        part(*arrays)
+        return
     try:
         requests, replies = _start_worker()
-        x = np.ascontiguousarray(x)  # one copy of a strided x, not one per half
-        requests.put((cut, n_cols, ip[:cut + 1], indices, data, x, out[:cut]))
+        requests.put((part, [a[:cut + len(a) - n_rows] for a in arrays]))
         try:
-            _sparsetools.csr_matvec(n_rows - cut, n_cols, ip[cut:], indices, data, x, out[cut:])
+            part(*[a[cut:] for a in arrays])
         finally:
             try:
                 error = replies.get()
@@ -276,7 +297,28 @@ def _split_matvec(M: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> bool:
         _busy.release()
     if error is not None:
         raise error
-    return True
+
+
+def _csr_matvec(M: sp.csr_matrix, cut: int, x: np.ndarray) -> np.ndarray:
+    """``M @ x`` by scipy's compiled CSR kernel, without its dispatch layer.
+
+    This is the kernel ``M.dot(x)`` ends in for a float64 vector, with the
+    same zero-initialised output, so the result is bit-identical to it.
+    The caller has checked that ``x`` is a float64 vector of length
+    ``M.shape[1]``. A product over at least ``_SPLIT_MIN_NNZ`` entries
+    may run split at row ``cut`` (:func:`_split_rows`): every output entry
+    is still one row's sum in the same order.
+    """
+    n_rows, n_cols = M.shape
+    out = np.zeros(n_rows)
+    if len(M.data) < _SPLIT_MIN_NNZ:
+        _sparsetools.csr_matvec(n_rows, n_cols, M.indptr, M.indices, M.data, x, out)
+    else:
+        indices, data = M.indices, M.data
+        x = np.ascontiguousarray(x)  # one copy of a strided x, not one per half
+        _split_rows(cut, lambda ip, rows: _sparsetools.csr_matvec(
+            len(rows), n_cols, ip, indices, data, x, rows), M.indptr, out)
+    return out
 
 
 def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
@@ -285,7 +327,7 @@ def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
     if x.shape != (A.n_cols,):
         raise ValueError(f"dimension mismatch: matrix has {A.n_cols} columns, "
                          f"vector has shape {x.shape}")
-    return _csr_matvec(A._csr, x)
+    return _csr_matvec(A._csr, A._cut, x)
 
 
 def spmv_transpose(A: CsrMatrix, y: np.ndarray) -> np.ndarray:
@@ -298,7 +340,8 @@ def spmv_transpose(A: CsrMatrix, y: np.ndarray) -> np.ndarray:
     if y.shape != (A.n_rows,):
         raise ValueError(f"dimension mismatch: matrix has {A.n_rows} rows, "
                          f"vector has shape {y.shape}")
-    return _csr_matvec(A._transpose_csr(), y)
+    M = A._transpose_csr()
+    return _csr_matvec(M, A._cut_t, y)
 
 
 # spectral_norm_sq takes the SVD for m = min(n, d) <= _EXACT_MAX_ORDER while

@@ -50,7 +50,7 @@ import functools
 
 import numpy as np
 
-from .linalg import CsrMatrix, spectral_norm_sq, spmv, spmv_transpose
+from .linalg import _SPLIT_MIN_ROWS, CsrMatrix, _split_rows, spectral_norm_sq, spmv, spmv_transpose
 
 __all__ = [
     "LogisticObjective",
@@ -114,6 +114,25 @@ def _expit():
     return expit
 
 
+# The logistic passes over the rows, as parts for linalg._split_rows on a
+# matrix of at least _SPLIT_MIN_ROWS rows. Below that the methods run the
+# same ufuncs inline on whole arrays: at a few hundred rows a call and its
+# slices would cost about as much as the ufuncs themselves.
+
+def _logistic_loss_terms(neg_b, Ax, loss):
+    t = neg_b * Ax
+    np.abs(t, out=loss)
+    np.negative(loss, out=loss)
+    np.exp(loss, out=loss)
+    np.log1p(loss, out=loss)
+    loss += np.maximum(t, 0.0, out=t)
+
+
+def _logistic_weights(expit, neg_b, Ax, w):
+    expit(np.multiply(neg_b, Ax, out=w), out=w)
+    w *= neg_b
+
+
 class LogisticObjective(_DataObjective):
     """Averaged logistic loss with a bounded nonconvex coordinate penalty.
 
@@ -140,20 +159,30 @@ class LogisticObjective(_DataObjective):
         self._neg_b = -self.b  # t = -b * Ax has the bits of -(b * Ax)
 
     def value_at(self, x, Ax) -> float:
-        t = self._neg_b * Ax
         # log(1 + e^t) = max(t, 0) + log1p(e^-|t|), stable for both signs of
-        # t; computed in place so the 50 000-row case keeps two temporaries
-        loss = np.abs(t)
-        np.negative(loss, out=loss)
-        np.exp(loss, out=loss)
-        np.log1p(loss, out=loss)
-        loss += np.maximum(t, 0.0, out=t)
+        # t; computed in place so that, split or not, the pass keeps two
+        # row-length temporaries. The sum is one call over all rows.
+        if self.n < _SPLIT_MIN_ROWS:
+            t = self._neg_b * Ax
+            loss = np.abs(t)
+            np.negative(loss, out=loss)
+            np.exp(loss, out=loss)
+            np.log1p(loss, out=loss)
+            loss += np.maximum(t, 0.0, out=t)
+        else:
+            loss = np.empty(self.n)
+            _split_rows(self.A._cut, _logistic_loss_terms, self._neg_b, Ax, loss)
         xsq = x * x
         return float(loss.sum()) / self.n + self.alpha * float((xsq / (1.0 + xsq)).sum())
 
     def gradient_at(self, x, Ax) -> np.ndarray:
-        w = _expit()(self._neg_b * Ax)
-        w *= self._neg_b
+        if self.n < _SPLIT_MIN_ROWS:
+            w = _expit()(self._neg_b * Ax)
+            w *= self._neg_b
+        else:
+            w = np.empty(self.n)
+            _split_rows(self.A._cut, functools.partial(_logistic_weights, _expit()),
+                        self._neg_b, Ax, w)
         grad = spmv_transpose(self.A, w) / self.n
         grad += self.alpha * 2.0 * x / (1.0 + x * x) ** 2
         return grad

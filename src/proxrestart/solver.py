@@ -67,13 +67,14 @@ upper end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _norm, spmv
+from .linalg import _SPLIT_MIN_ROWS, _norm, _split_rows, spmv
 from .regularizers import gradient_mapping
 from .restart import NeverRestart, RestartObservation
 
@@ -286,9 +287,13 @@ def apg_restart_step(state: SolverState, objective, regularizer,
         z, Az = x, Ax
     else:
         z = y + alpha * (x - y)
-        Az = Ax - Ay
-        Az *= alpha
-        Az += Ay
+        if len(Ax) < _SPLIT_MIN_ROWS:
+            Az = Ax - Ay
+            Az *= alpha
+            Az += Ay
+        else:
+            Az = np.empty(len(Ax))
+            _split_rows(objective.A._cut, functools.partial(_carried_Az, alpha), Ax, Ay, Az)
     grad_z = objective.gradient_at(z, Az)
     x_new = regularizer.prox(x - lam * grad_z, lam)
     G = (x - x_new) / lam
@@ -304,10 +309,15 @@ def apg_restart_step(state: SolverState, objective, regularizer,
     y_new = z - beta * G
     Ax_new = spmv(objective.A, x_new)
     F_new = objective.value_at(x_new, Ax_new) + regularizer.value(x_new)
-    AG = Ax - Ax_new
-    AG /= lam
-    AG *= beta
-    Ay_new = np.subtract(Az, AG, out=AG)
+    if len(Ax) < _SPLIT_MIN_ROWS:
+        AG = Ax - Ax_new
+        AG /= lam
+        AG *= beta
+        Ay_new = np.subtract(Az, AG, out=AG)
+    else:
+        Ay_new = np.empty(len(Ax))
+        _split_rows(objective.A._cut, functools.partial(_carried_Ay, lam, beta),
+                    Ax, Ax_new, Az, Ay_new)
     step = _norm(x_new - x)
 
     fire = cfg.scheme.should_restart(RestartObservation(
@@ -318,6 +328,23 @@ def apg_restart_step(state: SolverState, objective, regularizer,
     next_state = SolverState(x=x_new, y=y_new, F=F_new, Ax=Ax_new, Ay=Ay_new, k=k + 1,
                              checkpoint=checkpoint, pending_restart=fire)
     return next_state, record
+
+
+# The carried products' updates, as parts for linalg._split_rows on a
+# matrix of at least _SPLIT_MIN_ROWS rows; below that apg_restart_step
+# runs the same ufuncs inline on whole arrays.
+
+def _carried_Az(alpha, Ax, Ay, Az):
+    np.subtract(Ax, Ay, out=Az)
+    Az *= alpha
+    Az += Ay
+
+
+def _carried_Ay(lam, beta, Ax, Ax_new, Az, Ay_new):
+    np.subtract(Ax, Ax_new, out=Ay_new)
+    Ay_new /= lam
+    Ay_new *= beta
+    np.subtract(Az, Ay_new, out=Ay_new)
 
 
 def _resolve_beta(algorithm, objective, cfg: SolverConfig):

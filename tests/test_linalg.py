@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import _sparsetools
 
-from proxrestart import (CsrMatrix, fixture_dataset, generate_synthetic, linalg,
-                         spectral_norm_sq, spmv, spmv_transpose)
+from proxrestart import (L1, CsrMatrix, FixedRestart, LogisticObjective, SolverConfig, SolverState,
+                         apg_restart_step, fixture_dataset, generate_synthetic, linalg, objectives,
+                         run, solver, spectral_norm_sq, spmv, spmv_transpose)
 
 
 def test_spmv_identity():
@@ -304,7 +305,7 @@ def test_csr_immutable():
 
 def test_csr_keeps_only_scipys_arrays():
     A = CsrMatrix(3, 4, [0, 2, 2, 3], [1, 3, 0], [1.0, -2.0, 5.0])
-    assert CsrMatrix.__slots__ == ("_csr", "_csr_t")
+    assert CsrMatrix.__slots__ == ("_csr", "_csr_t", "_cut", "_cut_t")
     assert A.vals is A._csr.data
     assert A.col_idx is A._csr.indices and A.col_idx.dtype == np.int32
     assert A.row_ptr is A._csr.indptr and A.row_ptr.dtype == np.int32
@@ -316,6 +317,7 @@ def test_csr_keeps_only_scipys_arrays():
 # --- products split over two threads ----------------------------------------------
 
 SPLIT = linalg._SPLIT_MIN_NNZ
+WORKER = "proxrestart-rows"
 
 
 class KernelCalls:
@@ -327,7 +329,7 @@ class KernelCalls:
         self.fail_on = None
 
     def csr_matvec(self, n_rows, *args):
-        in_worker = threading.current_thread().name == "proxrestart-csr-matvec"
+        in_worker = threading.current_thread().name == WORKER
         self.calls.append((threading.get_ident(), n_rows))
         if self.fail_on == ("worker" if in_worker else "caller"):
             raise RuntimeError(f"kernel failed in the {self.fail_on}")
@@ -460,14 +462,23 @@ def test_concurrent_callers_get_the_reference_bytes(kernel):
     rng = np.random.default_rng(6)
     A = with_nnz(rng, 4096, 512, 2 * SPLIT)
     x, y = rng.standard_normal(512), rng.standard_normal(4096)
-    want = (one_kernel_call(A._csr, x), one_kernel_call(A._transpose_csr(), y))
+    objective, v = rows_instance()  # its row passes split, its products do not
+    Av = spmv(objective.A, v)
+    want = (one_kernel_call(A._csr, x), one_kernel_call(A._transpose_csr(), y),
+            objective.gradient_at(v, Av).tobytes())
 
     def rounds(_):
-        return [(spmv(A, x).tobytes(), spmv_transpose(A, y).tobytes()) for _ in range(100)]
+        return [(spmv(A, x).tobytes(), spmv_transpose(A, y).tobytes(),
+                 objective.gradient_at(v, Av).tobytes()) for _ in range(100)]
 
-    with ThreadPoolExecutor(2) as pool:
-        results = [r for thread_results in pool.map(rounds, range(2)) for r in thread_results]
-    assert all(r == want for r in results)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(3) as pool:  # more callers than CPUs
+            results = [r for thread_results in pool.map(rounds, range(3)) for r in thread_results]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 300 and all(r == want for r in results)
     assert not linalg._busy.locked()
 
 
@@ -494,6 +505,102 @@ def test_split_product_in_forked_child(kernel):
         child.join()
 
 
+# --- row passes split over two threads ---------------------------------------------
+
+ROW_PARTS = ((objectives, "_logistic_loss_terms"), (objectives, "_logistic_weights"),
+             (solver, "_carried_Az"), (solver, "_carried_Ay"))
+
+
+class RowParts:
+    """Records each call of the row-pass parts: (part, thread, rows); ``fail_in`` names
+    the thread ("worker" or "caller") in which the parts raise."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self.fail_in = None
+        for module, name in ROW_PARTS:
+            monkeypatch.setattr(module, name, self._recording(name, getattr(module, name)))
+
+    def _recording(self, name, part):
+        def recorded(*args):
+            thread = "worker" if threading.current_thread().name == WORKER else "caller"
+            self.calls.append((name, thread, len(args[-1])))
+            if self.fail_in == thread:
+                raise RuntimeError(f"row part failed in the {thread}")
+            part(*args)
+        return recorded
+
+
+def rows_instance():
+    """An odd number of rows above the row threshold, cut at a row that is not a
+    multiple of 8, with too few entries for the products to split."""
+    rng = np.random.default_rng(11)
+    n = linalg._SPLIT_MIN_ROWS + 3
+    A = with_row_counts(rng, rng.integers(1, 6, n), 20)
+    assert n % 2 == 1 and A._cut % 8 != 0 and A.nnz < SPLIT
+    labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return LogisticObjective(A, labels, alpha=0.01), rng.standard_normal(20)
+
+
+def logistic_bytes(objective, x):
+    Ax = spmv(objective.A, x)
+    cfg = SolverConfig(max_iters=20, stepsize_mode="experiment", scheme=FixedRestart(7))
+    trace = run(objective, L1(1e-3), cfg, x)
+    # the carried A y, whose last bits the trace need not show
+    state = SolverState(x, x, trace.F[0], Ax, Ax)
+    for _ in range(3):
+        state, _ = apg_restart_step(state, objective, L1(1e-3), cfg)
+    return [np.float64(objective.value_at(x, Ax)).tobytes(), objective.gradient_at(x, Ax).tobytes(),
+            *(a.tobytes() for a in (trace.F, trace.grad_map_norm, trace.step_norm,
+                                     trace.restart_flags, trace.final_x, state.Ay))]
+
+
+def test_split_row_passes_give_the_same_bits(monkeypatch):
+    objective, x = rows_instance()
+    n, cut = objective.n, objective.A._cut
+    parts = RowParts(monkeypatch)
+    with monkeypatch.context() as inline:  # below the threshold: the inline ufuncs
+        inline.setattr(objectives, "_SPLIT_MIN_ROWS", n + 1)
+        inline.setattr(solver, "_SPLIT_MIN_ROWS", n + 1)
+        want = logistic_bytes(objective, x)
+    assert parts.calls == []
+    for cpus, halves in ((1, [("caller", n)]), (2, [("worker", cut), ("caller", n - cut)])):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        parts.calls.clear()
+        assert logistic_bytes(objective, x) == want
+        # every part ran, each call on the rows its thread owns
+        assert {name for name, _, _ in parts.calls} == {name for _, name in ROW_PARTS}
+        assert sorted({(thread, rows) for _, thread, rows in parts.calls}) == sorted(halves)
+
+
+@pytest.mark.parametrize("fail_in", ["worker", "caller"])
+def test_row_part_error_reaches_the_caller(monkeypatch, fail_in):
+    objective, x = rows_instance()
+    Ax = spmv(objective.A, x)
+    want = objective.value_at(x, Ax)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    parts = RowParts(monkeypatch)
+    parts.fail_in = fail_in
+    with pytest.raises(RuntimeError, match=f"row part failed in the {fail_in}"):
+        objective.value_at(x, Ax)
+    # the worker has answered, so the next split pass gets its own reply
+    parts.fail_in = None
+    parts.calls.clear()
+    assert objective.value_at(x, Ax) == want
+    assert sorted(thread for _, thread, _ in parts.calls) == ["caller", "worker"]
+
+
+def test_busy_worker_runs_the_row_pass_whole(monkeypatch):
+    objective, x = rows_instance()
+    Ax = spmv(objective.A, x)
+    want = objective.value_at(x, Ax)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    parts = RowParts(monkeypatch)
+    with linalg._busy:  # another thread's split pass holds the worker
+        assert objective.value_at(x, Ax) == want
+    assert parts.calls == [("_logistic_loss_terms", "caller", objective.n)]
+
+
 AFFINITY_RUN = """
 import os, sys
 if {cpu} is not None:
@@ -510,24 +617,28 @@ sys.exit(code)
 def test_trace_bytes_do_not_depend_on_the_cpus(tmp_path):
     import yaml
 
-    # 2000 x 300 at density 0.3: about 1.8e5 entries, so both products split on two CPUs
-    config = tmp_path / "large.yaml"
-    config.write_text(yaml.safe_dump({
-        "schema_version": 1,
-        "problem": {"objective": "logistic_ncvx", "alpha": 0.01, "regularizer": {"kind": "l1", "mu": 1e-3},
-                    "dataset": {"source": "synthetic", "kind": "logistic_sep", "n": 2000, "d": 300}},
-        "solvers": [{"name": "fixed_10", "algorithm": "apg_restart", "scheme": {"kind": "fixed", "q": 10},
-                     "max_iters": 30, "seeds": [0]}],
-    }), encoding="utf-8")
     cpus = os.sched_getaffinity(0)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    traces = {}
-    for cpu in (None, min(cpus)):
-        out = tmp_path / f"out_{cpu}"
-        done = subprocess.run([sys.executable, "-c", AFFINITY_RUN.format(cpu=cpu), str(config), str(out)],
-                              check=True, capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        usable, split = done.stdout.split()
-        assert (int(usable), split) == ((len(cpus), str(len(cpus) > 1)) if cpu is None else (1, "False"))
-        traces[cpu] = (out / "fixed_10_seed0.csv").read_bytes()
-    assert traces[None] == traces[min(cpus)]
+    # at density 0.3: 2000 x 300 stores about 1.8e5 entries, so both products split on
+    # two CPUs; 40 000 x 10 stores about 1.2e5, so only the row passes split
+    for n, d in ((2000, 300), (40000, 10)):
+        config = tmp_path / f"large_{n}.yaml"
+        config.write_text(yaml.safe_dump({
+            "schema_version": 1,
+            "problem": {"objective": "logistic_ncvx", "alpha": 0.01,
+                        "regularizer": {"kind": "l1", "mu": 1e-3},
+                        "dataset": {"source": "synthetic", "kind": "logistic_sep", "n": n, "d": d}},
+            "solvers": [{"name": "fixed_10", "algorithm": "apg_restart",
+                         "scheme": {"kind": "fixed", "q": 10}, "max_iters": 30, "seeds": [0]}],
+        }), encoding="utf-8")
+        traces = {}
+        for cpu in (None, min(cpus)):
+            out = tmp_path / f"out_{n}_{cpu}"
+            done = subprocess.run([sys.executable, "-c", AFFINITY_RUN.format(cpu=cpu), str(config),
+                                   str(out)], check=True, capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+            usable, split = done.stdout.split()
+            assert (int(usable), split) == ((len(cpus), str(len(cpus) > 1)) if cpu is None
+                                            else (1, "False"))
+            traces[cpu] = (out / "fixed_10_seed0.csv").read_bytes()
+        assert traces[None] == traces[min(cpus)], (n, d)
