@@ -20,7 +20,6 @@ from .dataio import (
 from .diagnostics import (
     InvariantReport,
     check_invariants,
-    fit_rate,
     path_length_summary,
 )
 from .linalg import CsrMatrix, spectral_norm_sq, spmv, spmv_transpose
@@ -59,7 +58,7 @@ __all__ = [
     "SolverConfig", "SolverState", "StepRecord", "SolverTrace",
     "PeriodRecord", "DivergenceError", "LipschitzError", "momentum_coefficient",
     "apg_restart_step", "run", "run_baseline",
-    "InvariantReport", "check_invariants", "path_length_summary", "fit_rate",
+    "InvariantReport", "check_invariants", "path_length_summary",
     "Dataset", "ParseError", "parse_libsvm", "load_libsvm",
     "serialize_libsvm", "dump_libsvm", "generate_synthetic",
     "lasso_l1_weight", "fixture_dataset",

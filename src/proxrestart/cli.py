@@ -23,6 +23,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -167,6 +168,8 @@ def _require(mapping, key, path, types):
     # YAML booleans pass isinstance(value, int), and no field takes one
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: must be a finite number, got {value}")
     return value
 
 

@@ -1,4 +1,4 @@
-"""Post-hoc trace analysis: invariant verdicts, path lengths, rate fits.
+"""Post-hoc trace analysis: invariant verdicts and path lengths.
 
 ``check_invariants`` re-derives, from trace data alone, the four
 guarantees a theory-mode run of the restart solver must satisfy:
@@ -15,9 +15,7 @@ guarantees a theory-mode run of the restart solver must satisfy:
 
 ``path_length_summary`` lists the per-period path lengths, with their
 running sum, whose summability certifies that the iterates converge to a
-single critical point; ``fit_rate`` classifies checkpoint gap sequences
-into the finite / linear / sublinear regimes that the local sharpness
-exponent of the objective induces.
+single critical point.
 """
 
 from __future__ import annotations
@@ -33,15 +31,10 @@ __all__ = [
     "InvariantReport",
     "check_invariants",
     "path_length_summary",
-    "RateFit",
-    "fit_rate",
 ]
 
 #: absolute slack used by the inequality checks (relative for descent)
 CHECK_TOL = 1e-9
-
-#: share of a gap sequence, at its end, on which :func:`fit_rate` fits the decay
-_TAIL_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -144,79 +137,3 @@ def path_length_summary(trace: SolverTrace) -> tuple[tuple[int, float, float], .
     lengths = [np.sqrt(trace.period_step_sq_sum(t)) for t in range(len(trace.periods))]
     return tuple((t, float(length), float(total))
                  for t, (length, total) in enumerate(zip(lengths, np.cumsum(lengths))))
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Asymptotic regime of a checkpoint gap sequence.
-
-    ``regime`` is one of ``"finite"``, ``"linear"``, ``"sublinear"`` or
-    ``"inconclusive"``. For the linear regime ``rate`` is the decay
-    constant in ``gap_t ~ exp(-rate * t)``; for the sublinear regime
-    ``exponent`` is ``p`` in ``gap_t ~ t^(-p)``. ``r_squared`` is the
-    winning fit's goodness on the tail window.
-    """
-
-    regime: str
-    rate: float | None
-    exponent: float | None
-    r_squared: float
-    window: tuple[int, int]
-
-
-def _least_squares_line(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Fit v ~ a + b u; return (slope, r_squared)."""
-    A = np.column_stack([np.ones_like(u), u])
-    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    resid = v - A @ coef
-    ss_res = float(np.dot(resid, resid))
-    centered = v - v.mean()
-    ss_tot = float(np.dot(centered, centered))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(coef[1]), float(min(max(r2, 0.0), 1.0))
-
-
-def fit_rate(gaps) -> RateFit:
-    """Classify how a nonnegative gap sequence decays.
-
-    Gaps below -1e-12 are rejected; small negative noise is clipped to
-    zero. If any gap reaches 1e-14 the sequence terminated for practical
-    purposes and the regime is ``"finite"``. Otherwise a geometric decay
-    (log-gap against t) and a power-law decay (log-gap against log t)
-    are fitted by least squares on the trailing half of the sequence, and
-    the regime with the higher goodness of fit wins; if neither reaches
-    0.9, or fewer than 5 tail points exist, the verdict is
-    ``"inconclusive"``.
-    """
-    r = np.asarray(gaps, dtype=np.float64)
-    if r.ndim != 1:
-        raise ValueError("gap sequence must be 1-D")
-    if np.any(r < -1e-12):
-        raise ValueError("gap sequence has negative entries beyond noise level")
-    r = np.maximum(r, 0.0)
-
-    hits = np.flatnonzero(r <= 1e-14)
-    if len(hits):
-        t0 = int(hits[0])
-        return RateFit("finite", None, None, 1.0, (t0, len(r) - 1))
-
-    start = len(r) - max(int(np.ceil(_TAIL_FRACTION * len(r))), 1)
-    t = np.arange(len(r), dtype=np.float64)[start:]
-    tail = r[start:]
-    window = (start, len(r) - 1)
-    if len(tail) < 5:
-        return RateFit("inconclusive", None, None, 0.0, window)
-
-    log_tail = np.log(tail)
-    lin_slope, lin_r2 = _least_squares_line(t, log_tail)
-    positive = t > 0
-    if positive.sum() >= 5:
-        sub_slope, sub_r2 = _least_squares_line(np.log(t[positive]), log_tail[positive])
-    else:
-        sub_slope, sub_r2 = 0.0, -1.0
-
-    if max(lin_r2, sub_r2) < 0.9:
-        return RateFit("inconclusive", None, None, max(lin_r2, sub_r2, 0.0), window)
-    if lin_r2 >= sub_r2:
-        return RateFit("linear", -lin_slope, None, lin_r2, window)
-    return RateFit("sublinear", None, -sub_slope, sub_r2, window)

@@ -22,7 +22,10 @@ The adaptive predicates come in a strict and a relaxed form:
 
 The adaptive schemes do not fire before a period has ``min_period``
 iterations (default 2: right after a restart ``z - y`` vanishes and the
-cosine tests are degenerate). ``label`` names a scheme in the CLI's CSVs.
+cosine tests are degenerate). At theory stepsizes they do not adapt: on
+the lasso instances of ``configs/check.yaml`` all three restart every
+``min_period`` iterations, and the function-value test with ``rho = 1``
+never fires. ``label`` names a scheme in the CLI's CSVs.
 """
 
 from __future__ import annotations

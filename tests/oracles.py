@@ -3,11 +3,13 @@
 Nothing here reuses the closed forms under test: the prox oracle minimizes
 the defining objective by golden-section search, and the gradient oracle
 uses central finite differences. ``prefix_iterates`` recovers a run's
-iterates from the solver's determinism alone, and ``same_dataset``
-compares two datasets bit for bit.
+iterates from the solver's determinism alone, ``same_dataset``
+compares two datasets bit for bit, and ``fit_rate`` classifies checkpoint
+gap sequences into the finite / linear / sublinear regimes that the local
+sharpness exponent of the objective induces.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,3 +92,83 @@ def same_dataset(a, b):
              (a.labels, b.labels))
     return (a.name == b.name and A.shape == B.shape
             and all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in pairs))
+
+
+@dataclass(frozen=True)
+class RateFit:
+    """Asymptotic regime of a checkpoint gap sequence.
+
+    ``regime`` is one of ``"finite"``, ``"linear"``, ``"sublinear"`` or
+    ``"inconclusive"``. For the linear regime ``rate`` is the decay
+    constant in ``gap_t ~ exp(-rate * t)``; for the sublinear regime
+    ``exponent`` is ``p`` in ``gap_t ~ t^(-p)``. ``r_squared`` is the
+    winning fit's goodness on the tail window.
+    """
+
+    regime: str
+    rate: float | None
+    exponent: float | None
+    r_squared: float
+    window: tuple[int, int]
+
+
+def _least_squares_line(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Fit v ~ a + b u; return (slope, r_squared)."""
+    A = np.column_stack([np.ones_like(u), u])
+    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
+    resid = v - A @ coef
+    ss_res = float(np.dot(resid, resid))
+    centered = v - v.mean()
+    ss_tot = float(np.dot(centered, centered))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(coef[1]), float(min(max(r2, 0.0), 1.0))
+
+
+#: share of a gap sequence, at its end, on which :func:`fit_rate` fits the decay
+_TAIL_FRACTION = 0.5
+
+
+def fit_rate(gaps) -> RateFit:
+    """Classify how a nonnegative gap sequence decays.
+
+    Gaps below -1e-12 are rejected; small negative noise is clipped to
+    zero. If any gap reaches 1e-14 the sequence terminated for practical
+    purposes and the regime is ``"finite"``. Otherwise a geometric decay
+    (log-gap against t) and a power-law decay (log-gap against log t)
+    are fitted by least squares on the trailing half of the sequence, and
+    the regime with the higher goodness of fit wins; if neither reaches
+    0.9, or fewer than 5 tail points exist, the verdict is
+    ``"inconclusive"``.
+    """
+    r = np.asarray(gaps, dtype=np.float64)
+    if r.ndim != 1:
+        raise ValueError("gap sequence must be 1-D")
+    if np.any(r < -1e-12):
+        raise ValueError("gap sequence has negative entries beyond noise level")
+    r = np.maximum(r, 0.0)
+
+    hits = np.flatnonzero(r <= 1e-14)
+    if len(hits):
+        t0 = int(hits[0])
+        return RateFit("finite", None, None, 1.0, (t0, len(r) - 1))
+
+    start = len(r) - max(int(np.ceil(_TAIL_FRACTION * len(r))), 1)
+    t = np.arange(len(r), dtype=np.float64)[start:]
+    tail = r[start:]
+    window = (start, len(r) - 1)
+    if len(tail) < 5:
+        return RateFit("inconclusive", None, None, 0.0, window)
+
+    log_tail = np.log(tail)
+    lin_slope, lin_r2 = _least_squares_line(t, log_tail)
+    positive = t > 0
+    if positive.sum() >= 5:
+        sub_slope, sub_r2 = _least_squares_line(np.log(t[positive]), log_tail[positive])
+    else:
+        sub_slope, sub_r2 = 0.0, -1.0
+
+    if max(lin_r2, sub_r2) < 0.9:
+        return RateFit("inconclusive", None, None, max(lin_r2, sub_r2, 0.0), window)
+    if lin_r2 >= sub_r2:
+        return RateFit("linear", -lin_slope, None, lin_r2, window)
+    return RateFit("sublinear", None, -sub_slope, sub_r2, window)

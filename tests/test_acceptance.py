@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import fd_gradient, prefix_iterates, prox_oracle, same_dataset
+from oracles import fd_gradient, fit_rate, prefix_iterates, prox_oracle, same_dataset
 from proxrestart import (
     CsrMatrix,
     ElasticNet,
@@ -31,7 +31,6 @@ from proxrestart import (
     SolverConfig,
     SquaredL2,
     Zero,
-    fit_rate,
     generate_synthetic,
     gradient_mapping,
     lasso_l1_weight,

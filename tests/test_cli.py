@@ -447,6 +447,35 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# each number field, set to v in a config that reads it
+NUMBER_FIELDS = {
+    "alpha": lambda d, v: d["problem"].update(objective="logistic_ncvx", alpha=v),
+    "mu": lambda d, v: d["problem"]["regularizer"].update(mu=v),
+    "mu1": lambda d, v: d["problem"].update(regularizer={"kind": "elastic_net", "mu1": v,
+                                                         "mu2": 0.1}),
+    "mu2": lambda d, v: d["problem"].update(regularizer={"kind": "elastic_net", "mu1": 0.1,
+                                                         "mu2": v}),
+    "beta": lambda d, v: d["solvers"][0].update(stepsize_mode="custom", beta=v),
+    "tolerance": lambda d, v: d["solvers"][0].update(tolerance=v),
+    "lambda_factor": lambda d, v: d["solvers"][0].update(lambda_factor=v),
+    "rho": lambda d, v: d["solvers"][0].update(scheme={"kind": "function_value", "rho": v}),
+    "tau": lambda d, v: d["solvers"][0].update(scheme={"kind": "gradient_mapping", "tau": v}),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_nonfinite_numbers_are_config_errors(tmp_path, capsys, field, value):
+    doc = base_config()
+    doc["problem"]["dataset"].update(kind="logistic_sep")  # labels the logistic loss takes
+    NUMBER_FIELDS[field](doc, value)
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f".{field}: must be a finite number" in err
+    assert not (tmp_path / "o").exists()
+
+
 POSITIVE_LIPSCHITZ = "solver 'demo': {} stepsizes need a positive finite Lipschitz estimate, got {}"
 INF_LIPSCHITZ_EXPERIMENT = "solver 'demo': experiment stepsizes need a finite Lipschitz estimate, got inf"
 OVERFLOW = "1 1:1e308 2:1e308\n-1 1:-1e308 2:5e307\n"

@@ -3,20 +3,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import fit_rate
 from proxrestart import (
     FixedRestart,
     L1,
+    LogisticObjective,
     QuadraticObjective,
     CsrMatrix,
     SolverConfig,
     Zero,
     check_invariants,
-    fit_rate,
     generate_synthetic,
     lasso_l1_weight,
     path_length_summary,
     run,
+    spmv,
 )
+from proxrestart import linalg
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +186,60 @@ def test_variable_sequence_rate_is_linear_on_lasso(lasso_trace, lasso_solve):
     assert dists[-1] <= dists[0]  # the trajectory approaches its own final iterate
     fit = fit_rate(dists[:-1])  # last entry is identically zero
     assert fit.regime in ("linear", "finite")
+
+
+# --- theory mode under an irregular schedule ------------------------------------
+
+PERIODS = (1, 3, 7, 2, 50, 1, 1, 12, 5)
+
+
+class ListedRestart:
+    """Ends periods of the lengths in ``PERIODS``, cycling through the list.
+
+    At theory stepsizes the bundled adaptive schemes restart every
+    ``min_period`` iterations; this schedule varies the period length.
+    """
+
+    def __init__(self, max_iters):
+        self.ends = set(np.cumsum(np.resize(PERIODS, max_iters)).tolist())
+
+    def should_restart(self, obs):
+        return obs.k + 1 in self.ends
+
+
+def lasso_instance():
+    ds = generate_synthetic("lasso_known", 200, 30, seed=0)
+    return QuadraticObjective(ds.features, ds.labels), L1(lasso_l1_weight(ds))
+
+
+def logistic_instance():
+    ds = generate_synthetic("logistic_sep", 200, 30, seed=0)
+    return LogisticObjective(ds.features, ds.labels, alpha=0.01), L1(0.01)
+
+
+def split_logistic_instance():
+    """40 000 x 300 with 184 000 entries: both the products and the row passes split."""
+    n, d, nnz = 40_000, 300, 184_000
+    assert n >= linalg._SPLIT_MIN_ROWS and nnz >= linalg._SPLIT_MIN_NNZ
+    rng = np.random.default_rng(0)
+    flat = np.sort(rng.choice(n * d, nnz, replace=False))
+    row_ptr = np.concatenate(([0], np.cumsum(np.bincount(flat // d, minlength=n))))
+    A = CsrMatrix(n, d, row_ptr, flat % d, 10.0 * rng.standard_normal(nnz))
+    # planted labels, so that the L1 solution is not zero and the margins not vacuous
+    labels = np.where(spmv(A, rng.standard_normal(d)) >= 0.0, 1.0, -1.0)
+    return LogisticObjective(A, labels, alpha=0.01), L1(1e-3)
+
+
+@pytest.mark.parametrize("instance, max_iters", [
+    (lasso_instance, 1000), (logistic_instance, 1000), (split_logistic_instance, 300),
+])
+def test_theory_checks_pass_under_an_irregular_schedule(instance, max_iters):
+    objective, reg = instance()
+    cfg = SolverConfig(max_iters=max_iters, stepsize_mode="theory",
+                       scheme=ListedRestart(max_iters))
+    trace = run(objective, reg, cfg, np.zeros(objective.dim))
+    gaps = np.diff([p.checkpoint for p in trace.periods]).tolist()
+    assert len(gaps) >= 2 * len(PERIODS) and gaps == np.resize(PERIODS, len(gaps)).tolist()
+    # x must leave 0: on a run that stays there every margin is exactly minus the slack
+    assert trace.final_F < trace.F[0] and np.count_nonzero(trace.final_x) > 0
+    assert check_invariants(trace, trace.lipschitz).passed
