@@ -1,16 +1,16 @@
 """Convex regularizers with closed-form proximal maps.
 
-Each regularizer bundles three things the solvers and diagnostics need:
-the penalty value ``g(x)``, the proximal map
+All four are one separable penalty, ``g(x) = l1 ||x||_1 + (l2/2) ||x||^2``:
+``Zero`` has neither term, ``L1`` the first, ``SquaredL2`` the second and
+``ElasticNet`` both. An absent term is skipped; a zero weight is not, so
+``L1(0.0)`` still soft-thresholds, by 0. Each gives the value ``g(x)``, the
+proximal map (soft-threshold by ``eta * l1``, then divide by ``1 + eta * l2``)
 
     prox(x, eta) = argmin_z { g(z) + ||z - x||^2 / (2 eta) },
 
 and the exact Euclidean distance from zero to ``grad_f + dg(x)``, the
-subdifferential of the composite objective at ``x``. The supported
-penalties are separable (plus a quadratic), which is what makes the
-subdifferential distance computable coordinate-wise in closed form and
-turns the solver's stationarity bound into a checkable quantity rather
-than an abstract one.
+subdifferential of the composite objective at ``x``. Separability makes that
+distance closed-form per coordinate, so the solver's stationarity bound is checkable.
 
 Nonconvex penalties (such as the bounded ``x^2/(1+x^2)`` term used by the
 logistic benchmark) are smooth and belong to the objective side, not here.
@@ -24,17 +24,7 @@ import numpy as np
 
 from .linalg import _norm
 
-__all__ = [
-    "Zero",
-    "L1",
-    "SquaredL2",
-    "ElasticNet",
-    "gradient_mapping",
-]
-
-
-def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+__all__ = ["Zero", "L1", "SquaredL2", "ElasticNet", "gradient_mapping"]
 
 
 def _check_eta(eta: float) -> float:
@@ -44,23 +34,53 @@ def _check_eta(eta: float) -> float:
     return eta
 
 
-@dataclass(frozen=True)
-class Zero:
-    """No regularization: g(x) = 0, prox is the identity."""
+class _Separable:
+    """The penalty ``g`` above; a weight of None marks an absent term."""
+
+    def _set_weights(self, l1, l2):
+        object.__setattr__(self, "_l1", l1)
+        object.__setattr__(self, "_l2", l2)
 
     def value(self, x) -> float:
-        return 0.0
+        x = np.asarray(x, dtype=np.float64)
+        v = 0.0 if self._l1 is None else self._l1 * float(np.abs(x).sum())
+        if self._l2 is not None:
+            v += 0.5 * self._l2 * float(np.dot(x, x))
+        return v
 
     def prox(self, x, eta) -> np.ndarray:
-        _check_eta(eta)
-        return np.array(x, dtype=np.float64, copy=True)
+        eta = _check_eta(eta)
+        if self._l1 is None and self._l2 is None:
+            return np.array(x, dtype=np.float64, copy=True)
+        z = np.asarray(x, dtype=np.float64)
+        if self._l1 is not None:
+            z = np.sign(z) * np.maximum(np.abs(z) - eta * self._l1, 0.0)
+        if self._l2 is not None:
+            z = z / (1.0 + eta * self._l2)
+        return z
 
     def subdiff_distance(self, grad_f, x) -> float:
-        return _norm(np.asarray(grad_f, dtype=np.float64))
+        r = np.asarray(grad_f, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
+        if self._l1 is not None:
+            # At x_i = 0 the subdifferential of l1 |x_i| is [-l1, l1]; elsewhere l1 sign(x_i).
+            r = np.where(x == 0.0, np.maximum(np.abs(r) - self._l1, 0.0),
+                         r + self._l1 * np.sign(x))
+        if self._l2 is not None:
+            r = r + self._l2 * x
+        return _norm(r)
 
 
 @dataclass(frozen=True)
-class L1:
+class Zero(_Separable):
+    """No regularization: g(x) = 0, prox is the identity."""
+
+    def __post_init__(self):
+        self._set_weights(None, None)
+
+
+@dataclass(frozen=True)
+class L1(_Separable):
     """g(x) = mu * ||x||_1 (soft-threshold prox)."""
 
     mu: float
@@ -68,30 +88,11 @@ class L1:
     def __post_init__(self):
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-
-    def value(self, x) -> float:
-        return self.mu * float(np.abs(x).sum())
-
-    def prox(self, x, eta) -> np.ndarray:
-        eta = _check_eta(eta)
-        return _soft_threshold(np.asarray(x, dtype=np.float64), eta * self.mu)
-
-    def subdiff_distance(self, grad_f, x) -> float:
-        grad_f = np.asarray(grad_f, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        # At x_i = 0 the subdifferential is the interval [-mu, mu]; elsewhere
-        # it is the single point mu * sign(x_i).
-        at_zero = x == 0.0
-        r = np.where(
-            at_zero,
-            np.maximum(np.abs(grad_f) - self.mu, 0.0),
-            grad_f + self.mu * np.sign(x),
-        )
-        return _norm(r)
+        self._set_weights(self.mu, None)
 
 
 @dataclass(frozen=True)
-class SquaredL2:
+class SquaredL2(_Separable):
     """g(x) = (mu/2) * ||x||^2 (multiplicative shrinkage prox)."""
 
     mu: float
@@ -99,26 +100,12 @@ class SquaredL2:
     def __post_init__(self):
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        return 0.5 * self.mu * float(np.dot(x, x))
-
-    def prox(self, x, eta) -> np.ndarray:
-        eta = _check_eta(eta)
-        return np.asarray(x, dtype=np.float64) / (1.0 + eta * self.mu)
-
-    def subdiff_distance(self, grad_f, x) -> float:
-        return _norm(np.asarray(grad_f, dtype=np.float64) + self.mu * np.asarray(x))
+        self._set_weights(None, self.mu)
 
 
 @dataclass(frozen=True)
-class ElasticNet:
-    """g(x) = mu1 * ||x||_1 + (mu2/2) * ||x||^2.
-
-    The prox composes exactly: soft-threshold by ``eta * mu1``, then scale
-    by ``1 / (1 + eta * mu2)``.
-    """
+class ElasticNet(_Separable):
+    """g(x) = mu1 * ||x||_1 + (mu2/2) * ||x||^2."""
 
     mu1: float
     mu2: float
@@ -126,25 +113,7 @@ class ElasticNet:
     def __post_init__(self):
         if self.mu1 < 0 or self.mu2 < 0:
             raise ValueError("weights must be nonnegative")
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        return self.mu1 * float(np.abs(x).sum()) + 0.5 * self.mu2 * float(np.dot(x, x))
-
-    def prox(self, x, eta) -> np.ndarray:
-        eta = _check_eta(eta)
-        return _soft_threshold(np.asarray(x, dtype=np.float64), eta * self.mu1) / (1.0 + eta * self.mu2)
-
-    def subdiff_distance(self, grad_f, x) -> float:
-        grad_f = np.asarray(grad_f, dtype=np.float64)
-        x = np.asarray(x, dtype=np.float64)
-        at_zero = x == 0.0
-        r = np.where(
-            at_zero,
-            np.maximum(np.abs(grad_f) - self.mu1, 0.0),
-            grad_f + self.mu1 * np.sign(x) + self.mu2 * x,
-        )
-        return _norm(r)
+        self._set_weights(self.mu1, self.mu2)
 
 
 def gradient_mapping(reg, eta: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ iterations (default 2: right after a restart ``z - y`` vanishes and the
 cosine tests are degenerate). At theory stepsizes they do not adapt: on
 the lasso instances of ``configs/check.yaml`` all three restart every
 ``min_period`` iterations, and the function-value test with ``rho = 1``
-never fires. ``label`` names a scheme in the CLI's CSVs.
+never fires. ``label`` names a scheme in the CLI's CSVs; an adaptive
+scheme's label shows ``min_period`` when it is not the default.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ class _Adaptive:
             return False
         return self._fire(obs)
 
+    @property
+    def _period(self) -> str:
+        # "; " and not ", ": the label is a field of the CLI's unquoted CSVs
+        return "" if self.min_period == 2 else f"; min_period={self.min_period}"
+
 
 @dataclass(frozen=True)
 class FixedRestart:
@@ -124,7 +130,7 @@ class FunctionValueRestart(_Adaptive):
 
     @property
     def label(self) -> str:
-        return f"function_value(rho={self.rho})"
+        return f"function_value(rho={self.rho}{self._period})"
 
     def _fire(self, obs: RestartObservation) -> bool:
         if self.rho < 1.0 and obs.F_prev < 0.0:
@@ -151,7 +157,7 @@ class GradientMappingRestart(_Cosine):
 
     @property
     def label(self) -> str:
-        return f"gradient_mapping(tau={self.tau})"
+        return f"gradient_mapping(tau={self.tau}{self._period})"
 
     def _fire(self, obs: RestartObservation) -> bool:
         return _cosine_fire(obs.z_k - obs.y_k, obs.y_next - obs.z_k, self.tau)
@@ -164,7 +170,7 @@ class NonMonotoneRestart(_Cosine):
 
     @property
     def label(self) -> str:
-        return f"non_monotone(tau={self.tau})"
+        return f"non_monotone(tau={self.tau}{self._period})"
 
     def _fire(self, obs: RestartObservation) -> bool:
         target = obs.y_next - 0.5 * (obs.z_k + obs.x_k)

@@ -209,7 +209,12 @@ class LipschitzError(ValueError):
 
 
 def momentum_coefficient(k: int, checkpoint: int) -> float:
-    """Momentum weight 2 / (k - checkpoint + 2); equals 1 at the checkpoint."""
+    """Momentum weight 2 / (k - checkpoint + 2); equals 1 at the checkpoint.
+
+    Iteration ``k`` of a solver calls it with ``k + 1``, so the weight a
+    step uses is ``2 / (k - checkpoint + 3)``, 2/3 on a period's first
+    iteration; the value 1 is never used.
+    """
     if k < checkpoint:
         raise ValueError(f"iteration {k} precedes checkpoint {checkpoint}")
     return 2.0 / (k - checkpoint + 2.0)

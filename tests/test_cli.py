@@ -649,13 +649,16 @@ def test_only_logistic_runs_import_scipy_special(tmp_path):
 
 BENCH = os.path.join(os.path.dirname(CONFIGS), "perfbench")
 TRACED_LAYERS = ("linalg.spmv", "linalg.spmv_transpose", "linalg.CsrMatrix",
-                 "regularizers.prox", "restart.should_restart", "solver.run")
+                 "regularizers.value", "regularizers.prox", "regularizers.subdiff_distance",
+                 "regularizers.gradient_mapping", "restart.should_restart", "solver.run")
 
 
 def test_bench_tracer_sees_every_layer(tmp_path):
     # perfbench/tracing.py wraps package names from outside the package; a
     # renamed or bypassed one would read as a layer that costs nothing. The
     # wrappers patch classes for the whole interpreter, hence the subprocess.
+    # A method wrapped twice (say through a base class the public classes
+    # share) would show as a span directly inside a span of its own name.
     cfg = write_config(tmp_path, base_config())
     code = f"""if True:
         import collections, json, sys
@@ -666,8 +669,11 @@ def test_bench_tracer_sees_every_layer(tmp_path):
         tracing.instrument(tracer, full=True)
         code = cli.main(['check', '--config', {cfg!r}, '--out', {str(tmp_path / "o")!r},
                          '--quiet'])
-        spans = collections.Counter(tracer.names[i] for i in tracer.name_id)
-        print(json.dumps({{'exit': code, 'spans': spans}}))
+        names = [tracer.names[i] for i in tracer.name_id]
+        spans = collections.Counter(names)
+        nested = collections.Counter(name for name, p in zip(names, tracer.parent)
+                                     if p != tracing.ROOT and names[p] == name)
+        print(json.dumps({{'exit': code, 'spans': spans, 'nested': nested}}))
     """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
@@ -676,6 +682,7 @@ def test_bench_tracer_sees_every_layer(tmp_path):
     report = json.loads(result.stdout)
     assert report["exit"] == 0
     assert [name for name in TRACED_LAYERS if not report["spans"].get(name)] == [], report
+    assert report["nested"] == {}, report["nested"]
 
 
 def test_check_refuses_experiment_mode(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,3 +191,36 @@ def test_negative_weights_rejected():
         SquaredL2(-0.1)
     with pytest.raises(ValueError):
         ElasticNet(1.0, -2.0)
+
+
+# --- pinned bytes -------------------------------------------------------------
+
+# Signed zeros, a subnormal, tiny and large entries, and entries that sit
+# exactly on a soft threshold (0.35 = 0.5 * 0.7) or an interval end (|g| = mu).
+PIN_X = np.array([0.0, -0.0, 1e-12, -3e-9, 0.35, -0.7, 2.5, -1.0e8, 1.0e5, 5e-324, 0.0])
+PIN_G = np.array([0.7, -0.5, 3.0, -1e-3, 0.0, -0.0, 1e6, 0.2, -4.0, 1.3, -2.0])
+PIN_DIGESTS = {
+    "Zero()": "9d3a942700563d083452e43f20dd426baba2f73c1ffdd078b88cf09582256459",
+    "L1(mu=0.0)": "cc57cb750e6e0d546e9a81870f8ba4c7504aa2bf11f4ffb294e35146f82d8f87",
+    "L1(mu=0.7)": "bd96c61590e3d549c175c86e343a4224a9a8c0e930beb25278e4d0f12ba07cb0",
+    "SquaredL2(mu=0.0)": "9d3a942700563d083452e43f20dd426baba2f73c1ffdd078b88cf09582256459",
+    "SquaredL2(mu=1.3)": "69927ed5a5d539f0c386f4b7a9cf6b540778e9880afc9810327bc645394b00c1",
+    "ElasticNet(mu1=0.0, mu2=2.0)": "267741aadde064aba6f3a38047f34b1d7fb15e9b347c5b3ccc91bc65beb192f5",
+    "ElasticNet(mu1=0.5, mu2=0.0)": "224330413da696def6ff6d50461b9b647737500e1e5339f5c39fe7578a2885a3",
+    "ElasticNet(mu1=0.5, mu2=2.0)": "5c41b336220bea709efd5fe8bbd498d3cc07d060558f519e521d698cbf06edb6",
+}
+
+
+@pytest.mark.parametrize("reg", [
+    Zero(), L1(0.0), L1(0.7), SquaredL2(0.0), SquaredL2(1.3),
+    ElasticNet(0.0, 2.0), ElasticNet(0.5, 0.0), ElasticNet(0.5, 2.0),
+], ids=repr)
+def test_regularizer_bytes_are_pinned(reg):
+    # value, prox at two stepsizes and subdiff_distance, byte for byte
+    h = hashlib.sha256(np.float64(reg.value(PIN_X)).tobytes())
+    for eta in (0.5, 3.0):
+        z = reg.prox(PIN_X, eta)
+        assert z is not PIN_X
+        h.update(z.tobytes())
+    h.update(np.float64(reg.subdiff_distance(PIN_G, PIN_X)).tobytes())
+    assert h.hexdigest() == PIN_DIGESTS[repr(reg)], repr(reg)

@@ -133,10 +133,16 @@ def test_parameter_validation():
     (GradientMappingRestart(), "gradient_mapping(tau=-0.2)"),
     (NonMonotoneRestart(tau=0.0), "non_monotone(tau=0.0)"),
     (NeverRestart(), "never"),
+    # a non-default min_period changes how often a scheme restarts
+    (FunctionValueRestart(min_period=2), "function_value(rho=0.8)"),
+    (FunctionValueRestart(min_period=25), "function_value(rho=0.8; min_period=25)"),
+    (GradientMappingRestart(tau=0.0, min_period=1), "gradient_mapping(tau=0.0; min_period=1)"),
+    (NonMonotoneRestart(min_period=3), "non_monotone(tau=-0.2; min_period=3)"),
 ])
 def test_scheme_labels(scheme, label):
-    # the labels name the scheme in summary.csv, compare.csv and restart_counts.csv
-    assert scheme.label == label
+    # the labels name the scheme in summary.csv, compare.csv and restart_counts.csv,
+    # which quote no field
+    assert scheme.label == label and "," not in label
 
 
 # --- behavior inside real runs ----------------------------------------------
