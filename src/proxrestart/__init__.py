@@ -36,7 +36,6 @@ from .restart import (
 from .solver import (
     DivergenceError,
     LipschitzError,
-    PeriodRecord,
     SolverConfig,
     SolverState,
     SolverTrace,
@@ -56,7 +55,7 @@ __all__ = [
     "RestartObservation", "FixedRestart", "FunctionValueRestart",
     "GradientMappingRestart", "NonMonotoneRestart", "NeverRestart",
     "SolverConfig", "SolverState", "StepRecord", "SolverTrace",
-    "PeriodRecord", "DivergenceError", "LipschitzError", "momentum_coefficient",
+    "DivergenceError", "LipschitzError", "momentum_coefficient",
     "apg_restart_step", "run", "run_baseline",
     "InvariantReport", "check_invariants", "path_length_summary",
     "Dataset", "ParseError", "parse_libsvm", "load_libsvm",

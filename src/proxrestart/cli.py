@@ -14,7 +14,8 @@ Subcommands
 Configs are YAML with a ``schema_version`` key; see the README for the
 full schema. Exit codes: 0 success, 1 failed invariants in ``check``, 2
 invalid config, 3 unusable data, 4 any other error raised inside a cell
-(one line naming the solver, the seed and the exception). All CSV output
+(one line naming the solver, the seed and the exception) or an output
+that cannot be written (one line naming the exception). All CSV output
 is UTF-8 with LF line endings, and floats are written in shortest
 round-trip form, so reruns of the same config produce byte-identical
 files.
@@ -26,7 +27,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from collections import Counter
 
 import numpy as np
@@ -84,10 +84,11 @@ def _write_atomic(path, lines) -> None:
 
     The file is renamed into place only once every line is written, so a
     failure partway, in the line generator included, leaves no temporary
-    file and any earlier file at ``path`` as it was.
+    file and any earlier file at ``path`` as it was. Created with mode
+    0666 less the umask, the file gets the mode ``open(path, "w")`` gives.
     """
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)
@@ -488,7 +489,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except CellError as exc:
+    except (CellError, OSError) as exc:  # an OSError here failed to write an output
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -97,16 +97,14 @@ def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
         )
     L = float(lipschitz)
 
-    descent_m, subdiff_m = [], []
-    for t in range(1, len(trace.periods)):
-        # checkpoint objective values come from the iteration rows, so the
-        # verdict depends on the trace columns alone
-        F_prev = trace.F[trace.periods[t - 1].checkpoint]
-        F_curr = trace.F[trace.periods[t].checkpoint]
-        path_sq = trace.period_step_sq_sum(t - 1)
-        slack = CHECK_TOL * max(1.0, abs(F_prev))
-        descent_m.append(F_curr - (F_prev - 0.25 * L * path_sq) - slack)
-        subdiff_m.append(trace.periods[t].subdiff_dist ** 2 - 162.0 * L * L * path_sq - CHECK_TOL)
+    # checkpoint objectives come from the iteration rows: the verdict reads trace columns only
+    cp = trace.checkpoints
+    F_prev, F_curr = trace.F[cp[:-1]], trace.F[cp[1:]]
+    path_sq = np.array([trace.period_step_sq_sum(t) for t in range(len(cp) - 1)])
+    slack = CHECK_TOL * np.maximum(1.0, np.abs(F_prev))
+    descent_m = F_curr - (F_prev - 0.25 * L * path_sq) - slack
+    # squared with libm's pow (float_power), the rounding the pinned report.csv margins carry
+    subdiff_m = np.float_power(trace.subdiff_dist[1:], 2) - 162.0 * L * L * path_sq - CHECK_TOL
 
     rate_lhs = float(np.dot(trace.grad_map_norm, trace.grad_map_norm)) / (256.0 * L)
     rate_margin = rate_lhs - (trace.F[0] - trace.final_F) - CHECK_TOL if len(trace) else float("-inf")
@@ -134,6 +132,6 @@ def path_length_summary(trace: SolverTrace) -> tuple[tuple[int, float, float], .
     A running sum that stops growing is the empirical signature of a
     finite total path, and hence of iterate convergence.
     """
-    lengths = [np.sqrt(trace.period_step_sq_sum(t)) for t in range(len(trace.periods))]
+    lengths = [np.sqrt(trace.period_step_sq_sum(t)) for t in range(len(trace.checkpoints))]
     return tuple((t, float(length), float(total))
                  for t, (length, total) in enumerate(zip(lengths, np.cumsum(lengths))))

@@ -41,9 +41,9 @@ restart branch. Restarting re-synchronizes ``y`` with the newest iterate
 and resets the momentum weight, which suppresses extrapolation overshoot;
 no computed step is ever discarded.
 
-A run returns a :class:`SolverTrace`: per-iteration scalars, one record
-per period, and of the iterates only the last; runs are deterministic,
-so any other iterate is the last one of a shorter run.
+A run returns a :class:`SolverTrace`: per-iteration and per-period
+arrays, and of the iterates only the last; runs are deterministic, so
+any other iterate is the last one of a shorter run.
 
 Stepsize modes:
 
@@ -82,7 +82,6 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "StepRecord",
-    "PeriodRecord",
     "SolverTrace",
     "DivergenceError",
     "LipschitzError",
@@ -122,20 +121,6 @@ class SolverConfig:
             raise ValueError("tolerance must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PeriodRecord:
-    """Per-period summary row; period ``t`` is ``trace.periods[t]``.
-
-    ``subdiff_dist`` is the exact distance from zero to the composite
-    subdifferential at the checkpoint iterate, whose objective is
-    ``trace.F[checkpoint]`` (``final_F`` in a run of zero iterations).
-    The period's path length is ``sqrt(trace.period_step_sq_sum(t))``.
-    """
-
-    checkpoint: int
-    subdiff_dist: float
-
-
 class SolverTrace:
     """Complete per-iteration and per-period record of one solver run.
 
@@ -148,9 +133,15 @@ class SolverTrace:
     ``restart_flags``  True where the restart branch ran
     ``lam``, ``beta``, ``alpha_next``  stepsizes and momentum weight used
 
-    ``periods`` holds one :class:`PeriodRecord` per (possibly partial)
-    period. Of the iterates the trace keeps only the last, ``final_x``:
-    rerun with a smaller ``max_iters`` (runs are deterministic) or step
+    Period arrays (one entry per period, the last possibly partial):
+
+    ``checkpoints``    iteration that opened the period; the first is 0
+    ``subdiff_dist``   exact distance from zero to the composite
+                       subdifferential at that iteration's iterate
+
+    Period ``t``'s path length is ``sqrt(period_step_sq_sum(t))``. Of the
+    iterates the trace keeps only the last, ``final_x``: rerun with a
+    smaller ``max_iters`` (runs are deterministic) or step
     :func:`apg_restart_step` by hand to see others, a checkpoint's
     included. The solver never touches a trace after returning it; its
     arrays are ordinary writable numpy arrays, so a caller that writes
@@ -159,8 +150,8 @@ class SolverTrace:
     """
 
     def __init__(self, algorithm, stepsize_mode, lipschitz, F, grad_map_norm,
-                 step_norm, restart_flags, lam, beta, alpha_next, periods,
-                 final_x, final_F, prox_calls):
+                 step_norm, restart_flags, lam, beta, alpha_next, checkpoints,
+                 subdiff_dist, final_x, final_F, prox_calls):
         self.algorithm = algorithm
         self.stepsize_mode = stepsize_mode
         self.lipschitz = lipschitz
@@ -171,7 +162,8 @@ class SolverTrace:
         self.lam = np.asarray(lam, dtype=np.float64)
         self.beta = np.asarray(beta, dtype=np.float64)
         self.alpha_next = np.asarray(alpha_next, dtype=np.float64)
-        self.periods = tuple(periods)
+        self.checkpoints = np.asarray(checkpoints, dtype=np.int64)
+        self.subdiff_dist = np.asarray(subdiff_dist, dtype=np.float64)
         self.final_x = np.asarray(final_x, dtype=np.float64)
         self.final_F = float(final_F)
         self.prox_calls = int(prox_calls)
@@ -186,9 +178,8 @@ class SolverTrace:
 
     def period_step_sq_sum(self, t: int) -> float:
         """Sum of squared step norms over period ``t``, from iteration rows."""
-        start = self.periods[t].checkpoint
-        end = self.periods[t + 1].checkpoint if t + 1 < len(self.periods) else len(self)
-        seg = self.step_norm[start:end]
+        end = self.checkpoints[t + 1] if t + 1 < len(self.checkpoints) else len(self)
+        seg = self.step_norm[self.checkpoints[t]:end]
         return float(np.dot(seg, seg))
 
 
@@ -388,9 +379,8 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
     def build(final_x, final_F):
         n = len(rows)
         columns = list(zip(*rows))[:7] if n else [()] * 7
-        periods = [PeriodRecord(*opening) for opening in openings]
         return SolverTrace(algorithm, cfg.stepsize_mode, lipschitz, *columns,
-                           periods, final_x, final_F, prox_per_iter * n)
+                           *zip(*openings), final_x, final_F, prox_per_iter * n)
 
     for k in range(cfg.max_iters):
         x = state.x

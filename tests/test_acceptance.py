@@ -31,6 +31,7 @@ from proxrestart import (
     SolverConfig,
     SquaredL2,
     Zero,
+    check_invariants,
     generate_synthetic,
     gradient_mapping,
     lasso_l1_weight,
@@ -88,7 +89,12 @@ def theory_grid():
 
 
 def checkpoint_values(trace):
-    return [trace.F[p.checkpoint] for p in trace.periods]
+    return trace.F[trace.checkpoints]
+
+
+def reported_worst(trace, L, name):
+    """``check_invariants``' worst margin for check ``name``; the loops below must match it."""
+    return {c.name: c.worst_margin for c in check_invariants(trace, L).checks}[name]
 
 
 def test_criterion_01_period_descent(theory_grid):
@@ -96,10 +102,13 @@ def test_criterion_01_period_descent(theory_grid):
     worst = -np.inf
     for (obj_kind, scheme, seed), (trace, L) in cells.items():
         values = checkpoint_values(trace)
-        for t in range(1, len(trace.periods)):
+        cell_worst = -np.inf
+        for t in range(1, len(trace.checkpoints)):
             path_sq = trace.period_step_sq_sum(t - 1)
             slack = 1e-9 * max(1.0, abs(values[t - 1]))
-            worst = max(worst, values[t] - (values[t - 1] - 0.25 * L * path_sq) - slack)
+            cell_worst = max(cell_worst, values[t] - (values[t - 1] - 0.25 * L * path_sq) - slack)
+        assert cell_worst == reported_worst(trace, L, "period_descent")
+        worst = max(worst, cell_worst)
     ok = worst <= 0.0 and elapsed < 60.0
     verdict(1, "period-wise descent", ok,
             f"(worst margin {worst:.3e}, grid built in {elapsed:.1f}s)")
@@ -109,10 +118,13 @@ def test_criterion_02_subdifferential_bound(theory_grid):
     cells, _ = theory_grid
     worst = -np.inf
     for (_, _, _), (trace, L) in cells.items():
-        for t in range(1, len(trace.periods)):
+        dists = trace.subdiff_dist.tolist()
+        cell_worst = -np.inf
+        for t in range(1, len(dists)):
             path_sq = trace.period_step_sq_sum(t - 1)
-            worst = max(worst,
-                        trace.periods[t].subdiff_dist ** 2 - 162.0 * L * L * path_sq - 1e-9)
+            cell_worst = max(cell_worst, dists[t] ** 2 - 162.0 * L * L * path_sq - 1e-9)
+        assert cell_worst == reported_worst(trace, L, "subdiff_bound")
+        worst = max(worst, cell_worst)
     verdict(2, "checkpoint subdifferential bound", worst <= 0.0,
             f"(worst margin {worst:.3e})")
 
@@ -133,7 +145,7 @@ def test_criterion_04_finite_path_length():
     objective = QuadraticObjective(ds.features, ds.labels)
     cfg = SolverConfig(max_iters=50000, stepsize_mode="theory", scheme=FixedRestart(10))
     trace = run(objective, L1(lasso_l1_weight(ds)), cfg, np.zeros(D))
-    lengths = [np.sqrt(trace.period_step_sq_sum(t)) for t in range(len(trace.periods))]
+    lengths = [np.sqrt(trace.period_step_sq_sum(t)) for t in range(len(trace.checkpoints))]
     tail_increment = float(np.sum(lengths[-50:]))
     elapsed = time.perf_counter() - t0
     ok = tail_increment < 1e-8 and elapsed < 30.0

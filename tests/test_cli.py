@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import weakref
@@ -261,6 +262,38 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
         cli._write_atomic(str(path), cli._csv_lines(("a", "b"), blocks()))
     assert os.listdir(tmp_path) == ["table.csv"]
     assert path.read_bytes() == b"a,b\n7,8\n"
+
+
+@pytest.mark.parametrize("command, table", [("run", "summary.csv"), ("check", "report.csv")])
+@pytest.mark.parametrize("blocked", ["out_is_a_file", "table_is_a_directory"])
+def test_unwritable_output_exit_code(tmp_path, capsys, command, table, blocked):
+    # exit 1 means failed invariants only; an output that cannot be written exits 4 with one line
+    cfg = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    if blocked == "out_is_a_file":
+        out.write_bytes(b"")
+    else:
+        (out / table).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("command", ["run", "check", "compare"])
+def test_outputs_get_the_mode_the_umask_gives(tmp_path, command):
+    cfg = compare_config(tmp_path)
+    out = tmp_path / "out"
+    umask = os.umask(0o022)  # a umask under which the outputs must not be 0600
+    try:
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        with open(out / "reference", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    want = stat.S_IMODE((out / "reference").stat().st_mode)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert len(modes) > 2 and set(modes.values()) == {want}
 
 
 def test_columns_format_as_each_value_would():
@@ -702,8 +735,8 @@ def test_check_detects_injected_fault(tmp_path, monkeypatch, capsys):
 
     def corrupted_run(*args, **kwargs):
         trace = clean_run(*args, **kwargs)
-        if len(trace.periods) > 3:
-            trace.F[trace.periods[2].checkpoint] += 10.0
+        if len(trace.checkpoints) > 3:
+            trace.F[trace.checkpoints[2]] += 10.0
         return trace
 
     monkeypatch.setattr(cli, "run", corrupted_run)

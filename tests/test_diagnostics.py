@@ -49,7 +49,7 @@ def test_corrupted_objective_column_fails_descent(lasso_trace):
     assert report.passed
     saved = lasso_trace.F.copy()
     try:
-        k = lasso_trace.periods[7].checkpoint
+        k = lasso_trace.checkpoints[7]
         lasso_trace.F[k] += 0.5  # push the period-7 checkpoint value up
         bad = check_invariants(lasso_trace, lasso_trace.lipschitz)
         descent = {c.name: c for c in bad.checks}["period_descent"]
@@ -181,8 +181,8 @@ def test_fit_r_squared_range(rng):
 def test_variable_sequence_rate_is_linear_on_lasso(lasso_trace, lasso_solve):
     # distance-to-final-iterate regime matches the objective-gap regime; each
     # checkpoint iterate is the final iterate of the run cut at that checkpoint
-    dists = np.array([np.linalg.norm(lasso_solve(p.checkpoint).final_x - lasso_trace.final_x)
-                      for p in lasso_trace.periods])
+    dists = np.array([np.linalg.norm(lasso_solve(checkpoint).final_x - lasso_trace.final_x)
+                      for checkpoint in lasso_trace.checkpoints.tolist()])
     assert dists[-1] <= dists[0]  # the trajectory approaches its own final iterate
     fit = fit_rate(dists[:-1])  # last entry is identically zero
     assert fit.regime in ("linear", "finite")
@@ -238,7 +238,7 @@ def test_theory_checks_pass_under_an_irregular_schedule(instance, max_iters):
     cfg = SolverConfig(max_iters=max_iters, stepsize_mode="theory",
                        scheme=ListedRestart(max_iters))
     trace = run(objective, reg, cfg, np.zeros(objective.dim))
-    gaps = np.diff([p.checkpoint for p in trace.periods]).tolist()
+    gaps = np.diff(trace.checkpoints).tolist()
     assert len(gaps) >= 2 * len(PERIODS) and gaps == np.resize(PERIODS, len(gaps)).tolist()
     # x must leave 0: on a run that stays there every margin is exactly minus the slack
     assert trace.final_F < trace.F[0] and np.count_nonzero(trace.final_x) > 0

@@ -151,14 +151,14 @@ def test_fixed_scheme_gives_exact_periods(small_quadratic):
     for q in (3, 10, 25):
         cfg = SolverConfig(max_iters=200, stepsize_mode="theory", scheme=FixedRestart(q))
         trace = run(small_quadratic, Zero(), cfg, np.zeros(6))
-        gaps = np.diff([p.checkpoint for p in trace.periods])
+        gaps = np.diff(trace.checkpoints)
         assert np.all(gaps == q)
 
 
 def test_never_scheme_single_period(small_quadratic):
     cfg = SolverConfig(max_iters=150, stepsize_mode="theory", scheme=NeverRestart())
     trace = run(small_quadratic, Zero(), cfg, np.zeros(6))
-    assert len(trace.periods) == 1
+    assert len(trace.checkpoints) == 1
     assert trace.num_restarts == 0
     assert trace.restart_flags[0] and not trace.restart_flags[1:].any()
 
@@ -171,5 +171,5 @@ def test_never_scheme_single_period(small_quadratic):
 def test_min_period_holds_in_traces(scheme, small_quadratic):
     cfg = SolverConfig(max_iters=400, stepsize_mode="theory", scheme=scheme)
     trace = run(small_quadratic, Zero(), cfg, np.zeros(6))
-    gaps = np.diff([p.checkpoint for p in trace.periods])
+    gaps = np.diff(trace.checkpoints)
     assert len(gaps) == 0 or gaps.min() >= 3

@@ -1,6 +1,7 @@
 import hashlib
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -171,20 +172,35 @@ def test_checkpoint_values_strictly_decrease_on_lasso():
     obj = QuadraticObjective(ds.features, ds.labels)
     cfg = SolverConfig(max_iters=300, stepsize_mode="theory", scheme=FixedRestart(10))
     trace = run(obj, L1(lasso_l1_weight(ds)), cfg, np.zeros(12))
-    values = [trace.F[p.checkpoint] for p in trace.periods]
-    assert all(a > b for a, b in zip(values, values[1:]))
+    values = trace.F[trace.checkpoints]
+    assert np.all(values[:-1] > values[1:])
+
+
+def _solvers(objective, regularizer):
+    """The restart solver and each baseline, as ``solve(cfg, x_init)``."""
+    return [partial(run, objective, regularizer),
+            *(partial(run_baseline, kind, objective, regularizer) for kind in solver.BASELINES)]
+
+
+def _assert_period_arrays(trace):
+    assert trace.checkpoints.dtype == np.int64 and trace.subdiff_dist.dtype == np.float64
+    assert len(trace.checkpoints) == len(trace.subdiff_dist)
+    assert trace.checkpoints[0] == 0
+    if len(trace):
+        assert np.array_equal(trace.checkpoints, np.flatnonzero(trace.restart_flags))
 
 
 def test_zero_iterations_returns_init(small_quadratic):
     x0 = np.full(6, 0.3)
     cfg = SolverConfig(max_iters=0, stepsize_mode="theory")
-    trace = run(small_quadratic, Zero(), cfg, x0)
-    assert len(trace) == 0
-    assert len(trace.periods) == 1
-    assert np.array_equal(trace.final_x, x0)
-    # the one period opens at x0, whose objective is final_F
-    assert trace.periods[0].checkpoint == 0
-    assert trace.final_F == small_quadratic.value(x0)
+    for solve in _solvers(small_quadratic, Zero()):
+        trace = solve(cfg, x0)
+        assert len(trace) == 0
+        assert len(trace.checkpoints) == 1
+        assert np.array_equal(trace.final_x, x0)
+        # the one period opens at x0, whose objective is final_F
+        _assert_period_arrays(trace)
+        assert trace.final_F == small_quadratic.value(x0)
 
 
 def test_stopping_tolerance_cuts_run_short(small_quadratic):
@@ -454,12 +470,14 @@ def test_step_lam_stays_in_its_interval(lambda_factor, beta, since_restart, pend
 def test_subdiff_recorded_at_checkpoints(small_quadratic):
     reg = L1(0.05)
     cfg = SolverConfig(max_iters=60, stepsize_mode="theory", scheme=FixedRestart(15))
-    trace = run(small_quadratic, reg, cfg, np.zeros(6))
-    iterates = prefix_iterates(lambda c: run(small_quadratic, reg, c, np.zeros(6)), cfg)
-    for period in trace.periods:
-        point = iterates[period.checkpoint]
-        grad = small_quadratic.gradient(point)
-        assert period.subdiff_dist == pytest.approx(reg.subdiff_distance(grad, point), rel=1e-12)
+    for solve in _solvers(small_quadratic, reg):
+        trace = solve(cfg, np.zeros(6))
+        _assert_period_arrays(trace)
+        iterates = prefix_iterates(lambda c: solve(c, np.zeros(6)), cfg)
+        for checkpoint, subdiff in zip(trace.checkpoints, trace.subdiff_dist, strict=True):
+            point = iterates[checkpoint]
+            grad = small_quadratic.gradient(point)
+            assert subdiff == pytest.approx(reg.subdiff_distance(grad, point), rel=1e-12)
 
 
 def _count_matvecs(monkeypatch):
@@ -550,15 +568,16 @@ def _trace_fingerprint(trace, solve):
     for name in ("F", "grad_map_norm", "step_norm", "restart_flags", "lam", "beta",
                  "alpha_next", "final_x"):
         h.update(getattr(trace, name).tobytes())
-    ends = [p.checkpoint for p in trace.periods[1:]] + [len(trace)]
-    for t, (period, end) in enumerate(zip(trace.periods, ends, strict=True)):
+    checkpoints = trace.checkpoints.tolist()
+    ends = checkpoints[1:] + [len(trace)]
+    for t, (checkpoint, end) in enumerate(zip(checkpoints, ends, strict=True)):
         sq_sum = 0.0
-        for step in trace.step_norm[period.checkpoint:end]:
+        for step in trace.step_norm[checkpoint:end]:
             sq_sum += step * step
-        h.update(np.array([t, period.checkpoint], dtype=np.int64).tobytes())
-        h.update(np.array([trace.F[period.checkpoint], np.sqrt(sq_sum),
-                           period.subdiff_dist]).tobytes())
-        h.update(solve(period.checkpoint).final_x.tobytes())
+        h.update(np.array([t, checkpoint], dtype=np.int64).tobytes())
+        h.update(np.array([trace.F[checkpoint], np.sqrt(sq_sum),
+                           trace.subdiff_dist[t]]).tobytes())
+        h.update(solve(checkpoint).final_x.tobytes())
     h.update(np.array([trace.final_F, trace.lipschitz]).tobytes())
     h.update(np.array([trace.prox_calls, len(trace)], dtype=np.int64).tobytes())
     return h.hexdigest()
