@@ -93,9 +93,11 @@ def _write_atomic(path, lines) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the table, not tmp
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -326,6 +328,19 @@ def _run_cell(config: ExperimentConfig, spec: SolverSpec, instance):
     return run_baseline(spec.algorithm, objective, config.problem.regularizer, spec.config, x_init)
 
 
+def _grid(config: ExperimentConfig, seed_override):
+    return [(spec, seed) for spec in config.solvers
+            for seed in ([seed_override] if seed_override is not None else spec.seeds)]
+
+
+def _open_out(out_dir, tables) -> None:
+    """Create ``out_dir``; refuse, before any cell runs, a table name a directory holds."""
+    os.makedirs(out_dir, exist_ok=True)
+    for path in (os.path.join(out_dir, name) for name in tables):
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output table {path!r} is a directory")
+
+
 def _cells(config: ExperimentConfig, seed_override):
     """Run every (solver, seed) cell; yield ``(spec, seed, trace, status)``.
 
@@ -339,8 +354,7 @@ def _cells(config: ExperimentConfig, seed_override):
     :class:`ConfigError` or :class:`DataError` raised in a cell, building
     its instance included, as a :class:`CellError`.
     """
-    cells = [(spec, seed) for spec in config.solvers
-             for seed in ([seed_override] if seed_override is not None else spec.seeds)]
+    cells = _grid(config, seed_override)
     keys = [config.problem.describe(seed) for _, seed in cells]
     cells_left = Counter(keys)
     instances = {}  # key -> (dataset, objective), while cells on it remain
@@ -372,7 +386,8 @@ def _lowest_F(trace) -> float:
 
 def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=False):
     """Execute all cells; write per-cell traces and a summary. Returns 0."""
-    os.makedirs(out_dir, exist_ok=True)
+    _open_out(out_dir, [*(f"{spec.name}_seed{seed}.csv"
+                          for spec, seed in _grid(config, seed_override)), "summary.csv"])
     results = []  # what summary.csv reads of each cell, without its trace
     for spec, seed, trace, status in _cells(config, seed_override):
         columns = (np.arange(len(trace)), trace.F, trace.grad_map_norm, trace.step_norm,
@@ -404,7 +419,7 @@ def check_experiment(config: ExperimentConfig, out_dir, seed_override=None, quie
         if mode != "theory":
             raise ConfigError(f"solvers[{i}].stepsize_mode: invariant checks require 'theory' "
                               f"(got {mode!r}; experiment stepsizes carry no descent guarantee)")
-    os.makedirs(out_dir, exist_ok=True)
+    _open_out(out_dir, ["report.csv", "path_lengths.csv"])
     report_rows = []
     path_rows = []
     all_passed = True
@@ -436,7 +451,7 @@ def compare_experiment(config: ExperimentConfig, out_dir, seed_override=None, qu
     """Emit long-format loss-gap curves and restart counts across solvers."""
     if len(config.solvers) < 2:
         raise ConfigError("solvers: compare needs at least two solvers")
-    os.makedirs(out_dir, exist_ok=True)
+    _open_out(out_dir, ["compare.csv", "restart_counts.csv"])
     results = []  # each cell's F column, lowest F and restart count, without its trace
     for spec, seed, trace, _ in _cells(config, seed_override):
         results.append((spec.name, spec.config.scheme.label, seed, trace.F, _lowest_F(trace),

@@ -32,16 +32,13 @@ through ``scipy.special.expit`` and does not depend on that dispatch.
 module: it costs about 5 MB resident and 50 ms of start-up, which
 quadratic and robust runs and ``check`` on the lasso grid never use.
 
-Every loss has the form ``h(A x)``, so each objective offers
-``value_at(x, Ax)`` and ``gradient_at(x, Ax)``, which start from a
-product the caller already holds: the value then costs no matrix product
-and the gradient one transposed product. ``x`` is still passed because
-the logistic penalty reads it. ``value(x)`` and ``gradient(x)`` take
-``A @ x`` themselves. The restart solver carries ``A x`` and ``A y``
-through its iterations, so the ``A z`` it passes to ``gradient_at`` is a
-linear combination that can differ from a fresh product in the last
-bits; :mod:`proxrestart.solver` states why that error stays damped and
-how small it measured.
+Every loss has the form ``h(A x)``, so each objective offers one pair,
+``value(x, Ax)`` and ``gradient(x, Ax)``, which start from the product
+``Ax = spmv(A, x)`` the caller holds: the value then costs no matrix
+product and the gradient one transposed product (``x`` is passed for the
+logistic penalty). The solver carries ``A x`` and ``A y``, so the ``A z``
+it passes can differ from a fresh product in the last bits;
+:mod:`proxrestart.solver` states why that error stays damped.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import functools
 
 import numpy as np
 
-from .linalg import _SPLIT_MIN_ROWS, CsrMatrix, _split_rows, spectral_norm_sq, spmv, spmv_transpose
+from .linalg import _SPLIT_MIN_ROWS, CsrMatrix, _split_rows, spectral_norm_sq, spmv_transpose
 
 __all__ = [
     "LogisticObjective",
@@ -60,11 +57,11 @@ __all__ = [
 
 
 class _DataObjective:
-    """Shared plumbing: dimension checks, ``A @ x`` and the cached Lipschitz bound.
+    """Shared plumbing: the data checks and the cached Lipschitz bound.
 
-    Subclasses implement ``value_at(x, Ax)`` and ``gradient_at(x, Ax)``,
-    which trust ``Ax`` to be ``A @ x`` for a float64 ``x`` of length
-    ``dim``, and ``_lipschitz_from_spectrum(||A||_2^2)``.
+    Each subclass defines ``value(x, Ax)`` and ``gradient(x, Ax)``, which
+    trust ``Ax`` to be ``spmv(A, x)`` (``spmv`` refuses an ``x`` of the
+    wrong length), and ``_lipschitz_from_spectrum(||A||_2^2)``.
     """
 
     def __init__(self, A: CsrMatrix, b):
@@ -76,22 +73,7 @@ class _DataObjective:
         self.A = A
         self.b = b
         self.n = A.n_rows
-        self.dim = A.n_cols
         self._lipschitz: float | None = None
-
-    def _check_x(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise ValueError(f"objective expects dimension {self.dim}, got shape {x.shape}")
-        return x
-
-    def value(self, x) -> float:
-        x = self._check_x(x)
-        return self.value_at(x, spmv(self.A, x))
-
-    def gradient(self, x) -> np.ndarray:
-        x = self._check_x(x)
-        return self.gradient_at(x, spmv(self.A, x))
 
     def lipschitz(self) -> float:
         """Upper bound on the gradient's Lipschitz constant, computed once per objective.
@@ -158,7 +140,7 @@ class LogisticObjective(_DataObjective):
         self.alpha = float(alpha)
         self._neg_b = -self.b  # t = -b * Ax has the bits of -(b * Ax)
 
-    def value_at(self, x, Ax) -> float:
+    def value(self, x, Ax) -> float:
         # log(1 + e^t) = max(t, 0) + log1p(e^-|t|), stable for both signs of
         # t; computed in place so that, split or not, the pass keeps two
         # row-length temporaries. The sum is one call over all rows.
@@ -175,7 +157,7 @@ class LogisticObjective(_DataObjective):
         xsq = x * x
         return float(loss.sum()) / self.n + self.alpha * float((xsq / (1.0 + xsq)).sum())
 
-    def gradient_at(self, x, Ax) -> np.ndarray:
+    def gradient(self, x, Ax) -> np.ndarray:
         if self.n < _SPLIT_MIN_ROWS:
             w = _expit()(self._neg_b * Ax)
             w *= self._neg_b
@@ -199,11 +181,11 @@ class RobustRegressionObjective(_DataObjective):
     f(x) = (1/n) sum_i log((<a_i, x> - b_i)^2 / 2 + 1)
     """
 
-    def value_at(self, x, Ax) -> float:
+    def value(self, x, Ax) -> float:
         s = Ax - self.b
         return float(np.log1p(0.5 * s * s).sum()) / self.n
 
-    def gradient_at(self, x, Ax) -> np.ndarray:
+    def gradient(self, x, Ax) -> np.ndarray:
         s = Ax - self.b
         return spmv_transpose(self.A, s / (0.5 * s * s + 1.0)) / self.n
 
@@ -215,11 +197,11 @@ class RobustRegressionObjective(_DataObjective):
 class QuadraticObjective(_DataObjective):
     """Averaged least squares: f(x) = ||A x - b||^2 / (2 n)."""
 
-    def value_at(self, x, Ax) -> float:
+    def value(self, x, Ax) -> float:
         r = Ax - self.b
         return 0.5 * float(np.dot(r, r)) / self.n
 
-    def gradient_at(self, x, Ax) -> np.ndarray:
+    def gradient(self, x, Ax) -> np.ndarray:
         return spmv_transpose(self.A, Ax - self.b) / self.n
 
     def _lipschitz_from_spectrum(self, spec_sq: float) -> float:

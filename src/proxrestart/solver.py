@@ -177,7 +177,9 @@ class SolverTrace:
         return int(self.restart_flags[1:].sum())
 
     def period_step_sq_sum(self, t: int) -> float:
-        """Sum of squared step norms over period ``t``, from iteration rows."""
+        """Sum of squared step norms over period ``t``, ``0 <= t < len(checkpoints)``."""
+        if not 0 <= t < len(self.checkpoints):
+            raise IndexError(f"period {t} out of range for {len(self.checkpoints)} periods")
         end = self.checkpoints[t + 1] if t + 1 < len(self.checkpoints) else len(self)
         seg = self.step_norm[self.checkpoints[t]:end]
         return float(np.dot(seg, seg))
@@ -290,7 +292,7 @@ def apg_restart_step(state: SolverState, objective, regularizer,
         else:
             Az = np.empty(len(Ax))
             _split_rows(objective.A._cut, functools.partial(_carried_Az, alpha), Ax, Ay, Az)
-    grad_z = objective.gradient_at(z, Az)
+    grad_z = objective.gradient(z, Az)
     x_new = regularizer.prox(x - lam * grad_z, lam)
     G = (x - x_new) / lam
     if restarted:
@@ -304,7 +306,7 @@ def apg_restart_step(state: SolverState, objective, regularizer,
 
     y_new = z - beta * G
     Ax_new = spmv(objective.A, x_new)
-    F_new = objective.value_at(x_new, Ax_new) + regularizer.value(x_new)
+    F_new = objective.value(x_new, Ax_new) + regularizer.value(x_new)
     if len(Ax) < _SPLIT_MIN_ROWS:
         AG = Ax - Ax_new
         AG /= lam
@@ -370,7 +372,7 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
     beta, lipschitz = _resolve_beta(algorithm, objective, cfg)
     x = np.array(x_init, dtype=np.float64, copy=True)
     Ax = spmv(objective.A, x)
-    F_0 = objective.value_at(x, Ax) + regularizer.value(x)
+    F_0 = objective.value(x, Ax) + regularizer.value(x)
     F_cap = 1e12 * (1.0 + abs(F_0))
     state = SolverState(x, x.copy(), F_0, Ax, Ax)
     rows = []
@@ -399,7 +401,7 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
 
     if cfg.max_iters == 0:
         # record the initial checkpoint anyway
-        grad = objective.gradient_at(state.x, state.Ax)
+        grad = objective.gradient(state.x, state.Ax)
         openings.append((0, regularizer.subdiff_distance(grad, state.x)))
     return build(state.x, state.F)
 
@@ -415,8 +417,8 @@ def run(objective, regularizer, cfg: SolverConfig, x_init) -> SolverTrace:
 
     Parameters
     ----------
-    objective : objective with a data matrix ``A``, ``value_at``/``gradient_at``
-        and ``lipschitz``
+    objective : objective with a data matrix ``A``, ``value(x, Ax)``,
+        ``gradient(x, Ax)`` and ``lipschitz``
     regularizer : regularizer with ``value``/``prox``/``subdiff_distance``
     cfg : SolverConfig
     x_init : array of shape (dim,)
@@ -439,12 +441,12 @@ def run(objective, regularizer, cfg: SolverConfig, x_init) -> SolverTrace:
 def _prox_grad_step(state, objective, regularizer, cfg, eta):
     """One proximal gradient step with stepsize ``eta`` (the unaccelerated baseline)."""
     x, k = state.x, state.k
-    grad = objective.gradient_at(x, state.Ax)
+    grad = objective.gradient(x, state.Ax)
     subdiff = regularizer.subdiff_distance(grad, x) if k == 0 else None
     x_new = regularizer.prox(x - eta * grad, eta)
     step = _norm(x_new - x)
     Ax_new = spmv(objective.A, x_new)
-    F_new = objective.value_at(x_new, Ax_new) + regularizer.value(x_new)
+    F_new = objective.value(x_new, Ax_new) + regularizer.value(x_new)
     return (SolverState(x_new, x_new, F_new, Ax_new, Ax_new, k + 1),
             StepRecord(state.F, step / eta, step, k == 0, eta, eta, 0.0, subdiff))
 
@@ -460,13 +462,13 @@ def _ag_step(state, objective, regularizer, cfg, beta):
     alpha = momentum_coefficient(k + 1, 0)
     lam = beta * (1.0 + cfg.lambda_factor * alpha)
     z = y + alpha * (x - y)
-    grad_z = objective.gradient(z)
+    grad_z = objective.gradient(z, spmv(objective.A, z))
     subdiff = regularizer.subdiff_distance(grad_z, x) if k == 0 else None
     gnorm = _norm(gradient_mapping(regularizer, lam, z, grad_z))
     x_new = regularizer.prox(x - lam * grad_z, lam)
     y_new = regularizer.prox(z - beta * grad_z, lam)
     Ax_new = spmv(objective.A, x_new)
-    F_new = objective.value_at(x_new, Ax_new) + regularizer.value(x_new)
+    F_new = objective.value(x_new, Ax_new) + regularizer.value(x_new)
     step = _norm(x_new - x)
     return (SolverState(x_new, y_new, F_new, Ax_new, None, k + 1),
             StepRecord(state.F, gnorm, step, k == 0, lam, beta, alpha, subdiff))

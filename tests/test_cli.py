@@ -280,6 +280,49 @@ def test_unwritable_output_exit_code(tmp_path, capsys, command, table, blocked):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+@pytest.mark.parametrize("command, table, extra", [
+    ("run", "fixed_seed1.csv", []),
+    ("run", "fv_seed7.csv", ["--seed-override", "7"]),
+    ("run", "summary.csv", []),
+    ("check", "report.csv", []),
+    ("check", "path_lengths.csv", []),
+    ("compare", "compare.csv", []),
+    ("compare", "restart_counts.csv", []),
+])
+def test_table_taken_by_a_directory_fails_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                          command, table, extra):
+    calls = []
+
+    def no_cell(*args):
+        calls.append(args)
+        raise RuntimeError("a cell ran")
+
+    monkeypatch.setattr(cli, "run", no_cell)
+    cfg = compare_config(tmp_path)
+    out = tmp_path / "out"
+    (out / table).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet", *extra]) == 4
+    assert calls == []
+    assert capsys.readouterr().err == f"error: output table {str(out / table)!r} is a directory\n"
+
+
+def test_failed_rename_names_the_table(tmp_path, capsys, monkeypatch):
+    # the directory appears after the check that precedes the first cell, so the rename fails
+    cfg = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    clean_run = cli.run
+
+    def blocking_run(*args):
+        (out / "summary.csv").mkdir(exist_ok=True)
+        return clean_run(*args)
+
+    monkeypatch.setattr(cli, "run", blocking_run)
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    summary = str(out / "summary.csv")
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {summary!r}\n"
+    assert sorted(os.listdir(out)) == ["demo_seed1.csv", "summary.csv"]
+
+
 @pytest.mark.parametrize("command", ["run", "check", "compare"])
 def test_outputs_get_the_mode_the_umask_gives(tmp_path, command):
     cfg = compare_config(tmp_path)
@@ -682,6 +725,7 @@ def test_only_logistic_runs_import_scipy_special(tmp_path):
 
 BENCH = os.path.join(os.path.dirname(CONFIGS), "perfbench")
 TRACED_LAYERS = ("linalg.spmv", "linalg.spmv_transpose", "linalg.CsrMatrix",
+                 "objectives.value", "objectives.gradient",
                  "regularizers.value", "regularizers.prox", "regularizers.subdiff_distance",
                  "regularizers.gradient_mapping", "restart.should_restart", "solver.run")
 

@@ -237,7 +237,7 @@ def test_theory_checks_pass_under_an_irregular_schedule(instance, max_iters):
     objective, reg = instance()
     cfg = SolverConfig(max_iters=max_iters, stepsize_mode="theory",
                        scheme=ListedRestart(max_iters))
-    trace = run(objective, reg, cfg, np.zeros(objective.dim))
+    trace = run(objective, reg, cfg, np.zeros(objective.A.n_cols))
     gaps = np.diff(trace.checkpoints).tolist()
     assert len(gaps) >= 2 * len(PERIODS) and gaps == np.resize(PERIODS, len(gaps)).tolist()
     # x must leave 0: on a run that stays there every margin is exactly minus the slack

@@ -465,11 +465,11 @@ def test_concurrent_callers_get_the_reference_bytes(kernel):
     objective, v = rows_instance()  # its row passes split, its products do not
     Av = spmv(objective.A, v)
     want = (one_kernel_call(A._csr, x), one_kernel_call(A._transpose_csr(), y),
-            objective.gradient_at(v, Av).tobytes())
+            objective.gradient(v, Av).tobytes())
 
     def rounds(_):
         return [(spmv(A, x).tobytes(), spmv_transpose(A, y).tobytes(),
-                 objective.gradient_at(v, Av).tobytes()) for _ in range(100)]
+                 objective.gradient(v, Av).tobytes()) for _ in range(100)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -550,7 +550,7 @@ def logistic_bytes(objective, x):
     state = SolverState(x, x, trace.F[0], Ax, Ax)
     for _ in range(3):
         state, _ = apg_restart_step(state, objective, L1(1e-3), cfg)
-    return [np.float64(objective.value_at(x, Ax)).tobytes(), objective.gradient_at(x, Ax).tobytes(),
+    return [np.float64(objective.value(x, Ax)).tobytes(), objective.gradient(x, Ax).tobytes(),
             *(a.tobytes() for a in (trace.F, trace.grad_map_norm, trace.step_norm,
                                      trace.restart_flags, trace.final_x, state.Ay))]
 
@@ -577,27 +577,27 @@ def test_split_row_passes_give_the_same_bits(monkeypatch):
 def test_row_part_error_reaches_the_caller(monkeypatch, fail_in):
     objective, x = rows_instance()
     Ax = spmv(objective.A, x)
-    want = objective.value_at(x, Ax)
+    want = objective.value(x, Ax)
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
     parts = RowParts(monkeypatch)
     parts.fail_in = fail_in
     with pytest.raises(RuntimeError, match=f"row part failed in the {fail_in}"):
-        objective.value_at(x, Ax)
+        objective.value(x, Ax)
     # the worker has answered, so the next split pass gets its own reply
     parts.fail_in = None
     parts.calls.clear()
-    assert objective.value_at(x, Ax) == want
+    assert objective.value(x, Ax) == want
     assert sorted(thread for _, thread, _ in parts.calls) == ["caller", "worker"]
 
 
 def test_busy_worker_runs_the_row_pass_whole(monkeypatch):
     objective, x = rows_instance()
     Ax = spmv(objective.A, x)
-    want = objective.value_at(x, Ax)
+    want = objective.value(x, Ax)
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
     parts = RowParts(monkeypatch)
     with linalg._busy:  # another thread's split pass holds the worker
-        assert objective.value_at(x, Ax) == want
+        assert objective.value(x, Ax) == want
     assert parts.calls == [("_logistic_loss_terms", "caller", objective.n)]
 
 

@@ -74,7 +74,7 @@ def test_restart_every_iteration_is_gradient_descent(small_quadratic):
     lam = (1.0 + 2.0 / 3.0) / (8.0 * L)  # momentum weight is constant 2/3 at q=1
     x = np.zeros(6)
     for k in range(20):
-        x = x - lam * small_quadratic.gradient(x)
+        x = x - lam * small_quadratic.gradient(x, spmv(small_quadratic.A, x))
         assert np.linalg.norm(x - iterates[k + 1]) <= 1e-12
 
 
@@ -138,7 +138,7 @@ def test_prox_grad_is_gradient_descent_when_unregularized(small_quadratic):
     L = small_quadratic.lipschitz()
     x = np.zeros(6)
     for k in range(40):
-        x = x - small_quadratic.gradient(x) / L
+        x = x - small_quadratic.gradient(x, spmv(small_quadratic.A, x)) / L
         assert np.linalg.norm(x - iterates[k + 1]) <= 1e-12
 
 
@@ -176,6 +176,20 @@ def test_checkpoint_values_strictly_decrease_on_lasso():
     assert np.all(values[:-1] > values[1:])
 
 
+def test_period_step_sq_sum_refuses_a_period_out_of_range():
+    ds = generate_synthetic("lasso_known", 200, 30, seed=0)
+    cfg = SolverConfig(max_iters=30, stepsize_mode="theory", scheme=FixedRestart(10))
+    trace = run(QuadraticObjective(ds.features, ds.labels), L1(lasso_l1_weight(ds)), cfg,
+                np.zeros(30))
+    assert trace.checkpoints.tolist() == [0, 10, 20]
+    last = trace.step_norm[20:]
+    assert trace.period_step_sq_sum(2) == float(np.dot(last, last)) > 0.0
+    # numpy would read a negative t from the end; a period index never does
+    for t in (-1, -2, 3):
+        with pytest.raises(IndexError, match=rf"period {t} out of range for 3 periods"):
+            trace.period_step_sq_sum(t)
+
+
 def _solvers(objective, regularizer):
     """The restart solver and each baseline, as ``solve(cfg, x_init)``."""
     return [partial(run, objective, regularizer),
@@ -200,7 +214,7 @@ def test_zero_iterations_returns_init(small_quadratic):
         assert np.array_equal(trace.final_x, x0)
         # the one period opens at x0, whose objective is final_F
         _assert_period_arrays(trace)
-        assert trace.final_F == small_quadratic.value(x0)
+        assert trace.final_F == small_quadratic.value(x0, spmv(small_quadratic.A, x0))
 
 
 def test_stopping_tolerance_cuts_run_short(small_quadratic):
@@ -242,7 +256,8 @@ def test_diverged_trace_keeps_its_last_row_iterate(small_quadratic, algorithm):
         else:
             run_baseline(algorithm, small_quadratic, Zero(), cfg, np.zeros(6))
     trace = info.value.trace
-    assert small_quadratic.value(trace.final_x) == trace.F[-1]
+    x = trace.final_x
+    assert small_quadratic.value(x, spmv(small_quadratic.A, x)) == trace.F[-1]
     assert trace.final_F > 1e12 * (1.0 + abs(trace.F[0])) >= trace.F.max()
 
 
@@ -303,15 +318,16 @@ def test_step_restart_branch(small_quadratic):
     x0 = np.full(6, 0.5)
     cfg = SolverConfig(max_iters=10, stepsize_mode="theory")
     y0 = np.zeros(6)
-    state = SolverState(x=x0.copy(), y=y0, F=small_quadratic.value(x0),
-                        Ax=spmv(small_quadratic.A, x0), Ay=spmv(small_quadratic.A, y0))
+    Ax0 = spmv(small_quadratic.A, x0)
+    state = SolverState(x=x0.copy(), y=y0, F=small_quadratic.value(x0, Ax0),
+                        Ax=Ax0, Ay=spmv(small_quadratic.A, y0))
 
     new_state, rec = apg_restart_step(state, small_quadratic, Zero(), cfg)
     assert rec.restarted and rec.checkpoint_subdiff is not None
     assert new_state.k == 1 and new_state.checkpoint == 0
     # restart re-synchronizes: the step is taken from x, ignoring the stale y
     assert rec.grad_map_norm == pytest.approx(
-        np.linalg.norm(small_quadratic.gradient(x0)), rel=1e-12)
+        np.linalg.norm(small_quadratic.gradient(x0, Ax0)), rel=1e-12)
     # the input state is untouched
     assert state.k == 0 and state.pending_restart and np.array_equal(state.x, x0)
 
@@ -339,11 +355,11 @@ class ShiftedObjective:
     def __init__(self, inner, shift):
         self.inner, self.shift, self.A = inner, shift, inner.A
 
-    def value_at(self, x, Ax):
-        return self.inner.value_at(x, Ax) - self.shift
+    def value(self, x, Ax):
+        return self.inner.value(x, Ax) - self.shift
 
-    def gradient_at(self, x, Ax):
-        return self.inner.gradient_at(x, Ax)
+    def gradient(self, x, Ax):
+        return self.inner.gradient(x, Ax)
 
     def lipschitz(self):
         return self.inner.lipschitz()
@@ -454,7 +470,8 @@ def test_step_lam_stays_in_its_interval(lambda_factor, beta, since_restart, pend
     cfg = SolverConfig(max_iters=1, stepsize_mode="custom", beta=beta,
                        lambda_factor=lambda_factor)
     x, y = np.array([0.3]), np.array([0.1])
-    state = SolverState(x=x, y=y, F=objective.value(x), Ax=spmv(objective.A, x),
+    Ax = spmv(objective.A, x)
+    state = SolverState(x=x, y=y, F=objective.value(x, Ax), Ax=Ax,
                         Ay=spmv(objective.A, y), k=7 + since_restart,
                         checkpoint=7, pending_restart=pending)
     _, rec = apg_restart_step(state, objective, Zero(), cfg)
@@ -476,7 +493,7 @@ def test_subdiff_recorded_at_checkpoints(small_quadratic):
         iterates = prefix_iterates(lambda c: solve(c, np.zeros(6)), cfg)
         for checkpoint, subdiff in zip(trace.checkpoints, trace.subdiff_dist, strict=True):
             point = iterates[checkpoint]
-            grad = small_quadratic.gradient(point)
+            grad = small_quadratic.gradient(point, spmv(small_quadratic.A, point))
             assert subdiff == pytest.approx(reg.subdiff_distance(grad, point), rel=1e-12)
 
 
@@ -490,7 +507,6 @@ def _count_matvecs(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(objectives, "spmv", counted("forward", objectives.spmv))
     monkeypatch.setattr(objectives, "spmv_transpose",
                         counted("transposed", objectives.spmv_transpose))
     monkeypatch.setattr(solver, "spmv", counted("forward", solver.spmv))
@@ -544,15 +560,15 @@ def test_carried_product_does_not_drift(monkeypatch, family, mode):
     # without restarts nothing resynchronizes A y with A x; the carried A z
     # must still match a fresh product at every one of 5 000 steps
     objective = _drift_instance(family)
-    gradient_at = type(objective).gradient_at
+    gradient = type(objective).gradient
     errors = []  # (max-norm error, max-norm of the fresh product) per step
 
     def checked(self, z, Az):
         fresh = spmv(self.A, z)
         errors.append((np.max(np.abs(Az - fresh)), np.max(np.abs(fresh))))
-        return gradient_at(self, z, Az)
+        return gradient(self, z, Az)
 
-    monkeypatch.setattr(type(objective), "gradient_at", checked)
+    monkeypatch.setattr(type(objective), "gradient", checked)
     cfg = SolverConfig(max_iters=5000, stepsize_mode=mode, scheme=NeverRestart())
     trace = run(objective, L1(1e-3), cfg, np.zeros(30))
     assert len(errors) == len(trace) == 5000
