@@ -146,13 +146,13 @@ _DATASETS = {
     "libsvm": ("libsvm", {"path": (str, True), "expected_dim": (int, False)}),
 }
 _MIN_PERIOD = {"min_period": (int, False)}  # the adaptive schemes only
-_SCHEMES = {
-    "fixed": (restart.FixedRestart, {"q": (int, True)}),
-    "function_value": (restart.FunctionValueRestart, {"rho": (_NUM, False), **_MIN_PERIOD}),
-    "gradient_mapping": (restart.GradientMappingRestart, {"tau": (_NUM, False), **_MIN_PERIOD}),
-    "non_monotone": (restart.NonMonotoneRestart, {"tau": (_NUM, False), **_MIN_PERIOD}),
-    "never": (restart.NeverRestart, {}),
-}
+_SCHEMES = {cls.kind: (cls, table) for cls, table in (
+    (restart.FixedRestart, {"q": (int, True)}),
+    (restart.FunctionValueRestart, {"rho": (_NUM, False), **_MIN_PERIOD}),
+    (restart.GradientMappingRestart, {"tau": (_NUM, False), **_MIN_PERIOD}),
+    (restart.NonMonotoneRestart, {"tau": (_NUM, False), **_MIN_PERIOD}),
+    (restart.NeverRestart, {}),
+)}
 _REGULARIZERS = {
     "none": (regularizers.Zero, {}),
     "l1": (regularizers.L1, {"mu": (_NUM, True)}),
@@ -227,6 +227,9 @@ class SolverSpec:
         if not self.seeds or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
                                      for s in self.seeds):
             raise ConfigError(f"{path}.seeds: must be a nonempty list of nonnegative integers")
+        repeated = [seed for seed, count in Counter(self.seeds).items() if count > 1]
+        if repeated:  # the cell would run, and write its trace, twice
+            raise ConfigError(f"{path}.seeds: seed {repeated[0]} is repeated")
         # a field the entry leaves out takes SolverConfig's default
         self.config = _make(SolverConfig, {**fields, "scheme": scheme}, path)
 
@@ -313,7 +316,8 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config is not valid YAML: {exc}") from None
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"config is not valid YAML: {message}") from None
     return ExperimentConfig(doc)
 
 

@@ -25,13 +25,15 @@ iterations (default 2: right after a restart ``z - y`` vanishes and the
 cosine tests are degenerate). At theory stepsizes they do not adapt: on
 the lasso instances of ``configs/check.yaml`` all three restart every
 ``min_period`` iterations, and the function-value test with ``rho = 1``
-never fires. ``label`` names a scheme in the CLI's CSVs; an adaptive
-scheme's label shows ``min_period`` when it is not the default.
+never fires. A scheme's ``label`` names it in the CLI's CSVs by one rule:
+``kind(field=value; ...)`` over its fields, such as
+``gradient_mapping(tau=-0.2; min_period=5)``, leaving out a ``min_period``
+of 2 (the default), or its ``kind`` alone if it has no fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +81,18 @@ def _cosine_fire(a: np.ndarray, b: np.ndarray, tau: float) -> bool:
     return float(np.dot(a, b)) >= tau * na * nb
 
 
-class _Adaptive:
+class _Scheme:
+    """A restart scheme, named by its ``kind`` (its name in a CLI config) and its fields."""
+
+    @property
+    def label(self) -> str:
+        # "; " and not ", ": the label is a field of the CLI's unquoted CSVs
+        args = "; ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+                         if f.name != "min_period" or self.min_period != 2)
+        return f"{self.kind}({args})" if args else self.kind
+
+
+class _Adaptive(_Scheme):
     """An adaptive test ``_fire``, asked once a period has ``min_period`` iterations."""
 
     min_period: int
@@ -94,25 +107,17 @@ class _Adaptive:
             return False
         return self._fire(obs)
 
-    @property
-    def _period(self) -> str:
-        # "; " and not ", ": the label is a field of the CLI's unquoted CSVs
-        return "" if self.min_period == 2 else f"; min_period={self.min_period}"
-
 
 @dataclass(frozen=True)
-class FixedRestart:
+class FixedRestart(_Scheme):
     """Restart every ``q`` iterations, giving periods of exactly ``q``."""
 
+    kind = "fixed"
     q: int
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("period length q must be >= 1")
-
-    @property
-    def label(self) -> str:
-        return f"fixed(q={self.q})"
 
     def should_restart(self, obs: RestartObservation) -> bool:
         return obs.since_restart + 1 == self.q
@@ -120,6 +125,7 @@ class FixedRestart:
 
 @dataclass(frozen=True)
 class FunctionValueRestart(_Adaptive):
+    kind = "function_value"
     rho: float = 0.8
     min_period: int = 2
 
@@ -128,10 +134,6 @@ class FunctionValueRestart(_Adaptive):
             raise ValueError("rho must be in (0, 1]")
         super().__post_init__()
 
-    @property
-    def label(self) -> str:
-        return f"function_value(rho={self.rho}{self._period})"
-
     def _fire(self, obs: RestartObservation) -> bool:
         if self.rho < 1.0 and obs.F_prev < 0.0:
             raise ValueError(f"{self.label} needs a nonnegative objective "
@@ -139,10 +141,12 @@ class FunctionValueRestart(_Adaptive):
         return obs.F_curr > self.rho * obs.F_prev
 
 
+@dataclass(frozen=True)
 class _Cosine(_Adaptive):
     """A cosine test against the momentum direction, with slack ``tau``."""
 
-    tau: float
+    tau: float = -0.2
+    min_period: int = 2
 
     def __post_init__(self):
         if not -1.0 <= self.tau <= 0.0:
@@ -152,12 +156,7 @@ class _Cosine(_Adaptive):
 
 @dataclass(frozen=True)
 class GradientMappingRestart(_Cosine):
-    tau: float = -0.2
-    min_period: int = 2
-
-    @property
-    def label(self) -> str:
-        return f"gradient_mapping(tau={self.tau}{self._period})"
+    kind = "gradient_mapping"
 
     def _fire(self, obs: RestartObservation) -> bool:
         return _cosine_fire(obs.z_k - obs.y_k, obs.y_next - obs.z_k, self.tau)
@@ -165,12 +164,7 @@ class GradientMappingRestart(_Cosine):
 
 @dataclass(frozen=True)
 class NonMonotoneRestart(_Cosine):
-    tau: float = -0.2
-    min_period: int = 2
-
-    @property
-    def label(self) -> str:
-        return f"non_monotone(tau={self.tau}{self._period})"
+    kind = "non_monotone"
 
     def _fire(self, obs: RestartObservation) -> bool:
         target = obs.y_next - 0.5 * (obs.z_k + obs.x_k)
@@ -178,10 +172,10 @@ class NonMonotoneRestart(_Cosine):
 
 
 @dataclass(frozen=True)
-class NeverRestart:
+class NeverRestart(_Scheme):
     """Single period: plain accelerated proximal gradient."""
 
-    label = "never"
+    kind = "never"
 
     def should_restart(self, obs: RestartObservation) -> bool:
         return False

@@ -1,7 +1,9 @@
 import filecmp
 import hashlib
+import importlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -20,8 +22,8 @@ from proxrestart.cli import (
     load_config,
     main,
 )
-from proxrestart import (DivergenceError, FunctionValueRestart, GradientMappingRestart,
-                         NeverRestart, Zero, dataio, objectives)
+from proxrestart import (DivergenceError, FixedRestart, FunctionValueRestart,
+                         GradientMappingRestart, NeverRestart, Zero, dataio, objectives)
 from proxrestart.dataio import fixture_path
 
 
@@ -426,6 +428,9 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
      "solvers[0].scheme.min_period"),
     (lambda d: d["solvers"][0].update(seeds=[True]), "solvers[0].seeds: must be"),
     (lambda d: d["solvers"][0].update(seeds=[1, -1]), "solvers[0].seeds: must be a nonempty"),
+    (lambda d: d["solvers"][0].update(seeds=[0, 3, 0, 3]), "solvers[0].seeds: seed 0 is repeated"),
+    (lambda d: d["solvers"][0]["scheme"].update(kind="Fixed"), "unknown kind 'Fixed'; expected one "
+     "of ('fixed', 'function_value', 'gradient_mapping', 'non_monotone', 'never')"),
     (lambda d: d["problem"]["dataset"].update(seed=-3), "problem.dataset.seed"),
     (lambda d: d["problem"].update(objective="logistic_ncvx", alpha=-1.0), "problem.alpha"),
     (lambda d: d["problem"].update(objective="hinge"), "problem.objective"),
@@ -521,6 +526,30 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("schema_version: 1\nproblem: [\n",
+     r'config is not valid YAML: .* in ".*cfg\.yaml", line 3, column 1'),
+    (None, r"cannot read config: .*No such file.*cfg\.yaml'"),
+    (lambda d: d["solvers"][0].update(name="../x"), r"solvers\[0\]\.name: must be .*'\.\./x'\)"),
+    (lambda d: d["solvers"][0].update(seeds=[0, 0]), r"solvers\[0\]\.seeds: seed 0 is repeated"),
+], ids=["yaml_syntax", "missing_file", "name_outside_out", "repeated_seed"])
+def test_refused_config_exits_2_on_one_line_and_writes_nothing(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.yaml"
+    if isinstance(text, str):
+        cfg.write_text(text, encoding="utf-8")
+    elif text is not None:
+        doc = base_config()
+        text(doc)
+        write_config(tmp_path, doc)
+    before = sorted(os.listdir(tmp_path))
+    # a solver named ../x would write its trace into tmp_path/"runs"
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs" / "o"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"config error: {message}\n", err), err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 # each number field, set to v in a config that reads it
@@ -760,6 +789,24 @@ def test_bench_tracer_sees_every_layer(tmp_path):
     assert report["exit"] == 0
     assert [name for name in TRACED_LAYERS if not report["spans"].get(name)] == [], report
     assert report["nested"] == {}, report["nested"]
+
+
+def test_bench_cell_labels_use_the_cli_names(monkeypatch):
+    # perfbench/tracing.py labels each solver cell <objective>.<regularizer>.<scheme>
+    # through its own tables, keyed by class name; a kind renamed here, or a
+    # class added here, must be taught to it
+    monkeypatch.syspath_prepend(BENCH)
+    tracing = importlib.import_module("tracing")
+
+    def names(table):
+        return {cls.__name__: kind for kind, (cls, _) in table.items()}
+
+    assert tracing._OBJECTIVE_NAMES == names(cli._OBJECTIVES)
+    assert tracing._REGULARIZER_NAMES == names(cli._REGULARIZERS)
+    schemes = names(cli._SCHEMES)
+    assert schemes.pop("FixedRestart") == "fixed"
+    assert tracing._scheme_name(FixedRestart(10)) == "fixed_10"
+    assert tracing._SCHEME_NAMES == schemes
 
 
 def test_check_refuses_experiment_mode(tmp_path, capsys):

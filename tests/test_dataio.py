@@ -316,6 +316,13 @@ def test_generated_kinds_and_shapes():
         generate_synthetic("logistic_sep", 0, 2, seed=0)
 
 
+def test_unknown_fixture_and_short_labels_are_refused():
+    with pytest.raises(ValueError, match="unknown fixture kind 'mystery'"):
+        fixture_path("mystery")
+    with pytest.raises(ValueError, match="label count"):
+        Dataset(CsrMatrix.from_dense(np.eye(2)), np.zeros(1), "short")
+
+
 def test_robust_outliers_present():
     ds = generate_synthetic("robust_outliers", 100, 10, seed=3)
     spread = np.abs(ds.labels - np.median(ds.labels))

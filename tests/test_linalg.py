@@ -74,10 +74,19 @@ def test_dimension_mismatch_raises():
                  "endpoints inconsistent", id="bad7"),
     pytest.param(dict(n_rows=1, n_cols=2, row_ptr=[0, 2], col_idx=[0], vals=[1.0, 2.0]),
                  "endpoints inconsistent", id="bad8"),
+    pytest.param(dict(n_rows=-1, n_cols=2, row_ptr=[], col_idx=[], vals=[]),
+                 "dimensions must be nonnegative", id="negative_rows"),
+    pytest.param(dict(n_rows=1, n_cols=-2, row_ptr=[0, 0], col_idx=[], vals=[]),
+                 "dimensions must be nonnegative", id="negative_cols"),
 ])
 def test_csr_invariants_rejected(bad, message):
     with pytest.raises(ValueError, match=message):
         CsrMatrix(**bad)
+
+
+def test_from_dense_refuses_a_1d_array():
+    with pytest.raises(ValueError, match="2-D"):
+        CsrMatrix.from_dense(np.ones(3))
 
 
 def test_csr_accepts_decrease_across_rows_and_empty_rows():

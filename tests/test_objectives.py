@@ -154,6 +154,11 @@ def test_label_validation():
         LogisticObjective(mat, np.array([1.0, 2.0]))
 
 
+def test_logistic_refuses_negative_alpha():
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        LogisticObjective(CsrMatrix.from_dense(np.eye(2)), np.ones(2), alpha=-0.1)
+
+
 @pytest.mark.parametrize("cls", [LogisticObjective, RobustRegressionObjective, QuadraticObjective])
 def test_empty_matrix_is_rejected(cls):
     # the losses average over rows, so no rows would divide by zero
