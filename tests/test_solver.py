@@ -1,5 +1,6 @@
 import hashlib
 import re
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -35,7 +36,7 @@ from proxrestart import (
     run_baseline,
     spmv,
 )
-from proxrestart import objectives, solver
+from proxrestart import linalg, objectives, regularizers, restart, solver
 
 
 def one_dim_quadratic():
@@ -641,3 +642,134 @@ def test_baseline_traces_are_pinned(small_quadratic, kind, mode, tolerance):
                             np.ones(6))
 
     assert _trace_fingerprint(solve(200), solve) == BASELINE_FINGERPRINTS[kind, mode, tolerance]
+
+
+
+def _logistic(A, b):
+    return LogisticObjective(A, b, alpha=0.01)
+
+
+class LayerCalls:
+    """Logs, in order, each call to a layer that the bench traces.
+
+    Functions are wrapped at every binding a package module holds, methods
+    on the run's own classes; the scheme's ``should_restart`` ends each
+    iteration's entries.
+    """
+
+    def __init__(self, monkeypatch, objective, regularizer, scheme):
+        self.log = []
+        for fn in (linalg.spmv, linalg.spmv_transpose, regularizers.gradient_mapping):
+            wrapped = self._wrap(fn.__name__, fn)
+            for module in (linalg, objectives, regularizers, restart, solver):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapped)
+        for cls, methods in ((type(objective), ("value", "gradient")),
+                             (type(regularizer), ("value", "prox", "subdiff_distance")),
+                             (type(scheme), ("should_restart",))):
+            for method in methods:
+                name = "regularizer.value" if cls is type(regularizer) and method == "value" else method
+                monkeypatch.setattr(cls, method, self._wrap(name, getattr(cls, method)))
+
+    def _wrap(self, name, fn):
+        def wrapper(*args, **kwargs):
+            self.log.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def iterations(self):
+        """One Counter per iteration; the first also holds the run's set-up calls."""
+        chunks, current = [], Counter()
+        for name in self.log:
+            current[name] += 1
+            if name == "should_restart":
+                chunks.append(current)
+                current = Counter()
+        assert not current, f"calls after the last iteration: {current}"
+        return chunks
+
+
+@pytest.mark.parametrize("family, kind, regularizer, mode, scheme", [
+    (_logistic, "logistic_sep", Zero(), "experiment", GradientMappingRestart(tau=-0.2)),
+    (QuadraticObjective, "lasso_known", L1(0.02), "theory", FixedRestart(7)),
+    (RobustRegressionObjective, "robust_outliers", ElasticNet(0.02, 0.1), "experiment",
+     FunctionValueRestart()),
+], ids=["logistic-none", "quadratic-l1", "robust-elastic_net"])
+def test_each_iteration_calls_each_layer_as_budgeted(monkeypatch, family, kind, regularizer, mode,
+                                                      scheme):
+    # the bench's per-layer counts rest on this per-iteration budget
+    ds = generate_synthetic(kind, 200, 30, seed=0)
+    objective = family(ds.features, ds.labels)
+    calls = LayerCalls(monkeypatch, objective, regularizer, scheme)
+    cfg = SolverConfig(max_iters=120, stepsize_mode=mode, scheme=scheme)
+    trace = run(objective, regularizer, cfg, np.zeros(30))
+    iterations = calls.iterations()
+    assert len(iterations) == len(trace) == 120
+    assert 1 < trace.num_restarts < 119
+    iterations[0] -= Counter({"spmv": 1, "value": 1, "regularizer.value": 1})  # set-up
+    for restarted, counts in zip(trace.restart_flags, iterations, strict=True):
+        want = Counter({"gradient": 1, "spmv_transpose": 1, "prox": 1, "spmv": 1, "value": 1,
+                        "regularizer.value": 1, "should_restart": 1})
+        want.update({"subdiff_distance": 1} if restarted else {"gradient_mapping": 1, "prox": 1})
+        assert counts == want
+
+
+# The restart step's paths that the baseline pins above do not reach:
+# (objective class, dataset kind, rows, regularizer, mode, scheme, iterations).
+# The four logistic cells are ``configs/example.yaml``'s at seed 0; the last
+# case has enough rows that the step's elementwise passes run split.
+STEP_PATH_CASES = {
+    "logistic-none-function_value":
+        (_logistic, "logistic_sep", 200, Zero(), "experiment", FunctionValueRestart(rho=0.8), 200),
+    "logistic-none-gradient_mapping":
+        (_logistic, "logistic_sep", 200, Zero(), "experiment", GradientMappingRestart(tau=-0.2), 200),
+    "logistic-none-non_monotone":
+        (_logistic, "logistic_sep", 200, Zero(), "experiment", NonMonotoneRestart(tau=-0.2), 200),
+    "logistic-none-fixed_10":
+        (_logistic, "logistic_sep", 200, Zero(), "experiment", FixedRestart(10), 200),
+    "robust-elastic_net-theory":
+        (RobustRegressionObjective, "robust_outliers", 200, ElasticNet(0.02, 0.1), "theory",
+         GradientMappingRestart(), 200),
+    "robust-elastic_net-experiment":
+        (RobustRegressionObjective, "robust_outliers", 200, ElasticNet(0.02, 0.1), "experiment",
+         FunctionValueRestart(), 200),
+    "quadratic-squared_l2-theory":
+        (QuadraticObjective, "lasso_known", 200, SquaredL2(0.1), "theory", NonMonotoneRestart(), 200),
+    "logistic-l1-split_rows":
+        (_logistic, "logistic_sep", solver._SPLIT_MIN_ROWS + 5, L1(1e-3), "experiment",
+         GradientMappingRestart(), 20),
+}
+
+STEP_PATH_FINGERPRINTS = {
+    "logistic-none-function_value":
+        "da52177f97e71abbb6efbe213468892d6d0efde3d49a721695208e1996a445f7",
+    "logistic-none-gradient_mapping":
+        "ae8e32de435a954909caa6ac6742e2c0a38583b52644053a8a5f4387f891c067",
+    "logistic-none-non_monotone":
+        "3b55ddf97a6af54f536e6cb883063923565e7dff26ce082576051a8cbe393eba",
+    "logistic-none-fixed_10":
+        "a803da592aeb13ae19cac6f26dfa20bf1f0aa6287ef2c39c4c50167dd892be38",
+    "robust-elastic_net-theory":
+        "84f2e67a8bc3af08142961446c752da7de966746c5e5e1f847f61047f047493b",
+    "robust-elastic_net-experiment":
+        "1f1a9cc30a2e5a073df7c120399f2c4e30b417ded6be90729b538be6265f0bd3",
+    "quadratic-squared_l2-theory":
+        "0d5f64b570f74e57878999b4b72adb3b34da002c2b9e0f9b3926df38600dfb7b",
+    "logistic-l1-split_rows":
+        "e7ad4671d9f647313c2f2cf2e47232f6c1b23d334a21526b56b8ed3bf2520088",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_PATH_CASES))
+def test_step_paths_are_pinned(case):
+    # bit-for-bit pins of every trace column, period and counter
+    family, kind, n, regularizer, mode, scheme, iters = STEP_PATH_CASES[case]
+    ds = generate_synthetic(kind, n, 30, seed=0)
+    objective = family(ds.features, ds.labels)
+    cfg = SolverConfig(max_iters=iters, stepsize_mode=mode, scheme=scheme)
+
+    def solve(max_iters):
+        return run(objective, regularizer, replace(cfg, max_iters=max_iters), np.zeros(30))
+
+    assert _trace_fingerprint(solve(iters), solve) == STEP_PATH_FINGERPRINTS[case]
