@@ -299,17 +299,18 @@ def _split_rows(cut: int, part, *arrays) -> None:
         raise error
 
 
-def _csr_matvec(M: sp.csr_matrix, cut: int, x: np.ndarray) -> np.ndarray:
+def _csr_matvec(M: sp.csr_matrix, cut: int, x: np.ndarray, n_rows: int,
+                n_cols: int) -> np.ndarray:
     """``M @ x`` by scipy's compiled CSR kernel, without its dispatch layer.
 
     This is the kernel ``M.dot(x)`` ends in for a float64 vector, with the
     same zero-initialised output, so the result is bit-identical to it.
-    The caller has checked that ``x`` is a float64 vector of length
-    ``M.shape[1]``. A product over at least ``_SPLIT_MIN_NNZ`` entries
-    may run split at row ``cut`` (:func:`_split_rows`): every output entry
-    is still one row's sum in the same order.
+    The caller passes ``M.shape`` as ``n_rows, n_cols`` and has checked
+    that ``x`` is a float64 vector of length ``n_cols``. A product over at
+    least ``_SPLIT_MIN_NNZ`` entries may run split at row ``cut``
+    (:func:`_split_rows`): every output entry is still one row's sum in
+    the same order.
     """
-    n_rows, n_cols = M.shape
     out = np.zeros(n_rows)
     if len(M.data) < _SPLIT_MIN_NNZ:
         _sparsetools.csr_matvec(n_rows, n_cols, M.indptr, M.indices, M.data, x, out)
@@ -324,10 +325,12 @@ def _csr_matvec(M: sp.csr_matrix, cut: int, x: np.ndarray) -> np.ndarray:
 def spmv(A: CsrMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse matrix-vector product ``A @ x``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.n_cols,):
-        raise ValueError(f"dimension mismatch: matrix has {A.n_cols} columns, "
+    M = A._csr
+    n_rows, n_cols = M.shape
+    if x.shape != (n_cols,):
+        raise ValueError(f"dimension mismatch: matrix has {n_cols} columns, "
                          f"vector has shape {x.shape}")
-    return _csr_matvec(A._csr, A._cut, x)
+    return _csr_matvec(M, A._cut, x, n_rows, n_cols)
 
 
 def spmv_transpose(A: CsrMatrix, y: np.ndarray) -> np.ndarray:
@@ -337,11 +340,12 @@ def spmv_transpose(A: CsrMatrix, y: np.ndarray) -> np.ndarray:
     exactly as a column sweep over ``A`` would.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (A.n_rows,):
-        raise ValueError(f"dimension mismatch: matrix has {A.n_rows} rows, "
-                         f"vector has shape {y.shape}")
     M = A._transpose_csr()
-    return _csr_matvec(M, A._cut_t, y)
+    n_out, n_in = M.shape  # A.T's
+    if y.shape != (n_in,):
+        raise ValueError(f"dimension mismatch: matrix has {n_in} rows, "
+                         f"vector has shape {y.shape}")
+    return _csr_matvec(M, A._cut_t, y, n_out, n_in)
 
 
 # spectral_norm_sq takes the SVD for m = min(n, d) <= _EXACT_MAX_ORDER while

@@ -89,6 +89,10 @@ class _DataObjective:
         return self._lipschitz
 
 
+# The pairwise-summing kernel ndarray.sum ends in, without its Python frame.
+_sum = np.add.reduce
+
+
 @functools.cache
 def _expit():
     from scipy.special import expit
@@ -142,8 +146,9 @@ class LogisticObjective(_DataObjective):
 
     def value(self, x, Ax) -> float:
         # log(1 + e^t) = max(t, 0) + log1p(e^-|t|), stable for both signs of
-        # t; computed in place so that, split or not, the pass keeps two
-        # row-length temporaries. The sum is one call over all rows.
+        # t. Split or not, each pass writes in place into the method's own
+        # temporaries, never into Ax: two row-length arrays, fewer numpy
+        # calls, the same bits. Each sum is one call over all rows.
         if self.n < _SPLIT_MIN_ROWS:
             t = self._neg_b * Ax
             loss = np.abs(t)
@@ -155,18 +160,26 @@ class LogisticObjective(_DataObjective):
             loss = np.empty(self.n)
             _split_rows(self.A._cut, _logistic_loss_terms, self._neg_b, Ax, loss)
         xsq = x * x
-        return float(loss.sum()) / self.n + self.alpha * float((xsq / (1.0 + xsq)).sum())
+        return float(_sum(loss)) / self.n + self.alpha * float(_sum(xsq / (1.0 + xsq)))
 
     def gradient(self, x, Ax) -> np.ndarray:
         if self.n < _SPLIT_MIN_ROWS:
-            w = _expit()(self._neg_b * Ax)
+            w = self._neg_b * Ax
+            _expit()(w, out=w)
             w *= self._neg_b
         else:
             w = np.empty(self.n)
             _split_rows(self.A._cut, functools.partial(_logistic_weights, _expit()),
                         self._neg_b, Ax, w)
-        grad = spmv_transpose(self.A, w) / self.n
-        grad += self.alpha * 2.0 * x / (1.0 + x * x) ** 2
+        grad = spmv_transpose(self.A, w)
+        grad /= self.n
+        # + alpha * 2 x / (1 + x^2)^2
+        q = x * x
+        q += 1.0
+        np.square(q, out=q)
+        penalty = self.alpha * 2.0 * x
+        penalty /= q
+        grad += penalty
         return grad
 
     def _lipschitz_from_spectrum(self, spec_sq: float) -> float:
@@ -183,7 +196,7 @@ class RobustRegressionObjective(_DataObjective):
 
     def value(self, x, Ax) -> float:
         s = Ax - self.b
-        return float(np.log1p(0.5 * s * s).sum()) / self.n
+        return float(_sum(np.log1p(0.5 * s * s))) / self.n
 
     def gradient(self, x, Ax) -> np.ndarray:
         s = Ax - self.b

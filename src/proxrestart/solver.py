@@ -35,6 +35,17 @@ without a periodic refresh: over 5 000 steps without a restart on the
 quadratic, robust and logistic 200x30 instances the carried ``A z``
 stayed within 1.5e-14 (relative, max-norm) of a fresh ``A @ z_k``.
 
+Each iteration calls ``objective.gradient``, ``spmv`` (for ``A x_{k+1}``),
+``objective.value``, ``regularizer.value``, the update ``prox`` and the
+scheme's ``should_restart`` once; then either ``subdiff_distance`` (on a
+period's first iteration) or ``gradient_mapping`` with its own ``prox``.
+At small sizes numpy's per-call dispatch, not arithmetic, sets the cost,
+so the step updates in place where that saves calls. It writes only into
+arrays it allocated itself, never into the state it was given, and each
+in-place form does the same IEEE operations on the same operands as the
+formula above; negation is exact and ``+`` and ``*`` commute exactly, so
+no bit moves.
+
 Restart scheduling is decided online: the configured scheme inspects each
 finished iteration and, when it fires, the next iteration executes the
 restart branch. Restarting re-synchronizes ``y`` with the newest iterate
@@ -274,6 +285,7 @@ def apg_restart_step(state: SolverState, objective, regularizer,
         beta = _resolve_beta("apg_restart", objective, cfg)[0]
     k = state.k
     x, y, F_x, Ax, Ay = state.x, state.y, state.F, state.Ax, state.Ay
+    split = len(Ax) >= _SPLIT_MIN_ROWS
     restarted = state.pending_restart
     if restarted:
         y, Ay = x, Ax         # re-synchronize: x_k = y_k exactly
@@ -284,8 +296,10 @@ def apg_restart_step(state: SolverState, objective, regularizer,
         # z is x itself, signed zeros included
         z, Az = x, Ax
     else:
-        z = y + alpha * (x - y)
-        if len(Ax) < _SPLIT_MIN_ROWS:
+        z = x - y             # z = y + alpha * (x - y)
+        z *= alpha
+        z += y
+        if not split:
             Az = Ax - Ay
             Az *= alpha
             Az += Ay
@@ -294,7 +308,9 @@ def apg_restart_step(state: SolverState, objective, regularizer,
             _split_rows(objective.A._cut, functools.partial(_carried_Az, alpha), Ax, Ay, Az)
     grad_z = objective.gradient(z, Az)
     x_new = regularizer.prox(x - lam * grad_z, lam)
-    G = (x - x_new) / lam
+    G = x - x_new             # x_new - x is exactly -G: the step norm is G's
+    step = _norm(G)
+    G /= lam
     if restarted:
         # z == x at a checkpoint, so grad_z doubles as the gradient at the
         # checkpoint iterate and the stationarity diagnostics come free.
@@ -307,7 +323,7 @@ def apg_restart_step(state: SolverState, objective, regularizer,
     y_new = z - beta * G
     Ax_new = spmv(objective.A, x_new)
     F_new = objective.value(x_new, Ax_new) + regularizer.value(x_new)
-    if len(Ax) < _SPLIT_MIN_ROWS:
+    if not split:
         AG = Ax - Ax_new
         AG /= lam
         AG *= beta
@@ -316,16 +332,12 @@ def apg_restart_step(state: SolverState, objective, regularizer,
         Ay_new = np.empty(len(Ax))
         _split_rows(objective.A._cut, functools.partial(_carried_Ay, lam, beta),
                     Ax, Ax_new, Az, Ay_new)
-    step = _norm(x_new - x)
 
-    fire = cfg.scheme.should_restart(RestartObservation(
-        k=k, since_restart=k - checkpoint, F_curr=F_new, F_prev=F_x,
-        x_k=x, y_k=y, z_k=z, y_next=y_new,
-    ))
+    # positional arguments: keywords cost more than a small ufunc here
+    fire = cfg.scheme.should_restart(RestartObservation(k, k - checkpoint, F_new, F_x,
+                                                        x, y, z, y_new))
     record = StepRecord(F_x, gnorm, step, restarted, lam, beta, alpha, subdiff)
-    next_state = SolverState(x=x_new, y=y_new, F=F_new, Ax=Ax_new, Ay=Ay_new, k=k + 1,
-                             checkpoint=checkpoint, pending_restart=fire)
-    return next_state, record
+    return SolverState(x_new, y_new, F_new, Ax_new, Ay_new, k + 1, checkpoint, fire), record
 
 
 # The carried products' updates, as parts for linalg._split_rows on a
