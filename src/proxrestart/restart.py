@@ -28,7 +28,9 @@ the lasso instances of ``configs/check.yaml`` all three restart every
 never fires. A scheme's ``label`` names it in the CLI's CSVs by one rule:
 ``kind(field=value; ...)`` over its fields, such as
 ``gradient_mapping(tau=-0.2; min_period=5)``, leaving out a ``min_period``
-of 2 (the default), or its ``kind`` alone if it has no fields.
+of 2 (the default), or its ``kind`` alone if it has no fields. ``rho`` and
+``tau`` are stored as floats, so equal schemes carry equal labels:
+``rho=1`` and ``rho=1.0`` both label as ``function_value(rho=1.0)``.
 """
 
 from __future__ import annotations
@@ -132,6 +134,7 @@ class FunctionValueRestart(_Adaptive):
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError("rho must be in (0, 1]")
+        object.__setattr__(self, "rho", float(self.rho))  # rho=1 labels as rho=1.0
         super().__post_init__()
 
     def _fire(self, obs: RestartObservation) -> bool:
@@ -151,6 +154,7 @@ class _Cosine(_Adaptive):
     def __post_init__(self):
         if not -1.0 <= self.tau <= 0.0:
             raise ValueError("tau must be in [-1, 0]")
+        object.__setattr__(self, "tau", float(self.tau))  # tau=0 labels as tau=0.0
         super().__post_init__()
 
 

@@ -111,6 +111,20 @@ def test_rerun_is_byte_identical(tmp_path):
     assert mismatch == [] and errors == []
 
 
+
+def test_equal_schemes_write_equal_tables(tmp_path):
+    # rho: 1 and rho: 1.0 build equal schemes, so their tables match byte for byte
+    outs = []
+    for rho in (1, 1.0):
+        doc = base_config()
+        doc["solvers"][0]["scheme"] = {"kind": "function_value", "rho": rho}
+        cfg = write_config(tmp_path, doc, name=f"cfg_{rho!r}.yaml")
+        outs.append(tmp_path / f"out_{rho!r}")
+        assert main(["run", "--config", cfg, "--out", str(outs[-1]), "--quiet"]) == 0
+    summaries = [(out / "summary.csv").read_bytes() for out in outs]
+    assert summaries[0] == summaries[1]
+    assert b",function_value(rho=1.0)," in summaries[0]
+
 def test_csv_floats_roundtrip(tmp_path):
     cfg = write_config(tmp_path, base_config())
     out = tmp_path / "out"

@@ -129,7 +129,7 @@ def test_parameter_validation():
 @pytest.mark.parametrize("scheme, label", [
     (FixedRestart(3), "fixed(q=3)"),
     (FunctionValueRestart(), "function_value(rho=0.8)"),
-    (FunctionValueRestart(rho=1), "function_value(rho=1)"),
+    (FunctionValueRestart(rho=1), "function_value(rho=1.0)"),
     (GradientMappingRestart(), "gradient_mapping(tau=-0.2)"),
     (NonMonotoneRestart(tau=0.0), "non_monotone(tau=0.0)"),
     (NeverRestart(), "never"),
@@ -138,6 +138,8 @@ def test_parameter_validation():
     (FunctionValueRestart(min_period=25), "function_value(rho=0.8; min_period=25)"),
     (GradientMappingRestart(tau=0.0, min_period=1), "gradient_mapping(tau=0.0; min_period=1)"),
     (NonMonotoneRestart(min_period=3), "non_monotone(tau=-0.2; min_period=3)"),
+    # rho and tau are stored as floats, so an int prints as the equal float
+    (NonMonotoneRestart(tau=0), "non_monotone(tau=0.0)"),
 ])
 def test_scheme_labels(scheme, label):
     # the labels name the scheme in summary.csv, compare.csv and restart_counts.csv,
