@@ -147,8 +147,8 @@ class LogisticObjective(_DataObjective):
     def value(self, x, Ax) -> float:
         # log(1 + e^t) = max(t, 0) + log1p(e^-|t|), stable for both signs of
         # t. Split or not, each pass writes in place into the method's own
-        # temporaries, never into Ax: two row-length arrays, fewer numpy
-        # calls, the same bits. Each sum is one call over all rows.
+        # two row-length temporaries, never into Ax, with the bits of the
+        # out-of-place formula. Each sum is one call over all rows.
         if self.n < _SPLIT_MIN_ROWS:
             t = self._neg_b * Ax
             loss = np.abs(t)

@@ -40,8 +40,8 @@ Each iteration calls ``objective.gradient``, ``spmv`` (for ``A x_{k+1}``),
 scheme's ``should_restart`` once; then either ``subdiff_distance`` (on a
 period's first iteration) or ``gradient_mapping`` with its own ``prox``.
 At small sizes numpy's per-call dispatch, not arithmetic, sets the cost,
-so the step updates in place where that saves calls. It writes only into
-arrays it allocated itself, never into the state it was given, and each
+so the step saves calls and temporaries where it can. It updates in place
+only arrays it allocated itself, never the state it was given, and each
 in-place form does the same IEEE operations on the same operands as the
 formula above; negation is exact and ``+`` and ``*`` commute exactly, so
 no bit moves.
