@@ -9,8 +9,6 @@ guarantees, and a small benchmark CLI (``proxrestart``).
 from .dataio import (
     Dataset,
     ParseError,
-    dump_libsvm,
-    fixture_dataset,
     generate_synthetic,
     lasso_l1_weight,
     load_libsvm,
@@ -59,7 +57,6 @@ __all__ = [
     "apg_restart_step", "run", "run_baseline",
     "InvariantReport", "check_invariants", "path_length_summary",
     "Dataset", "ParseError", "parse_libsvm", "load_libsvm",
-    "serialize_libsvm", "dump_libsvm", "generate_synthetic",
-    "lasso_l1_weight", "fixture_dataset",
+    "serialize_libsvm", "generate_synthetic", "lasso_l1_weight",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Benchmark front end: run experiment grids, verify traces, compare schemes.
+"""Benchmark front end: run experiment grids and verify traces.
 
 Subcommands
 -----------
@@ -8,8 +8,6 @@ Subcommands
              exit 0 only if no cell diverges and every check passes, 1
              otherwise (``report.csv`` + ``path_lengths.csv`` are written
              either way).
-``compare``  emit a long-format CSV of per-iteration loss gaps across
-             solvers (plot-ready) plus a restart-count table.
 
 Configs are YAML with a ``schema_version`` key; see the README for the
 full schema. Exit codes: 0 success, 1 failed invariants in ``check``, 2
@@ -38,7 +36,7 @@ from .solver import (BASELINES, DivergenceError, LipschitzError, SolverConfig, r
                      run_baseline)
 
 __all__ = ["ConfigError", "DataError", "CellError", "load_config", "run_experiment",
-           "check_experiment", "compare_experiment", "main"]
+           "check_experiment", "main"]
 
 SCHEMA_VERSION = 1
 
@@ -250,6 +248,9 @@ class ProblemSpec:
                 raise ConfigError(f"{dpath}.kind: unknown kind {self.data['kind']!r}")
             if self.data["n"] < 1 or self.data["d"] < 1:
                 raise ConfigError(f"{dpath}: n and d must be >= 1")
+            if self.data["kind"] == "lasso_known" and self.data["n"] < self.data["d"]:
+                raise ConfigError(f"{dpath}: lasso_known needs n >= d "
+                                  f"(got {self.data['n']}x{self.data['d']})")
             if self.data.get("seed", 0) < 0:
                 raise ConfigError(f"{dpath}.seed: must be nonnegative (got {self.data['seed']})")
         elif not os.path.exists(self.data["path"]):
@@ -451,31 +452,6 @@ def check_experiment(config: ExperimentConfig, out_dir, seed_override=None, quie
     return 0 if all_passed else 1
 
 
-def compare_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=False):
-    """Emit long-format loss-gap curves and restart counts across solvers."""
-    if len(config.solvers) < 2:
-        raise ConfigError("solvers: compare needs at least two solvers")
-    _open_out(out_dir, ["compare.csv", "restart_counts.csv"])
-    results = []  # each cell's F column, lowest F and restart count, without its trace
-    for spec, seed, trace, _ in _cells(config, seed_override):
-        results.append((spec.name, spec.config.scheme.label, seed, trace.F, _lowest_F(trace),
-                        trace.num_restarts))
-        del trace  # before the next cell runs
-    f_ref = min(lowest for *_, lowest, _ in results)
-    long_blocks = (([name] * len(F), [scheme] * len(F), [seed] * len(F), np.arange(len(F)),
-                    F - f_ref)
-                   for name, scheme, seed, F, _, _ in results)
-    count_rows = [(name, scheme, seed, restarts) for name, scheme, seed, _, _, restarts in results]
-    _write_atomic(os.path.join(out_dir, "compare.csv"),
-                  _csv_lines(("solver", "scheme", "seed", "k", "loss_gap"), long_blocks))
-    _write_atomic(os.path.join(out_dir, "restart_counts.csv"),
-                  _csv_lines(("solver", "scheme", "seed", "restarts"), [zip(*count_rows)]))
-    if not quiet:
-        for name, scheme, seed, count in count_rows:
-            print(f"{name} ({scheme}) seed={seed}: {count} restarts")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="proxrestart",
@@ -485,7 +461,6 @@ def main(argv=None) -> int:
     for name, help_text in (
         ("run", "execute the configured cells and write trace/summary CSVs"),
         ("check", "run cells and verify the theory-mode trace inequalities"),
-        ("compare", "emit loss-gap curves and restart counts across solvers"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the YAML experiment config")
@@ -499,8 +474,7 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-        command = {"run": run_experiment, "check": check_experiment,
-                   "compare": compare_experiment}[args.command]
+        command = {"run": run_experiment, "check": check_experiment}[args.command]
         return command(config, args.out, seed_override=args.seed_override, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

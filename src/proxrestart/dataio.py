@@ -1,16 +1,14 @@
-"""Dataset handling: LIBSVM text format, synthetic generators, bundled fixtures.
+"""Dataset handling: LIBSVM text format and synthetic generators.
 
 The LIBSVM format is one sample per line, ``label idx:val idx:val ...``
 with 1-based, strictly increasing feature indices. Indices are mapped to
 0-based columns internally. Real benchmark datasets are not bundled (use
 :func:`load_libsvm` on a downloaded copy); desk-scale synthetic stand-ins
-with a similar sparse texture are generated deterministically per seed,
-and one 200x30 instance per kind ships with the package.
+with a similar sparse texture are generated deterministically per seed.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 import math
 from dataclasses import dataclass
 
@@ -24,12 +22,9 @@ __all__ = [
     "parse_libsvm",
     "load_libsvm",
     "serialize_libsvm",
-    "dump_libsvm",
     "generate_synthetic",
     "lasso_l1_weight",
     "SYNTHETIC_KINDS",
-    "fixture_path",
-    "fixture_dataset",
 ]
 
 # Synthetic feature texture: sparse Gaussian entries, scaled so the
@@ -313,11 +308,6 @@ def serialize_libsvm(dataset: Dataset) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def dump_libsvm(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_libsvm(dataset))
-
-
 def _sparse_gaussian(rng, n, d, density, scale) -> np.ndarray:
     mask = rng.random((n, d)) < density
     return np.where(mask, rng.standard_normal((n, d)) * scale, 0.0)
@@ -385,11 +375,13 @@ def generate_synthetic(kind: str, n: int, d: int, seed: int) -> Dataset:
         (regression).
     ``"lasso_known"``
         A least-squares + L1 instance with spectrum spread over
-        ``[1/100, 1]`` (regression); :func:`lasso_l1_weight` gives its
-        default L1 weight.
+        ``[1/100, 1]`` (regression), which needs ``n >= d``;
+        :func:`lasso_l1_weight` gives its default L1 weight.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
+    if kind == "lasso_known" and n < d:  # its n x d QR factor would have rank n < d
+        raise ValueError(f"lasso_known needs n >= d for its spectrum, got {n}x{d}")
     rng = np.random.default_rng(seed)
     if kind not in _MAKERS:
         raise ValueError(f"unknown synthetic kind {kind!r}; expected one of {SYNTHETIC_KINDS}")
@@ -406,15 +398,3 @@ def lasso_l1_weight(dataset: Dataset) -> float:
     A = dataset.features.to_dense()
     return 0.05 * float(np.max(np.abs(A.T @ dataset.labels))) / dataset.n_rows
 
-
-def fixture_path(kind: str):
-    """Path to the bundled 200x30 fixture file for ``kind``."""
-    if kind not in SYNTHETIC_KINDS:
-        raise ValueError(f"unknown fixture kind {kind!r}")
-    return importlib.resources.files("proxrestart").joinpath(f"data/{kind}.libsvm")
-
-
-def fixture_dataset(kind: str) -> Dataset:
-    """Load the bundled fixture for ``kind`` (parsed from LIBSVM text)."""
-    with fixture_path(kind).open("r", encoding="utf-8") as fh:
-        return parse_libsvm(fh, name=kind)

@@ -42,7 +42,7 @@ from proxrestart import (
     spmv,
 )
 from proxrestart.cli import main as cli_main
-from proxrestart.dataio import SYNTHETIC_KINDS, fixture_dataset
+from proxrestart.dataio import SYNTHETIC_KINDS
 
 N, D, K, SEEDS = 200, 30, 2000, range(5)
 
@@ -304,8 +304,8 @@ def test_criterion_11_deterministic_cli_reruns(tmp_path):
 def test_criterion_12_libsvm_round_trip():
     ok = True
     for kind in SYNTHETIC_KINDS:
-        first = fixture_dataset(kind)
-        second = parse_libsvm(io.StringIO(serialize_libsvm(first)), name=kind)
+        first = generate_synthetic(kind, 200, 30, seed=0)
+        second = parse_libsvm(io.StringIO(serialize_libsvm(first)), name=first.name)
         ok = ok and same_dataset(first, second)
     for text, fragment in (
         ("1 2:a\n", "2:a"),                 # nonnumeric token

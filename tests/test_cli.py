@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import hashlib
 import importlib
@@ -24,10 +25,10 @@ from proxrestart.cli import (
 )
 from proxrestart import (DivergenceError, FixedRestart, FunctionValueRestart,
                          GradientMappingRestart, NeverRestart, Zero, dataio, objectives)
-from proxrestart.dataio import fixture_path
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+README = os.path.join(os.path.dirname(CONFIGS), "README.md")
 
 
 def write_config(tmp_path, doc, name="cfg.yaml"):
@@ -60,6 +61,17 @@ def base_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def two_scheme_config(tmp_path, **solver_fields):
+    """Config of two 40-iteration solvers: function_value(rho=0.8) and fixed(q=10)."""
+    doc = base_config()
+    solver = dict(doc["solvers"][0], **solver_fields)
+    fast = dict(solver, name="fv", scheme={"kind": "function_value", "rho": 0.8},
+                max_iters=40)
+    slow = dict(solver, name="fixed", scheme={"kind": "fixed", "q": 10}, max_iters=40)
+    doc["solvers"] = [fast, slow]
+    return write_config(tmp_path, doc)
 
 
 GOLDEN_TRACE = """\
@@ -239,7 +251,7 @@ def test_instance_is_dropped_after_its_last_cell(tmp_path, monkeypatch):
     assert all(ref() is None for _, ref in built)
 
 
-@pytest.mark.parametrize("command,code", [("run", 0), ("compare", 0), ("check", 1)])
+@pytest.mark.parametrize("command,code", [("run", 0), ("check", 1)])
 def test_trace_is_dropped_before_the_next_cell(tmp_path, monkeypatch, command, code):
     # 2 solvers x 3 seeds, the second cell diverging: no earlier trace outlives its cell
     traces, alive_at_start = [], []
@@ -302,8 +314,6 @@ def test_unwritable_output_exit_code(tmp_path, capsys, command, table, blocked):
     ("run", "summary.csv", []),
     ("check", "report.csv", []),
     ("check", "path_lengths.csv", []),
-    ("compare", "compare.csv", []),
-    ("compare", "restart_counts.csv", []),
 ])
 def test_table_taken_by_a_directory_fails_before_any_cell(tmp_path, capsys, monkeypatch,
                                                           command, table, extra):
@@ -314,7 +324,7 @@ def test_table_taken_by_a_directory_fails_before_any_cell(tmp_path, capsys, monk
         raise RuntimeError("a cell ran")
 
     monkeypatch.setattr(cli, "run", no_cell)
-    cfg = compare_config(tmp_path)
+    cfg = two_scheme_config(tmp_path)
     out = tmp_path / "out"
     (out / table).mkdir(parents=True)
     assert main([command, "--config", cfg, "--out", str(out), "--quiet", *extra]) == 4
@@ -339,9 +349,9 @@ def test_failed_rename_names_the_table(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(out)) == ["demo_seed1.csv", "summary.csv"]
 
 
-@pytest.mark.parametrize("command", ["run", "check", "compare"])
+@pytest.mark.parametrize("command", ["run", "check"])
 def test_outputs_get_the_mode_the_umask_gives(tmp_path, command):
-    cfg = compare_config(tmp_path)
+    cfg = two_scheme_config(tmp_path)
     out = tmp_path / "out"
     umask = os.umask(0o022)  # a umask under which the outputs must not be 0600
     try:
@@ -377,11 +387,11 @@ def test_columns_format_as_each_value_would():
     assert lines == "k,x\n" + "".join(f"{i},{v!r}\n" for i, v in zip(k.tolist(), x.tolist()))
 
 
-def test_libsvm_source_through_cli(tmp_path, monkeypatch):
+def test_libsvm_source_through_cli(tmp_path, monkeypatch, libsvm_file):
     # 2 solvers x 2 seeds on one file: it is parsed once
     loaded = count_calls(monkeypatch, dataio, "load_libsvm")
     doc = base_config()
-    doc["problem"]["dataset"] = {"source": "libsvm", "path": str(fixture_path("logistic_sep"))}
+    doc["problem"]["dataset"] = {"source": "libsvm", "path": str(libsvm_file)}
     doc["problem"]["objective"] = "logistic_ncvx"
     doc["problem"]["alpha"] = 0.01
     doc["solvers"][0]["seeds"] = [1, 2]
@@ -451,6 +461,8 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
     (lambda d: d["problem"]["regularizer"].pop("mu"), "problem.regularizer.mu"),
     (lambda d: d["problem"]["dataset"].update(kind="surprise"), "problem.dataset.kind"),
     (lambda d: d["problem"]["dataset"].update(n=0), "problem.dataset"),
+    (lambda d: d["problem"]["dataset"].update(kind="lasso_known", n=20, d=30),
+     "problem.dataset: lasso_known needs n >= d (got 20x30)"),
     (lambda d: d["problem"].update(dataset={"source": "libsvm", "path": "/nope.libsvm"}),
      "file not found"),
     (lambda d: d["solvers"][0].update(scheme={"kind": "fixed"}), "solvers[0].scheme.q"),
@@ -464,7 +476,7 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
      "solvers[0].scheme: ag never restarts"),
     (lambda d: d["solvers"][0].update(beta=0.5), "solvers[0]: beta applies in custom"),
     (lambda d: d["problem"].update(dataset={"source": "libsvm", "expected_dim": -5,
-                                            "path": str(fixture_path("logistic_sep"))}),
+                                            "path": "logistic_sep.libsvm"}),
      "problem.dataset.expected_dim: must be nonnegative"),
     # a key no section reads is refused, not ignored
     (lambda d: d.update(extra_root=1), "<root>.extra_root: unknown field"),
@@ -472,7 +484,7 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
     (lambda d: d["problem"].update(loss="l2"), "problem.loss: unknown field"),
     (lambda d: d["problem"]["dataset"].update(sedd=3), "problem.dataset.sedd: unknown field"),
     (lambda d: d["problem"].update(dataset={"source": "libsvm", "seed": 3,
-                                            "path": str(fixture_path("logistic_sep"))}),
+                                            "path": "logistic_sep.libsvm"}),
      "problem.dataset.seed: unknown field"),
     (lambda d: d["problem"]["regularizer"].update(muu=0.1), "problem.regularizer.muu: unknown"),
     (lambda d: d["solvers"][0]["scheme"].update(min_period=2),
@@ -482,7 +494,8 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
     (lambda d: d["solvers"][0].update(stepsize_mod="experiment"),
      "solvers[0].stepsize_mod: unknown field; expected one of ('name', "),
 ])
-def test_config_errors_name_the_field(tmp_path, mutate, fragment):
+def test_config_errors_name_the_field(tmp_path, monkeypatch, libsvm_file, mutate, fragment):
+    monkeypatch.chdir(tmp_path)  # where the libsvm cases' relative path finds libsvm_file
     doc = base_config()
     mutate(doc)
     cfg = write_config(tmp_path, doc)
@@ -518,12 +531,12 @@ def test_alpha_is_checked_only_where_it_is_read(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: problem.alpha: unknown field")
 
 
-def test_keys_nothing_reads_are_refused(tmp_path, capsys):
+def test_keys_nothing_reads_are_refused(tmp_path, capsys, libsvm_file):
     # eleven keys in six sections, none of which the run would read
     doc = base_config(extra_root=1)
     doc["problem"].update(alpha=-3)
     doc["problem"]["regularizer"]["muu"] = 0.1
-    doc["problem"]["dataset"] = {"source": "libsvm", "path": str(fixture_path("logistic_sep")),
+    doc["problem"]["dataset"] = {"source": "libsvm", "path": str(libsvm_file),
                                  "seed": 3, "kind": "logistic_sep", "expected_dim": -5}
     doc["solvers"][0]["scheme"].update(min_period=11, tua=0.5)
     doc["solvers"][0].update(stepsize_mod="experiment", max_iter=5, beta=0.5)
@@ -653,7 +666,7 @@ def test_zero_lipschitz_runs_at_experiment_stepsizes(tmp_path):
     assert (out / "summary.csv").read_text(encoding="utf-8").splitlines()[1].endswith(",ok")
 
 
-@pytest.mark.parametrize("command", ["run", "check", "compare"])
+@pytest.mark.parametrize("command", ["run", "check"])
 def test_unexpected_cell_error_exit_code(tmp_path, capsys, monkeypatch, command):
     # exit 1 means failed invariants only; any other error in a cell exits 4 with one line
     def broken(objective, regularizer, cfg, x_init):
@@ -878,58 +891,33 @@ def test_check_reports_a_diverged_cell(tmp_path, monkeypatch, capsys):
     assert {row.split(",")[1] for row in paths} == {"1", "2"}
 
 
-# --- compare subcommand -----------------------------------------------------------
+# --- loss gaps and restart counts from run's outputs --------------------------------
 
-def compare_config(tmp_path, **solver_fields):
-    doc = base_config()
-    solver = dict(doc["solvers"][0], **solver_fields)
-    fast = dict(solver, name="fv", scheme={"kind": "function_value", "rho": 0.8},
-                max_iters=40)
-    slow = dict(solver, name="fixed", scheme={"kind": "fixed", "q": 10}, max_iters=40)
-    doc["solvers"] = [fast, slow]
-    return write_config(tmp_path, doc)
-
-
-def test_compare_two_schemes(tmp_path):
-    cfg = compare_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    compare = (out / "compare.csv").read_text(encoding="utf-8").splitlines()
-    assert compare[0] == "solver,scheme,seed,k,loss_gap"
-    groups = {line.split(",")[0] for line in compare[1:]}
-    assert groups == {"fv", "fixed"}
-    counts = (out / "restart_counts.csv").read_text(encoding="utf-8").splitlines()
-    assert counts[0] == "solver,scheme,seed,restarts"
-    assert len(counts) == 3
-
-
-# SHA-256 of compare's outputs on compare_config at experiment stepsizes
-COMPARE_EXPERIMENT_DIGESTS = {
-    "compare.csv": "4b44af1eb6f021b3035bd6037bced5dfaaf1e69f4194043fc3fbbbe17c4c99ca",
+# SHA-256 of the README recipe's two tables on two_scheme_config at experiment stepsizes
+LOSS_GAP_RECIPE_DIGESTS = {
+    "loss_gaps.csv": "4b44af1eb6f021b3035bd6037bced5dfaaf1e69f4194043fc3fbbbe17c4c99ca",
     "restart_counts.csv": "6ea6ed3cdca2f687a80616ddc5a80de1ee21174dc04adb4578ee156808da960c",
 }
 
 
-def test_compare_outputs_are_pinned(tmp_path):
-    cfg = compare_config(tmp_path, stepsize_mode="experiment")
-    out = tmp_path / "out"
-    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert digests(out, COMPARE_EXPERIMENT_DIGESTS) == COMPARE_EXPERIMENT_DIGESTS
-
-
-def test_compare_needs_two_solvers(tmp_path):
-    cfg = write_config(tmp_path, base_config())
-    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+def test_readme_loss_gap_recipe_is_pinned(tmp_path, monkeypatch):
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("### Loss gaps and restart counts", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    cfg = two_scheme_config(tmp_path, stepsize_mode="experiment")
+    out = tmp_path / "results"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md loss-gap recipe", "exec"), {})
+    assert digests(out, LOSS_GAP_RECIPE_DIGESTS) == LOSS_GAP_RECIPE_DIGESTS
 
 
 def test_function_scheme_restarts_most(tmp_path):
     # informational observation: the relaxed objective-value test fires far
     # more often than a long fixed period
-    cfg = compare_config(tmp_path)
+    cfg = two_scheme_config(tmp_path)
     out = tmp_path / "out"
-    main(["compare", "--config", cfg, "--out", str(out), "--quiet"])
-    counts = {}
-    for line in (out / "restart_counts.csv").read_text(encoding="utf-8").splitlines()[1:]:
-        name, _, _, restarts = line.split(",")
-        counts[name] = int(restarts)
+    main(["run", "--config", cfg, "--out", str(out), "--quiet"])
+    with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
+        counts = {row["solver"]: int(row["restarts"]) for row in csv.DictReader(fh)}
     assert counts["fv"] >= counts["fixed"]

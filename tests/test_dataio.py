@@ -28,7 +28,7 @@ from proxrestart import (
     spmv,
 )
 from proxrestart import dataio
-from proxrestart.dataio import SYNTHETIC_KINDS, fixture_dataset, fixture_path, load_libsvm
+from proxrestart.dataio import SYNTHETIC_KINDS, load_libsvm
 
 
 def parse_text(text, **kw):
@@ -65,7 +65,7 @@ def test_parse_skips_blank_lines():
     assert ds.n_rows == 2
 
 
-def test_parse_expected_dim_is_a_floor():
+def test_parse_expected_dim_is_a_floor(libsvm_file):
     ds = parse_text("1 1:2.0\n", expected_dim=10)
     assert ds.n_cols == 10
     ds2 = parse_text("1 1:2.0 12:1.0\n", expected_dim=10)
@@ -75,7 +75,7 @@ def test_parse_expected_dim_is_a_floor():
     with pytest.raises(ValueError, match="expected_dim must be nonnegative, got -5"):
         parse_text("1 1:0.5\n", expected_dim=-5)
     with pytest.raises(ValueError, match="expected_dim must be nonnegative, got -1"):
-        load_libsvm(fixture_path("logistic_sep"), expected_dim=-1)
+        load_libsvm(libsvm_file, expected_dim=-1)
 
 
 def test_parse_regression_labels():
@@ -141,16 +141,17 @@ def test_parse_spans_blocks():
     assert parse_text(text, expected_dim=12).n_cols == 12
 
 
-def test_well_formed_text_takes_the_vectorised_path():
+def test_well_formed_text_takes_the_vectorised_path(tmp_path):
     # a fast path that always fell back would pass every other test here
-    texts = [fixture_path(kind).read_text(encoding="utf-8") for kind in SYNTHETIC_KINDS]
+    texts = [serialize_libsvm(generate_synthetic(kind, 200, 30, seed=0)) for kind in SYNTHETIC_KINDS]
     texts.append("1 1:0.1 2:1e-300 3:123456789.123456789\n-1 1:-0.0\n")
     want = [parse_by_lines(io.StringIO(text)) for text in texts]
     with mock.patch.object(dataio, "_parse_lines", side_effect=AssertionError("per-line reader")):
         for text, expected in zip(texts, want):
             assert same_dataset(parse_text(text), expected)
-        for kind in SYNTHETIC_KINDS:
-            assert fixture_dataset(kind).n_rows == 200
+        for kind, text in zip(SYNTHETIC_KINDS, texts):  # and read from a file
+            (tmp_path / kind).write_text(text, encoding="utf-8")
+            assert load_libsvm(tmp_path / kind).n_rows == 200
 
 
 # Decimal floats in the vectorised grammar: a sign, 5 / 5. / .5 / 5.25 with any leading
@@ -274,9 +275,9 @@ def test_near_misses_give_the_readers_result(rows):
 
 @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
 def test_roundtrip_on_fixtures(kind):
-    first = fixture_dataset(kind)
+    first = generate_synthetic(kind, 200, 30, seed=0)
     text = serialize_libsvm(first)
-    second = parse_libsvm(io.StringIO(text), name=kind)
+    second = parse_libsvm(io.StringIO(text), name=first.name)
     assert same_dataset(first, second)
 
 
@@ -294,14 +295,6 @@ def test_generation_deterministic(kind):
     assert not same_dataset(a, generate_synthetic(kind, 40, 8, seed=10))
 
 
-def test_fixtures_match_generator_output():
-    # drift guard: the committed files are exactly what the generator emits
-    for kind in SYNTHETIC_KINDS:
-        dataset = generate_synthetic(kind, 200, 30, seed=0)
-        with fixture_path(kind).open("r", encoding="utf-8") as fh:
-            assert fh.read() == serialize_libsvm(dataset)
-
-
 def test_generated_kinds_and_shapes():
     log = generate_synthetic("logistic_sep", 50, 7, seed=2)
     assert set(np.unique(log.labels)) <= {-1.0, 1.0}
@@ -314,11 +307,14 @@ def test_generated_kinds_and_shapes():
         generate_synthetic("mystery", 10, 2, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic("logistic_sep", 0, 2, seed=0)
+    # fewer rows than columns: numpy's broadcast failed at 20x30, and 1x30 lost the spectrum
+    for n in (20, 1):
+        with pytest.raises(ValueError, match=f"lasso_known needs n >= d for its spectrum, got {n}x30"):
+            generate_synthetic("lasso_known", n, 30, seed=0)
+    assert generate_synthetic("lasso_known", 30, 30, seed=0).features.shape == (30, 30)
 
 
-def test_unknown_fixture_and_short_labels_are_refused():
-    with pytest.raises(ValueError, match="unknown fixture kind 'mystery'"):
-        fixture_path("mystery")
+def test_short_labels_are_refused():
     with pytest.raises(ValueError, match="label count"):
         Dataset(CsrMatrix.from_dense(np.eye(2)), np.zeros(1), "short")
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse import _sparsetools
 
 from proxrestart import (L1, CsrMatrix, FixedRestart, LogisticObjective, SolverConfig, SolverState,
-                         apg_restart_step, fixture_dataset, generate_synthetic, linalg, objectives,
+                         apg_restart_step, generate_synthetic, linalg, objectives,
                          run, solver, spectral_norm_sq, spmv, spmv_transpose)
 
 
@@ -191,7 +191,7 @@ def test_spectral_norm_is_certified_bound(name, branch):
 
 @pytest.mark.parametrize("kind", ["logistic_sep", "robust_outliers", "lasso_known"])
 def test_spectral_norm_certified_on_fixtures_and_generated(kind):
-    for ds in [fixture_dataset(kind)] + [generate_synthetic(kind, 200, 30, seed) for seed in range(5)]:
+    for ds in [generate_synthetic(kind, 200, 30, seed) for seed in range(5)]:
         assert_certified(ds.features.to_dense(), spectral_norm_sq(ds.features))
 
 
@@ -256,8 +256,8 @@ def test_spectral_norm_falls_back_to_cap_without_convergence(monkeypatch):
 
 def test_dense_branch_does_not_import_sparse_linalg():
     # the import costs about 0.1 s, which small-instance commands must not pay
-    code = ("import sys; from proxrestart import fixture_dataset, spectral_norm_sq; "
-            "spectral_norm_sq(fixture_dataset('lasso_known').features); "
+    code = ("import sys; from proxrestart import generate_synthetic, spectral_norm_sq; "
+            "spectral_norm_sq(generate_synthetic('lasso_known', 200, 30, seed=0).features); "
             "assert 'scipy.sparse.linalg' not in sys.modules")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
@@ -419,7 +419,7 @@ def test_split_products_match_one_kernel_call(kernel, case):
 
 
 def test_small_products_and_one_cpu_run_whole(kernel, monkeypatch):
-    small = fixture_dataset("lasso_known").features
+    small = generate_synthetic("lasso_known", 200, 30, seed=0).features
     spmv(small, np.ones(small.n_cols))
     spmv_transpose(small, np.ones(small.n_rows))
     A = with_nnz(np.random.default_rng(1), 4096, 512, SPLIT)

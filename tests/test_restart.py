@@ -142,8 +142,7 @@ def test_parameter_validation():
     (NonMonotoneRestart(tau=0), "non_monotone(tau=0.0)"),
 ])
 def test_scheme_labels(scheme, label):
-    # the labels name the scheme in summary.csv, compare.csv and restart_counts.csv,
-    # which quote no field
+    # the labels name the scheme in summary.csv, which quotes no field
     assert scheme.label == label and "," not in label
 
 
