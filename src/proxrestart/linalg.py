@@ -28,10 +28,21 @@ crosses ``nnz / 2``. Two kinds of pass split:
   Those passes cut at the forward product's cut, so each thread reads
   the half of ``A x`` it wrote.
 
+The worker runs on a CPU other than the caller's: at each split the
+caller pins it to the caller's usable CPUs but its own, if the worker may
+run on the caller's CPU. Left alone, the scheduler of a 2-vCPU guest kept
+a woken worker on its waker's CPU, so the two halves took turns on one
+CPU and every split pass ran slower than whole. And the worker runs its
+half only if it claims it first: the caller, done with its own half,
+runs the worker's half too if the worker has not started it, and waits
+only for a half the worker is running. A second CPU that is busy or slow
+to wake then costs one handoff, not a wait.
+
 Each output entry is still computed by one thread, from the same
-operands in the same order, so the bits do not depend on the split or on
-the CPU count. Reductions (sums, norms, dot products) never split: each
-stays one call over the whole array, on the caller's thread.
+operands in the same order, so the bits do not depend on the split, on
+which thread ran a half, or on the CPU count. Reductions (sums, norms,
+dot products) never split: each stays one call over the whole array, on
+the caller's thread.
 
 :func:`spectral_norm_sq` gives the objectives their upper bound on
 ``||A||_2^2``: a dense LAPACK SVD for small matrices, Lanczos with the
@@ -183,45 +194,94 @@ def _usable_cpus() -> int:
 
 
 # A product over at least this many stored entries is split over two
-# threads. The handoff costs about 30 us: a 200 x 30 product (1 793
-# entries) takes 6 us on one thread and 40 us split. Timed on a 2-core
-# x86 host (numpy 2.4, scipy 1.17), both products of random matrices with
-# aspect ratios 10 : 1, 1 : 1 and 1 : 10, in three sweeps (the first
-# without 1 : 1): at 2**16 entries the split lost on most products (up to
-# 37% slower); at 2**17 it won on all six in two sweeps (12-30% faster)
-# and on two of four in the first (up to 17% slower on the others); from
-# 2**18 on it won on nearly all. The 50 000 x 5 000 bench instance
-# (5 * 10**5 entries): forward 805 -> 490 us, transposed 470 -> 395 us.
+# threads. Timed on a 2-vCPU x86 guest (numpy 2.4, scipy 1.17) with the
+# worker on the other CPU: both products of random matrices at aspect
+# ratios 10 : 1 (5 entries per row), 1 : 1 (10% dense) and 1 : 10 (5 per
+# column), median of 60 alternating calls, three sweeps. The
+# split won on 4, 6 and 6 of the six products at 2**18 entries (up to
+# 42% faster; 2-7% slower on the other two once), on 5, 6 and 6 at 2**17
+# (4-33% faster; one product 6% slower once), on 2, 4 and 3 at 2**16 (the
+# two 1 : 1 products 7-36% slower in every sweep), and on 2, 2 and 1 at
+# 2**15 (up to 88% slower). Below that a product is mostly handoff: a
+# request wakes the worker on an idle CPU in 37 us (median; 20-218 us
+# from the 10th to the 90th percentile).
 _SPLIT_MIN_NNZ = 1 << 17
 
 # An elementwise pass over the rows of a matrix with at least this many
-# rows is split over two threads. Each split costs a handoff of tens of
-# us, so a pass must be long to gain. Timed on a 2-core x86 host (numpy
-# 2.4, scipy 1.17): 100 restart-solver iterations on logistic instances
-# with 2 and 10 stored entries per row, each with every row pass split
-# against none, in six alternating repeats: at 2**13 and 2**14 rows the
-# split was 12-55% slower per iteration, at 2**15 rows 1-4% faster, and
-# from 46 341 rows on 0-20% faster (15% at 10 entries per row, the
-# bench instance's density).
+# rows is split over two threads. Timed on the same guest, worker on the
+# other CPU: 100 restart-solver iterations on logistic instances with 2
+# and 10 stored entries per row, every row pass split against none, six
+# alternating repeats, median per iteration, two sweeps:
+#
+#   rows     2 per row       10 per row
+#   2**13    +83%, +81%      +58%, +41%
+#   2**14    +41%, +33%       +1%, +19%
+#   2**15     +8%, -11%      -14%, -12%
+#   46 341    -5%, -10%      -14%, -11%
+#   2**16    -25%, -27%      -27%, -15%
+#
+# (split against none; negative is faster). At 2**14 rows the split lost
+# in all four runs, at 2**15 it won in three of four, and above in all.
 _SPLIT_MIN_ROWS = 1 << 15
 
-# The worker thread that runs the lower rows of each split pass, as its
-# (requests, replies) queue pair; started on the first split. ``_busy`` is
-# held by the one caller using it, so each reply answers that caller.
+# The worker thread that runs the lower rows of each split pass, a
+# _Worker; started on the first split. ``_busy`` is held by the one caller
+# using it, so each reply answers that caller.
 _worker = None
 _busy = threading.Lock()
 
 
-def _serve(requests, replies) -> None:
-    """The worker's loop: run each part it is handed on its rows.
+class _Worker:
+    """The worker thread's request and reply queues, its native thread id,
+    and the CPUs it may run on, as this module last set them."""
 
+    __slots__ = ("requests", "replies", "native_id", "cpus")
+
+    def __init__(self, requests, replies, native_id, cpus):
+        self.requests, self.replies, self.native_id, self.cpus = requests, replies, native_id, cpus
+
+
+def _cpu_reader():
+    """glibc's ``sched_getcpu`` (the CPU the calling thread is on, 0.13 us a
+    call; reading ``/proc/thread-self/stat`` takes 15 us), or, where it or
+    ``os.sched_setaffinity`` is missing, a stand-in that returns -1, no
+    CPU, so that the worker is never pinned."""
+    if hasattr(os, "sched_setaffinity"):
+        import ctypes  # numpy has imported it already
+
+        try:
+            getcpu = ctypes.CDLL(None).sched_getcpu
+        except (OSError, AttributeError):
+            pass
+        else:
+            getcpu.argtypes, getcpu.restype = (), ctypes.c_int
+            return getcpu
+    return lambda: -1
+
+
+_sched_getcpu = _cpu_reader()
+
+
+def _serve(requests, replies) -> None:
+    """The worker's loop: run the lower rows of each pass it claims.
+
+    Each request carries a fresh lock, its claim. The worker runs the part
+    only if it takes the claim; a request whose claim the caller already
+    holds is stale (the caller ran those rows itself), and the worker skips
+    it without a reply. So the caller waits for a reply only when the
+    worker has started its half, and each reply answers the pass it
+    claimed.
+
+    The worker runs on a CPU other than the caller's (:func:`_keep_off`).
     A part calls only compiled code (numpy and scipy ufuncs, scipy's CSR
     kernel), never a Python entry point of this package, so a profiler
     that wraps those entry points sees each split pass once, on the
     caller's thread.
     """
     while True:
-        part, arrays = requests.get()
+        claim, part, arrays = requests.get()
+        if not claim.acquire(blocking=False):
+            continue
         try:
             part(*arrays)
         except BaseException as exc:  # handed to the caller, which re-raises it
@@ -230,20 +290,56 @@ def _serve(requests, replies) -> None:
             replies.put(None)
 
 
-def _start_worker():
+def _start_worker() -> _Worker:
     global _worker
     if _worker is None:
         import queue  # here, so that a process that never splits does not load it
 
-        pair = (queue.SimpleQueue(), queue.SimpleQueue())
-        threading.Thread(target=_serve, args=pair, name="proxrestart-rows", daemon=True).start()
-        _worker = pair
+        requests, replies = queue.SimpleQueue(), queue.SimpleQueue()
+        thread = threading.Thread(target=_serve, args=(requests, replies),
+                                  name="proxrestart-rows", daemon=True)
+        thread.start()
+        # a new thread may run wherever its creator may
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+        _worker = _Worker(requests, replies, thread.native_id, cpus)
     return _worker
+
+
+def _keep_off(worker: _Worker) -> None:
+    """Pin the worker to this thread's CPUs but the one it is on, if the
+    worker may run there.
+
+    The scheduler of a guest with few vCPUs can leave a woken thread on its
+    waker's CPU and migrate neither: two threads then take turns on one
+    CPU, and a split pass costs more than the whole one. This thread's own
+    affinity never changes.
+    """
+    cpu = _sched_getcpu()
+    if cpu in worker.cpus:
+        others = os.sched_getaffinity(0) - {cpu}
+        try:
+            os.sched_setaffinity(worker.native_id, others)
+        except OSError:  # no other CPU: leave the worker where it may run
+            pass
+        worker.cpus = others
+
+
+def _reply(worker: _Worker):
+    """Wait for the worker's reply to the pass it claimed."""
+    global _worker
+    try:
+        return worker.replies.get()
+    except BaseException:
+        # interrupted while the worker still owes this reply: a later
+        # caller must not take it for its own
+        _worker = None
+        raise
 
 
 def _forget_worker() -> None:
     """In a forked child: the worker thread did not survive the fork, and
-    ``_busy`` may have been held by a thread that did not either."""
+    ``_busy`` may have been held by a thread that did not either. The
+    child's worker starts unpinned: its pin state goes with ``_worker``."""
     global _worker, _busy
     _worker = None
     _busy = threading.Lock()
@@ -264,35 +360,47 @@ def _row_cut(M: sp.csr_matrix) -> int:
 def _split_rows(cut: int, part, *arrays) -> None:
     """Run ``part(*arrays)``, split at row ``cut`` over two threads if it can.
 
-    The worker thread runs ``part`` on ``a[:cut]`` of each array and this
-    thread on ``a[cut:]``, each writing its own rows of the outputs. An
-    array one entry longer than the last one (an ``indptr``) gives the
-    worker ``a[:cut + 1]``, so both halves hold the entry at the cut.
-    ``part`` must compute each row's outputs from that row's inputs alone,
-    so the bits do not depend on the split, and must call only compiled
-    code (see :func:`_serve`). It runs once over the whole arrays, on this
-    thread, when the cut leaves a half without rows, when the process may
-    use only one CPU, or when the worker is busy with another thread's
-    pass.
+    The lower half is ``a[:cut]`` of each array and the upper half
+    ``a[cut:]``; each half writes its own rows of the outputs. An array one
+    entry longer than the last one (an ``indptr``) gives the lower half
+    ``a[:cut + 1]``, so both halves hold the entry at the cut. ``part``
+    must compute each row's outputs from that row's inputs alone, so the
+    bits do not depend on the split, and must call only compiled code (see
+    :func:`_serve`).
+
+    This thread first moves the worker off its own CPU if the worker may
+    run there (:func:`_keep_off`), hands it the lower half with a fresh
+    claim, and runs the upper half. Then, if the worker has not claimed the
+    lower half, this thread claims it and runs it too; otherwise it waits
+    for the worker's reply. A worker that is slow to be scheduled thus
+    costs one handoff, not a wait. If the upper half raises, this thread
+    claims the lower half if it can, so that the worker never starts it,
+    and otherwise waits for the worker before re-raising.
+
+    ``part`` runs once over the whole arrays, on this thread, when the cut
+    leaves a half without rows, when the process may use only one CPU, or
+    when the worker is busy with another thread's pass.
     """
-    global _worker
     n_rows = len(arrays[-1])
     if not 0 < cut < n_rows or _usable_cpus() < 2 or not _busy.acquire(blocking=False):
         part(*arrays)
         return
     try:
-        requests, replies = _start_worker()
-        requests.put((part, [a[:cut + len(a) - n_rows] for a in arrays]))
+        worker = _start_worker()
+        _keep_off(worker)
+        claim = threading.Lock()
+        lower = [a[:cut + len(a) - n_rows] for a in arrays]
+        worker.requests.put((claim, part, lower))
         try:
             part(*[a[cut:] for a in arrays])
-        finally:
-            try:
-                error = replies.get()
-            except BaseException:
-                # interrupted while the worker still owes this reply: a
-                # later caller must not take it for its own
-                _worker = None
-                raise
+        except BaseException:
+            if not claim.acquire(blocking=False):
+                _reply(worker)
+            raise
+        if claim.acquire(blocking=False):
+            part(*lower)
+            return
+        error = _reply(worker)
     finally:
         _busy.release()
     if error is not None:

@@ -26,8 +26,10 @@ of ``t`` and runs on numpy's vectorised ``exp`` and ``log1p`` loops
 (``np.logaddexp`` computes the same identity one scalar at a time through
 libm). Its value may differ from ``np.logaddexp`` by a few ulps, and which
 SIMD loop numpy dispatches to depends on the CPU: ``F`` is the same across
-reruns on one machine but not across CPUs. The logistic gradient goes
-through ``scipy.special.expit`` and does not depend on that dispatch.
+reruns on one machine but not across CPUs. The robust loss value runs on
+numpy's SIMD ``log1p`` too, so its ``F`` depends on the CPU in the same
+way. Neither gradient depends on that dispatch: the logistic one goes
+through ``scipy.special.expit``, the robust one takes no ``log1p``.
 ``scipy.special`` is imported by the first logistic gradient, not by this
 module: it costs about 5 MB resident and 50 ms of start-up, which
 quadratic and robust runs and ``check`` on the lasso grid never use.
@@ -192,6 +194,9 @@ class RobustRegressionObjective(_DataObjective):
     """Averaged Cauchy-type robust loss of the residuals.
 
     f(x) = (1/n) sum_i log((<a_i, x> - b_i)^2 / 2 + 1)
+
+    The value runs on numpy's SIMD ``log1p``, so, like the logistic value,
+    it is reproducible on one machine but not across CPUs.
     """
 
     def value(self, x, Ax) -> float:

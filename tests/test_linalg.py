@@ -1,6 +1,5 @@
 import multiprocessing
 import os
-import queue
 import subprocess
 import sys
 import threading
@@ -329,18 +328,40 @@ SPLIT = linalg._SPLIT_MIN_NNZ
 WORKER = "proxrestart-rows"
 
 
-class KernelCalls:
+class WorkerFirst:
+    """Lets the worker begin first: while ``await_worker`` is set, the caller's half
+    of each split pass starts only once the worker has begun its half (within 60 s),
+    so the worker, not the caller, runs the lower rows. Without it the caller may
+    claim them first, and which thread ran them would be left to the scheduler."""
+
+    def __init__(self):
+        self.await_worker = False
+        self._began = threading.Event()
+
+    def enter(self):
+        """Called as a half begins; returns "worker" or "caller"."""
+        if threading.current_thread().name == WORKER:
+            self._began.set()
+            return "worker"
+        if self.await_worker:
+            assert self._began.wait(60), "the worker did not begin its half"
+            self._began.clear()
+        return "caller"
+
+
+class KernelCalls(WorkerFirst):
     """Stands in for scipy's ``_sparsetools`` in ``linalg``: runs the real kernel and
     records the thread and row count of each call; ``fail_on`` is "worker" or "caller"."""
 
     def __init__(self):
+        super().__init__()
         self.calls = []
         self.fail_on = None
 
     def csr_matvec(self, n_rows, *args):
-        in_worker = threading.current_thread().name == WORKER
+        thread = self.enter()
         self.calls.append((threading.get_ident(), n_rows))
-        if self.fail_on == ("worker" if in_worker else "caller"):
+        if self.fail_on == thread:
             raise RuntimeError(f"kernel failed in the {self.fail_on}")
         _sparsetools.csr_matvec(n_rows, *args)
 
@@ -413,6 +434,7 @@ def test_split_products_match_one_kernel_call(kernel, case):
                                   (spmv, A._csr, np.ascontiguousarray(x), forward_splits),
                                   (spmv_transpose, A_t, y, transposed_splits)):
         kernel.calls.clear()
+        kernel.await_worker = splits
         assert product(A, v).tobytes() == one_kernel_call(M, v)
         assert (len(kernel.calls), kernel.threads()) == ((2, 2) if splits else (1, 1))
         assert sum(rows for _, rows in kernel.calls) == M.shape[0]
@@ -442,6 +464,7 @@ def test_kernel_error_reaches_the_caller(kernel, fail_on):
     A = with_nnz(np.random.default_rng(4), 4096, 512, SPLIT)
     x = np.random.default_rng(5).standard_normal(512)
     kernel.fail_on = fail_on
+    kernel.await_worker = True
     with pytest.raises(RuntimeError, match=f"kernel failed in the {fail_on}"):
         spmv(A, x)
     # the worker has answered, so the next split product gets its own reply
@@ -460,11 +483,64 @@ def test_interrupted_wait_retires_the_worker(kernel, monkeypatch):
     # a reply still owed to an interrupted caller must not answer the next one
     A = with_nnz(np.random.default_rng(9), 4096, 512, SPLIT)
     x = np.random.default_rng(10).standard_normal(512)
-    monkeypatch.setattr(linalg, "_worker", (queue.SimpleQueue(), InterruptedReplies()))
+    monkeypatch.setattr(linalg, "_worker", None)  # this test's worker, retired below
+    worker = linalg._start_worker()
+    worker.replies = InterruptedReplies()
+    kernel.await_worker = True  # the worker claims its half before the caller waits
     with pytest.raises(KeyboardInterrupt):
         spmv(A, x)
     assert linalg._worker is None and not linalg._busy.locked()
+    kernel.calls.clear()
     assert spmv(A, x).tobytes() == one_kernel_call(A._csr, x)
+    assert linalg._worker is not worker and kernel.threads() == 2
+
+
+def hold_worker():
+    """Keep the worker busy with a request of this test's own, once it has begun: returns
+    the event that releases the worker and the one it sets when it has finished."""
+    began, release, finished = threading.Event(), threading.Event(), threading.Event()
+
+    def hold():
+        began.set()
+        release.wait(60)
+        finished.set()
+
+    linalg._start_worker().requests.put((threading.Lock(), hold, []))
+    assert began.wait(60), "the worker did not take the holding request"
+    return release, finished
+
+
+def test_caller_runs_both_halves_while_the_worker_is_held(kernel):
+    A = with_nnz(np.random.default_rng(12), 4096, 512, SPLIT)
+    x = np.random.default_rng(13).standard_normal(512)
+    release, finished = hold_worker()
+    try:
+        assert spmv(A, x).tobytes() == one_kernel_call(A._csr, x)
+        # the pass returned while the worker still held its request
+        assert not finished.is_set()
+        assert [ident for ident, _ in kernel.calls] == [threading.get_ident()] * 2
+        assert sum(rows for _, rows in kernel.calls) == A.n_rows
+    finally:
+        release.set()
+        assert linalg._worker.replies.get(timeout=60) is None  # the holding request's
+
+
+def test_stale_request_never_answers_a_later_caller(kernel):
+    A = with_nnz(np.random.default_rng(14), 4096, 512, SPLIT)
+    x = np.random.default_rng(15).standard_normal(512)
+    want = one_kernel_call(A._csr, x)
+    release, _ = hold_worker()
+    try:
+        assert spmv(A, x).tobytes() == want  # leaves its claimed request in the queue
+    finally:
+        release.set()
+        assert linalg._worker.replies.get(timeout=60) is None
+    kernel.calls.clear()
+    kernel.await_worker = True
+    assert spmv(A, x).tobytes() == want
+    assert kernel.threads() == 2
+    # the worker skipped the stale request: it owes nothing, and nothing waits to answer
+    assert linalg._worker.replies.empty() and linalg._worker.requests.empty()
 
 
 def test_concurrent_callers_get_the_reference_bytes(kernel):
@@ -500,6 +576,7 @@ def _product_in_child(A, x, conn):
 def test_split_product_in_forked_child(kernel):
     A = with_nnz(np.random.default_rng(7), 4096, 512, SPLIT)
     x = np.random.default_rng(8).standard_normal(512)
+    kernel.await_worker = True  # here and in the child
     want = spmv(A, x).tobytes()  # the worker thread now runs in this process only
     assert linalg._worker is not None and kernel.threads() == 2
     ctx = multiprocessing.get_context("fork")
@@ -514,17 +591,79 @@ def test_split_product_in_forked_child(kernel):
         child.join()
 
 
+PINNING = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and two usable CPUs")
+
+
+@PINNING
+def test_worker_runs_off_the_callers_cpu(kernel, monkeypatch):
+    A = with_nnz(np.random.default_rng(16), 4096, 512, SPLIT)
+    x = np.random.default_rng(17).standard_normal(512)
+    want = one_kernel_call(A._csr, x)
+    usable = os.sched_getaffinity(0)
+    kernel.await_worker = True
+    assert spmv(A, x).tobytes() == want
+    pinned = os.sched_getaffinity(linalg._worker.native_id)
+    assert len(usable - pinned) == 1 and pinned < usable
+    assert linalg._sched_getcpu() in usable  # the CPU this thread is on
+    # the caller reported on each CPU in turn: each time on one the worker may use
+    first, second = sorted(usable)[:2]
+    for cpu in (first, second, first):
+        monkeypatch.setattr(linalg, "_sched_getcpu", lambda: cpu)
+        kernel.calls.clear()
+        assert spmv(A, x).tobytes() == want
+        assert kernel.threads() == 2
+        assert os.sched_getaffinity(linalg._worker.native_id) == usable - {cpu}
+    assert os.sched_getaffinity(0) == usable  # the caller's own affinity never changes
+
+
+def _pin_state_in_child(A, x, cpu, conn):
+    fresh = linalg._worker is None
+    linalg._sched_getcpu = lambda: cpu
+    spmv(A, x)
+    conn.send((fresh, os.sched_getaffinity(linalg._worker.native_id)))
+
+
+@PINNING
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_starts_unpinned(kernel, monkeypatch):
+    A = with_nnz(np.random.default_rng(18), 4096, 512, SPLIT)
+    x = np.random.default_rng(19).standard_normal(512)
+    usable = os.sched_getaffinity(0)
+    first, second = sorted(usable)[:2]
+    monkeypatch.setattr(linalg, "_sched_getcpu", lambda: first)
+    kernel.await_worker = True  # here and in the child
+    spmv(A, x)
+    pinned = os.sched_getaffinity(linalg._worker.native_id)
+    assert pinned == usable - {first}
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_pin_state_in_child, args=(A, x, second, sender))
+    child.start()
+    try:
+        assert receiver.poll(60), "the forked child's split product did not finish"
+        # a worker of its own, started on every usable CPU and pinned off the child's
+        assert receiver.recv() == (True, usable - {second})
+    finally:
+        child.kill()
+        child.join()
+    # the child pinned its own worker, not this process's
+    assert os.sched_getaffinity(linalg._worker.native_id) == pinned
+
+
 # --- row passes split over two threads ---------------------------------------------
 
 ROW_PARTS = ((objectives, "_logistic_loss_terms"), (objectives, "_logistic_weights"),
              (solver, "_carried_Az"), (solver, "_carried_Ay"))
 
 
-class RowParts:
+class RowParts(WorkerFirst):
     """Records each call of the row-pass parts: (part, thread, rows); ``fail_in`` names
     the thread ("worker" or "caller") in which the parts raise."""
 
     def __init__(self, monkeypatch):
+        super().__init__()
         self.calls = []
         self.fail_in = None
         for module, name in ROW_PARTS:
@@ -532,7 +671,7 @@ class RowParts:
 
     def _recording(self, name, part):
         def recorded(*args):
-            thread = "worker" if threading.current_thread().name == WORKER else "caller"
+            thread = self.enter()
             self.calls.append((name, thread, len(args[-1])))
             if self.fail_in == thread:
                 raise RuntimeError(f"row part failed in the {thread}")
@@ -576,6 +715,7 @@ def test_split_row_passes_give_the_same_bits(monkeypatch):
     for cpus, halves in ((1, [("caller", n)]), (2, [("worker", cut), ("caller", n - cut)])):
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
         parts.calls.clear()
+        parts.await_worker = cpus > 1
         assert logistic_bytes(objective, x) == want
         # every part ran, each call on the rows its thread owns
         assert {name for name, _, _ in parts.calls} == {name for _, name in ROW_PARTS}
@@ -590,6 +730,7 @@ def test_row_part_error_reaches_the_caller(monkeypatch, fail_in):
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
     parts = RowParts(monkeypatch)
     parts.fail_in = fail_in
+    parts.await_worker = True
     with pytest.raises(RuntimeError, match=f"row part failed in the {fail_in}"):
         objective.value(x, Ax)
     # the worker has answered, so the next split pass gets its own reply
