@@ -28,6 +28,10 @@ crosses ``nnz / 2``. Two kinds of pass split:
   Those passes cut at the forward product's cut, so each thread reads
   the half of ``A x`` it wrote.
 
+Each row pass is one part function, which returns its output and
+allocates it when given none; :func:`_row_pass` alone decides whether it
+runs whole (below ``_SPLIT_MIN_ROWS`` rows) or split.
+
 The worker runs on a CPU other than the caller's: at each split the
 caller pins it to the caller's usable CPUs but its own, if the worker may
 run on the caller's CPU. Left alone, the scheduler of a 2-vCPU guest kept
@@ -279,11 +283,11 @@ def _serve(requests, replies) -> None:
     caller's thread.
     """
     while True:
-        claim, part, arrays = requests.get()
+        claim, part, args = requests.get()
         if not claim.acquire(blocking=False):
             continue
         try:
-            part(*arrays)
+            part(*args)
         except BaseException as exc:  # handed to the caller, which re-raises it
             replies.put(exc)
         else:
@@ -357,16 +361,17 @@ def _row_cut(M: sp.csr_matrix) -> int:
     return int(np.searchsorted(ip, ip.dtype.type(len(M.data) // 2)))
 
 
-def _split_rows(cut: int, part, *arrays) -> None:
-    """Run ``part(*arrays)``, split at row ``cut`` over two threads if it can.
+def _split_rows(cut: int, part, *args) -> None:
+    """Run ``part(*args)``, split at row ``cut`` over two threads if it can.
 
-    The lower half is ``a[:cut]`` of each array and the upper half
-    ``a[cut:]``; each half writes its own rows of the outputs. An array one
-    entry longer than the last one (an ``indptr``) gives the lower half
-    ``a[:cut + 1]``, so both halves hold the entry at the cut. ``part``
-    must compute each row's outputs from that row's inputs alone, so the
-    bits do not depend on the split, and must call only compiled code (see
-    :func:`_serve`).
+    The last argument is the output array. The lower half gets ``a[:cut]``
+    of each array argument and the upper half ``a[cut:]``; each half writes
+    its own rows of the output. An array one entry longer than the output
+    (an ``indptr``) gives the lower half ``a[:cut + 1]``, so both halves
+    hold the entry at the cut. Other arguments (scalars, a ufunc) go to
+    both halves as they are. ``part`` must compute each row's outputs from
+    that row's inputs alone, so the bits do not depend on the split, and
+    must call only compiled code (see :func:`_serve`).
 
     This thread first moves the worker off its own CPU if the worker may
     run there (:func:`_keep_off`), hands it the lower half with a fresh
@@ -381,18 +386,18 @@ def _split_rows(cut: int, part, *arrays) -> None:
     leaves a half without rows, when the process may use only one CPU, or
     when the worker is busy with another thread's pass.
     """
-    n_rows = len(arrays[-1])
+    n_rows = len(args[-1])
     if not 0 < cut < n_rows or _usable_cpus() < 2 or not _busy.acquire(blocking=False):
-        part(*arrays)
+        part(*args)
         return
     try:
         worker = _start_worker()
         _keep_off(worker)
         claim = threading.Lock()
-        lower = [a[:cut + len(a) - n_rows] for a in arrays]
+        lower = [a[:cut + len(a) - n_rows] if isinstance(a, np.ndarray) else a for a in args]
         worker.requests.put((claim, part, lower))
         try:
-            part(*[a[cut:] for a in arrays])
+            part(*[a[cut:] if isinstance(a, np.ndarray) else a for a in args])
         except BaseException:
             if not claim.acquire(blocking=False):
                 _reply(worker)
@@ -405,6 +410,18 @@ def _split_rows(cut: int, part, *arrays) -> None:
         _busy.release()
     if error is not None:
         raise error
+
+
+def _row_pass(A: CsrMatrix, part, *args) -> np.ndarray:
+    """``part(*args)``, a pass over the rows of ``A`` whose last argument has
+    one entry per row: whole below ``_SPLIT_MIN_ROWS`` rows, else into an
+    output allocated here and passed last, split at ``A``'s cut."""
+    n_rows = len(args[-1])  # a tenth of A.n_rows's cost
+    if n_rows < _SPLIT_MIN_ROWS:
+        return part(*args)
+    out = np.empty(n_rows)
+    _split_rows(A._cut, part, *args, out)
+    return out
 
 
 def _csr_matvec(M: sp.csr_matrix, cut: int, x: np.ndarray, n_rows: int,

@@ -31,8 +31,11 @@ numpy's SIMD ``log1p`` too, so its ``F`` depends on the CPU in the same
 way. Neither gradient depends on that dispatch: the logistic one goes
 through ``scipy.special.expit``, the robust one takes no ``log1p``.
 ``scipy.special`` is imported by the first logistic gradient, not by this
-module: it costs about 5 MB resident and 50 ms of start-up, which
-quadratic and robust runs and ``check`` on the lasso grid never use.
+module: it costs about 5 MB resident and 60-75 ms, which quadratic and
+robust runs and ``check`` on the lasso grid never use. Its first import
+also loads scipy's bundled ``libscipy_openblas`` unless the Lanczos
+branch of :func:`~proxrestart.linalg.spectral_norm_sq` has (through
+``scipy.sparse.linalg``): in set-up on input that large, else here.
 
 Every loss has the form ``h(A x)``, so each objective offers one pair,
 ``value(x, Ax)`` and ``gradient(x, Ax)``, which start from the product
@@ -49,7 +52,7 @@ import functools
 
 import numpy as np
 
-from .linalg import _SPLIT_MIN_ROWS, CsrMatrix, _split_rows, spectral_norm_sq, spmv_transpose
+from .linalg import CsrMatrix, _row_pass, spectral_norm_sq, spmv_transpose
 
 __all__ = [
     "LogisticObjective",
@@ -102,23 +105,25 @@ def _expit():
     return expit
 
 
-# The logistic passes over the rows, as parts for linalg._split_rows on a
-# matrix of at least _SPLIT_MIN_ROWS rows. Below that the methods run the
-# same ufuncs inline on whole arrays: at a few hundred rows a call and its
-# slices would cost about as much as the ufuncs themselves.
+# The logistic row passes (linalg._row_pass). Outputs go positionally where
+# numpy allows it (not np.maximum): at 200 rows ``out=`` costs a tenth of a
+# ufunc call. In place, never in Ax, with the out-of-place formula's bits.
 
-def _logistic_loss_terms(neg_b, Ax, loss):
+def _logistic_loss_terms(neg_b, Ax, loss=None):
     t = neg_b * Ax
-    np.abs(t, out=loss)
-    np.negative(loss, out=loss)
-    np.exp(loss, out=loss)
-    np.log1p(loss, out=loss)
+    loss = np.absolute(t, loss)
+    np.negative(loss, loss)
+    np.exp(loss, loss)
+    np.log1p(loss, loss)
     loss += np.maximum(t, 0.0, out=t)
+    return loss
 
 
-def _logistic_weights(expit, neg_b, Ax, w):
-    expit(np.multiply(neg_b, Ax, out=w), out=w)
+def _logistic_weights(expit, neg_b, Ax, w=None):
+    w = np.multiply(neg_b, Ax, w)
+    expit(w, w)
     w *= neg_b
+    return w
 
 
 class LogisticObjective(_DataObjective):
@@ -147,32 +152,12 @@ class LogisticObjective(_DataObjective):
         self._neg_b = -self.b  # t = -b * Ax has the bits of -(b * Ax)
 
     def value(self, x, Ax) -> float:
-        # log(1 + e^t) = max(t, 0) + log1p(e^-|t|), stable for both signs of
-        # t. Split or not, each pass writes in place into the method's own
-        # two row-length temporaries, never into Ax, with the bits of the
-        # out-of-place formula. Each sum is one call over all rows.
-        if self.n < _SPLIT_MIN_ROWS:
-            t = self._neg_b * Ax
-            loss = np.abs(t)
-            np.negative(loss, out=loss)
-            np.exp(loss, out=loss)
-            np.log1p(loss, out=loss)
-            loss += np.maximum(t, 0.0, out=t)
-        else:
-            loss = np.empty(self.n)
-            _split_rows(self.A._cut, _logistic_loss_terms, self._neg_b, Ax, loss)
+        loss = _row_pass(self.A, _logistic_loss_terms, self._neg_b, Ax)
         xsq = x * x
         return float(_sum(loss)) / self.n + self.alpha * float(_sum(xsq / (1.0 + xsq)))
 
     def gradient(self, x, Ax) -> np.ndarray:
-        if self.n < _SPLIT_MIN_ROWS:
-            w = self._neg_b * Ax
-            _expit()(w, out=w)
-            w *= self._neg_b
-        else:
-            w = np.empty(self.n)
-            _split_rows(self.A._cut, functools.partial(_logistic_weights, _expit()),
-                        self._neg_b, Ax, w)
+        w = _row_pass(self.A, _logistic_weights, _expit(), self._neg_b, Ax)
         grad = spmv_transpose(self.A, w)
         grad /= self.n
         # + alpha * 2 x / (1 + x^2)^2

@@ -24,16 +24,18 @@ products ``A x_k`` and ``A y_k`` instead of forming them again:
 
     A z_k     = A y_k + alpha * (A x_k - A y_k)
     A x_{k+1} = A @ x_{k+1}               # also gives F(x_{k+1})
-    A y_{k+1} = A z_k - beta * (A x_k - A x_{k+1}) / lam
+    A y_{k+1} = A z_k - beta * (A x_k - A x_{k+1}) / lam   # if no restart follows
 
 That is one forward product and one transposed product (in the gradient
 at ``z_k``) per iteration. ``A x`` is always an exact product, and the
-restart branch sets ``A y = A x`` exactly. ``A y`` and ``A z`` are
-linear combinations that collect rounding error, but each step scales
-the error already in ``A y`` by ``1 - alpha``, so it stays damped
-without a periodic refresh: over 5 000 steps without a restart on the
-quadratic, robust and logistic 200x30 instances the carried ``A z``
-stayed within 1.5e-14 (relative, max-norm) of a fresh ``A @ z_k``.
+restart branch sets ``A y = A x`` exactly, so a step whose restart test
+fires skips ``A y_{k+1}`` and hands on ``Ay = None``. ``A y`` and
+``A z`` are linear combinations that collect rounding error, but each
+step scales the error already in ``A y`` by ``1 - alpha``, so it stays
+damped without a periodic refresh: over 5 000 steps without a restart
+on the quadratic, robust and logistic 200x30 instances the carried
+``A z`` stayed within 1.5e-14 (relative, max-norm) of a fresh
+``A @ z_k``.
 
 Each iteration calls ``objective.gradient``, ``spmv`` (for ``A x_{k+1}``),
 ``objective.value``, ``regularizer.value``, the update ``prox`` and the
@@ -78,14 +80,13 @@ upper end.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _SPLIT_MIN_ROWS, _norm, _split_rows, spmv
+from .linalg import _norm, _row_pass, spmv
 from .regularizers import gradient_mapping
 from .restart import NeverRestart, RestartObservation
 
@@ -231,9 +232,10 @@ class SolverState:
     ``Ax`` and ``Ay`` are the products ``A @ x`` and ``A @ y`` with the
     objective's data matrix; the restart step carries them instead of
     forming them again. ``pending_restart`` marks that the next call to
-    :func:`apg_restart_step` must execute the restart branch; it starts
-    True so iteration 0 opens the first period. The baselines use only
-    ``x``, ``y``, ``F``, ``Ax`` and ``k``; ``ag`` leaves ``Ay`` as None.
+    :func:`apg_restart_step` must execute the restart branch (``A y = A x``);
+    it starts True so iteration 0 opens the first period, and a step that
+    sets it leaves ``Ay`` None. The baselines use only ``x``, ``y``, ``F``,
+    ``Ax`` and ``k``; ``ag`` leaves ``Ay`` as None.
     """
 
     x: np.ndarray
@@ -277,15 +279,15 @@ def apg_restart_step(state: SolverState, objective, regularizer,
     second, purely diagnostic proximal call computes the recorded
     gradient-mapping norm at the query point). The gradient's transposed
     product and ``A @ x_{k+1}`` are the step's only matrix products;
-    ``state.Ax`` and ``state.Ay`` must hold ``A @ x`` and ``A @ y``.
-    Returns ``(next_state, record)`` without mutating ``state``. ``beta``
-    defaults to the configured stepsize mode's value.
+    ``state.Ax`` must hold ``A @ x`` and, unless a restart is pending,
+    ``state.Ay`` ``A @ y``; if the scheme fires, the next state's ``Ay``
+    is None. Returns ``(next_state, record)`` without mutating ``state``.
+    ``beta`` defaults to the configured stepsize mode's value.
     """
     if beta is None:
         beta = _resolve_beta("apg_restart", objective, cfg)[0]
     k = state.k
     x, y, F_x, Ax, Ay = state.x, state.y, state.F, state.Ax, state.Ay
-    split = len(Ax) >= _SPLIT_MIN_ROWS
     restarted = state.pending_restart
     if restarted:
         y, Ay = x, Ax         # re-synchronize: x_k = y_k exactly
@@ -299,13 +301,7 @@ def apg_restart_step(state: SolverState, objective, regularizer,
         z = x - y             # z = y + alpha * (x - y)
         z *= alpha
         z += y
-        if not split:
-            Az = Ax - Ay
-            Az *= alpha
-            Az += Ay
-        else:
-            Az = np.empty(len(Ax))
-            _split_rows(objective.A._cut, functools.partial(_carried_Az, alpha), Ax, Ay, Az)
+        Az = _row_pass(objective.A, _carried_Az, alpha, Ax, Ay)
     grad_z = objective.gradient(z, Az)
     x_new = regularizer.prox(x - lam * grad_z, lam)
     G = x - x_new             # x_new - x is exactly -G: the step norm is G's
@@ -323,38 +319,28 @@ def apg_restart_step(state: SolverState, objective, regularizer,
     y_new = z - beta * G
     Ax_new = spmv(objective.A, x_new)
     F_new = objective.value(x_new, Ax_new) + regularizer.value(x_new)
-    if not split:
-        AG = Ax - Ax_new
-        AG /= lam
-        AG *= beta
-        Ay_new = np.subtract(Az, AG, out=AG)
-    else:
-        Ay_new = np.empty(len(Ax))
-        _split_rows(objective.A._cut, functools.partial(_carried_Ay, lam, beta),
-                    Ax, Ax_new, Az, Ay_new)
-
     # positional arguments: keywords cost more than a small ufunc here
     fire = cfg.scheme.should_restart(RestartObservation(k, k - checkpoint, F_new, F_x,
                                                         x, y, z, y_new))
+    Ay_new = None if fire else _row_pass(objective.A, _carried_Ay, lam, beta, Ax, Ax_new, Az)
     record = StepRecord(F_x, gnorm, step, restarted, lam, beta, alpha, subdiff)
     return SolverState(x_new, y_new, F_new, Ax_new, Ay_new, k + 1, checkpoint, fire), record
 
 
-# The carried products' updates, as parts for linalg._split_rows on a
-# matrix of at least _SPLIT_MIN_ROWS rows; below that apg_restart_step
-# runs the same ufuncs inline on whole arrays.
+# The carried products' row passes, outputs positional as in objectives.
 
-def _carried_Az(alpha, Ax, Ay, Az):
-    np.subtract(Ax, Ay, out=Az)
+def _carried_Az(alpha, Ax, Ay, Az=None):
+    Az = np.subtract(Ax, Ay, Az)
     Az *= alpha
     Az += Ay
+    return Az
 
 
-def _carried_Ay(lam, beta, Ax, Ax_new, Az, Ay_new):
-    np.subtract(Ax, Ax_new, out=Ay_new)
+def _carried_Ay(lam, beta, Ax, Ax_new, Az, Ay_new=None):
+    Ay_new = np.subtract(Ax, Ax_new, Ay_new)
     Ay_new /= lam
     Ay_new *= beta
-    np.subtract(Az, Ay_new, out=Ay_new)
+    return np.subtract(Az, Ay_new, Ay_new)
 
 
 def _resolve_beta(algorithm, objective, cfg: SolverConfig):

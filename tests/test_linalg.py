@@ -253,6 +253,21 @@ def test_spectral_norm_falls_back_to_cap_without_convergence(monkeypatch):
     assert spectral_norm_sq(A) >= float(np.linalg.svd(dense, compute_uv=False)[0]) ** 2
 
 
+def test_small_run_starts_no_worker():
+    # at 200 x 30 no product and no row pass splits: the worker thread never starts
+    code = ("import threading, numpy as np; from proxrestart import L1, FixedRestart, "
+            "LogisticObjective, SolverConfig, generate_synthetic, linalg, run; "
+            "ds = generate_synthetic('logistic_sep', 200, 30, seed=0); "
+            "cfg = SolverConfig(max_iters=50, stepsize_mode='experiment', "
+            "scheme=FixedRestart(10)); "
+            "run(LogisticObjective(ds.features, ds.labels), L1(1e-3), cfg, np.zeros(30)); "
+            "print(linalg._worker is None, [t.name for t in threading.enumerate()])")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split(maxsplit=1) == ["True", "['MainThread']\n"]
+
+
 def test_dense_branch_does_not_import_sparse_linalg():
     # the import costs about 0.1 s, which small-instance commands must not pay
     code = ("import sys; from proxrestart import generate_synthetic, spectral_norm_sq; "
@@ -675,7 +690,7 @@ class RowParts(WorkerFirst):
             self.calls.append((name, thread, len(args[-1])))
             if self.fail_in == thread:
                 raise RuntimeError(f"row part failed in the {thread}")
-            part(*args)
+            return part(*args)
         return recorded
 
 
@@ -707,16 +722,15 @@ def test_split_row_passes_give_the_same_bits(monkeypatch):
     objective, x = rows_instance()
     n, cut = objective.n, objective.A._cut
     parts = RowParts(monkeypatch)
-    with monkeypatch.context() as inline:  # below the threshold: the inline ufuncs
-        inline.setattr(objectives, "_SPLIT_MIN_ROWS", n + 1)
-        inline.setattr(solver, "_SPLIT_MIN_ROWS", n + 1)
-        want = logistic_bytes(objective, x)
-    assert parts.calls == []
+    want = None
     for cpus, halves in ((1, [("caller", n)]), (2, [("worker", cut), ("caller", n - cut)])):
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
         parts.calls.clear()
         parts.await_worker = cpus > 1
-        assert logistic_bytes(objective, x) == want
+        got = logistic_bytes(objective, x)
+        if want is None:  # the reference: the same parts run whole, on one CPU
+            want = got
+        assert got == want
         # every part ran, each call on the rows its thread owns
         assert {name for name, _, _ in parts.calls} == {name for _, name in ROW_PARTS}
         assert sorted({(thread, rows) for _, thread, rows in parts.calls}) == sorted(halves)

@@ -544,6 +544,37 @@ def test_ag_forms_both_forward_products(small_quadratic, monkeypatch, n_iters):
     assert counts == {"forward": 2 * n_iters + 1, "transposed": n_iters}
 
 
+@pytest.mark.parametrize("n", [200, linalg._SPLIT_MIN_ROWS + 5], ids=["whole", "split_rows"])
+def test_firing_steps_carry_no_Ay(monkeypatch, n):
+    # a restart sets A y = A x at the next step, so a step whose scheme fires
+    # skips the carried A y_{k+1} and hands on Ay = None
+    ds = generate_synthetic("logistic_sep", n, 30, seed=0)
+    carried_Ay, step = solver._carried_Ay, solver.apg_restart_step
+    passes, steps = [], []  # steps: (fired, carried Ay passes, next Ay) per step
+
+    def counted(*args):
+        passes.append(1)
+        return carried_Ay(*args)
+
+    def observed(*args):
+        passes.clear()
+        state, record = step(*args)
+        steps.append((state.pending_restart, len(passes), state.Ay))
+        return state, record
+
+    monkeypatch.setattr(solver, "_carried_Ay", counted)
+    monkeypatch.setattr(solver, "apg_restart_step", observed)
+    cfg = SolverConfig(max_iters=12, stepsize_mode="experiment", scheme=FixedRestart(3))
+    trace = run(_logistic(ds.features, ds.labels), L1(1e-3), cfg, np.zeros(30))
+    fired = [f for f, _, _ in steps]
+    assert fired[:-1] == trace.restart_flags[1:].tolist() and 0 < sum(fired) < len(fired)
+    for fire, n_passes, Ay in steps:
+        if fire:
+            assert n_passes == 0 and Ay is None
+        else:
+            assert n_passes > 0 and Ay.shape == (n,)
+
+
 def _drift_instance(family):
     if family == "quadratic":
         ds = generate_synthetic("lasso_known", 200, 30, seed=0)
@@ -737,7 +768,7 @@ STEP_PATH_CASES = {
     "quadratic-squared_l2-theory":
         (QuadraticObjective, "lasso_known", 200, SquaredL2(0.1), "theory", NonMonotoneRestart(), 200),
     "logistic-l1-split_rows":
-        (_logistic, "logistic_sep", solver._SPLIT_MIN_ROWS + 5, L1(1e-3), "experiment",
+        (_logistic, "logistic_sep", linalg._SPLIT_MIN_ROWS + 5, L1(1e-3), "experiment",
          GradientMappingRestart(), 20),
 }
 
