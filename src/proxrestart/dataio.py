@@ -9,6 +9,7 @@ with a similar sparse texture are generated deterministically per seed.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -71,23 +72,24 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
     """Parse LIBSVM-format text into a :class:`Dataset`.
 
     The input is read in blocks of whole lines, about 1 MiB of text each,
-    so memory grows with one block plus the output arrays. numpy parses a
-    block when all of it is in the common grammar:
+    so memory grows with one block plus the output arrays. A block takes a
+    fast path when all of it is ASCII text of ``0-9 + - . e E :``, spaces,
+    tabs, ``\\r`` and line ends, with each item of ``lines`` one line and
+    each index 1 to 15 digits: numpy locates the fields and reads the
+    indices, and Python's ``float`` converts the labels and values.
 
-    - ASCII text of ``0-9 + - . e E :``, spaces, tabs, ``\\r`` and line
-      ends, with each item of ``lines`` one line;
-    - labels and values decimal floats, ``[+-](d+[.d*]|.d+)[(e|E)[+-]d+]``;
-    - indices of 1 to 15 digits and nothing else.
-
-    Any other block goes through a per-line reader, which takes whatever
-    Python's ``float`` and ``int`` take (``+3`` as an index, Unicode digits
+    Any other block, or one with a label or value that ``float`` refuses
+    or reads as nonfinite, goes through a per-line reader, which takes
+    whatever ``float`` and ``int`` take (``+3`` as an index, Unicode digits
     and spaces, ...). Either way the dataset, or the error and its line
     number, is the one that reader gives for the whole input.
 
     Parameters
     ----------
-    lines : iterable of str
+    lines : str or iterable of str
         The input, one sample per nonempty line (an open text file works).
+        A ``str`` is the whole text, split into lines as
+        ``io.StringIO(lines)`` splits it (at ``\\n`` only).
     expected_dim : int, optional
         Nonnegative lower bound on the feature dimension; the result has
         ``max(largest index seen, expected_dim)`` columns.
@@ -103,6 +105,8 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
     """
     if expected_dim is not None and expected_dim < 0:
         raise ValueError(f"expected_dim must be nonnegative, got {expected_dim}")
+    if isinstance(lines, str):
+        lines = io.StringIO(lines)
     # a tuple is true, so the reader runs only where the vectorised parse gives up
     parts = [_parse_block(block) or _parse_lines(block, first) for first, block in _blocks(lines)]
     labels, lengths, col_idx, vals = (
@@ -117,31 +121,16 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
 # Text is parsed in blocks of whole lines of about this many characters.
 _BLOCK_CHARS = 1 << 20
 
-# Byte classes of the vectorised grammar, as a ``bytes.translate`` table;
-# class 0 sends the block to the per-line reader.
-_WS, _DIGIT, _COLON, _DOT, _EXP, _SIGN = 1, 2, 3, 4, 5, 6
+# Byte classes of the fast path, as a ``bytes.translate`` table; class 0 (``_``, a letter
+# other than ``e``/``E``, any other byte) sends the block to the per-line reader.
+_WS, _DIGIT, _COLON, _MARK = 1, 2, 3, 4
 _CLASSES = bytearray(256)
-for _chars, _cls in ((b" \t\r\n", _WS), (b"0123456789", _DIGIT), (b":", _COLON), (b".", _DOT),
-                     (b"eE", _EXP), (b"+-", _SIGN)):
+for _chars, _cls in ((b" \t\r\n", _WS), (b"0123456789", _DIGIT), (b":", _COLON), (b"+-.eE", _MARK)):
     for _c in _chars:
         _CLASSES[_c] = _cls
 _CLASSES = bytes(_CLASSES)
 _MAX_INDEX_DIGITS = 15  # far inside int64; a longer index goes to the per-line reader
 _MAX_INDEX = int(np.iinfo(np.int64).max)  # the per-line reader refuses a larger index
-
-
-def _symbol_ok(prev, kind, nxt):
-    """Whether a sign, point or exponent mark between bytes of these classes can be in a float."""
-    first = prev in (_WS, _COLON)
-    if kind == _SIGN:
-        return (first or prev == _EXP) and (nxt == _DIGIT or (first and nxt == _DOT))
-    if kind == _DOT:
-        return _DIGIT in (prev, nxt)
-    return kind != _EXP or (prev in (_DIGIT, _DOT) and nxt in (_DIGIT, _SIGN))
-
-
-_SYMBOL_OK = np.array([[[_symbol_ok(p, k, n) for n in range(7)] for k in range(7)]
-                       for p in range(7)])
 
 
 def _blocks(lines):
@@ -209,10 +198,12 @@ def _parse_lines(lines, first_lineno):
 
 def _parse_block(lines):
     """Parse ``lines`` as :func:`_parse_lines` does, or return None if any of it is outside
-    the fast grammar.
+    the fast path.
 
-    Each check refuses what the per-line reader would refuse or read
-    differently, so a block that passes gives that reader's result.
+    numpy finds the fields, colons and index digits and reads the indices; the labels
+    and values go through ``float``, the per-line reader's own converter. Each check
+    refuses what that reader would refuse or read differently, so a block that passes
+    gives its result.
     """
     # A newline before and after each line; every field then has whitespace on both sides.
     text = "\n" + "\n".join(lines) + "\n"
@@ -234,8 +225,6 @@ def _parse_block(lines):
     # Fields are maximal runs of non-whitespace; the first on each line is its label.
     solid = cls > _WS
     starts = np.flatnonzero(solid[1:] > solid[:-1]) + 1
-    if not len(starts):
-        return None  # blank lines only; np.fromstring would read that text as [-1.0]
     is_label = np.zeros(len(starts) + 1, dtype=bool)
     is_label[np.searchsorted(starts, newlines)] = True
     is_label = is_label[:-1]
@@ -249,21 +238,6 @@ def _parse_block(lines):
     digits = colon - starts[feature]
     if (np.any((digits < 1) | (digits > _MAX_INDEX_DIGITS)) or np.any(cls[colon + 1] == _WS)
             or np.any(colon >= np.append(starts, len(buf))[feature + 1])):
-        return None
-
-    # Each label and value is a decimal float, ``[+-](d+[.d*]|.d+)[(e|E)[+-]d+]``: checked
-    # from the neighbours of its signs, points and exponent marks ...
-    sym = np.flatnonzero(cls >= _DOT)
-    kind = cls[sym]
-    if not _SYMBOL_OK[cls[sym - 1], kind, cls[sym + 1]].all():
-        return None
-    # ... and from the order of its points and exponent marks: at most one of each, the
-    # point first. (A symbol before a colon fails the index's digit check below.)
-    marks = kind != _SIGN
-    mark_kind = kind[marks]
-    mark_field = np.searchsorted(starts, sym[marks], side="right")
-    if np.any((mark_field[1:] == mark_field[:-1])
-              & ((mark_kind[:-1] != _DOT) | (mark_kind[1:] != _EXP))):
         return None
 
     # Indices from their digits, cut out of the text: row k of ``at`` holds the positions
@@ -283,9 +257,13 @@ def _parse_block(lines):
         return None
     col_idx -= 1
 
-    # Each label and value is now one whitespace-separated decimal float.
-    numbers = np.fromstring(cut.tobytes(), dtype=np.float64, sep=" ")
-    if len(numbers) != len(starts) or not np.all(np.isfinite(numbers)):
+    # Each label and value is now one whitespace-separated token, in field order.
+    tokens = cut.tobytes().split()
+    try:
+        numbers = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
+    except ValueError:
+        return None
+    if not np.isfinite(numbers).all():
         return None
     lengths = np.diff(np.append(np.flatnonzero(is_label), len(starts))) - 1
     return numbers[is_label], lengths, col_idx, numbers[feature]

@@ -103,8 +103,8 @@ def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
     path_sq = np.array([trace.period_step_sq_sum(t) for t in range(len(cp) - 1)])
     slack = CHECK_TOL * np.maximum(1.0, np.abs(F_prev))
     descent_m = F_curr - (F_prev - 0.25 * L * path_sq) - slack
-    # squared with libm's pow (float_power), the rounding the pinned report.csv margins carry
-    subdiff_m = np.float_power(trace.subdiff_dist[1:], 2) - 162.0 * L * L * path_sq - CHECK_TOL
+    dist = trace.subdiff_dist[1:]
+    subdiff_m = dist * dist - 162.0 * L * L * path_sq - CHECK_TOL
 
     rate_lhs = float(np.dot(trace.grad_map_norm, trace.grad_map_norm)) / (256.0 * L)
     rate_margin = rate_lhs - (trace.F[0] - trace.final_F) - CHECK_TOL if len(trace) else float("-inf")

@@ -63,6 +63,7 @@ def test_parse_empty_file():
 def test_parse_skips_blank_lines():
     ds = parse_text("1 1:2.0\n\n-1 2:3.0\n")
     assert ds.n_rows == 2
+    assert same_dataset(parse_libsvm("1 1:2.0\n\n-1 2:3.0\n"), ds)  # a str is the whole text
 
 
 def test_parse_expected_dim_is_a_floor(libsvm_file):
@@ -154,7 +155,7 @@ def test_well_formed_text_takes_the_vectorised_path(tmp_path):
             assert load_libsvm(tmp_path / kind).n_rows == 200
 
 
-# Decimal floats in the vectorised grammar: a sign, 5 / 5. / .5 / 5.25 with any leading
+# Decimal floats the fast path takes: a sign, 5 / 5. / .5 / 5.25 with any leading
 # zeros, and an exponent of up to two digits; the repr of any finite double; and limits.
 _SIGN = st.sampled_from(["", "+", "-"])
 _DIGITS = st.text("0123456789", min_size=1, max_size=4)
@@ -168,7 +169,7 @@ _FLOAT = st.one_of(st.tuples(_SIGN, _MANTISSA, _EXPONENT).map("".join),
 _SPACE = st.sampled_from([" ", "\t", "  ", " \t", "\r", " \r "])
 _BLANK = st.sampled_from(["", " ", "\t \r"])
 
-# Near misses: forms the per-line reader takes but the vectorised grammar does not, and
+# Near misses: forms the per-line reader takes but the fast path does not, and
 # forms neither takes.
 _FLOAT_MISS = st.sampled_from([
     "1e400", "-1e400", "inf", "-inf", "nan", "0x1p3", "1_0", "\u0663", "\u0663.5", "1e", "1e+",
@@ -209,19 +210,20 @@ def _read(parse, source):
 @settings(max_examples=150, deadline=None)
 @given(rows=st.lists(_row(), min_size=1, max_size=6), final_newline=st.booleans())
 def test_vectorised_parse_gives_the_readers_dataset(rows, final_newline):
-    # every input of the fast grammar is parsed without the per-line reader, bit for bit
-    # as that reader parses it, from a file and from lists of lines with and without ends
+    # every input of the fast path is parsed without the per-line reader, bit for bit as
+    # that reader parses it, from a file, from lists of lines with and without ends, and
+    # from the whole text as one str
     assume(any(row.split() for row in rows))
     text = "\n".join(rows) + ("\n" if final_newline else "")
     want = parse_by_lines(io.StringIO(text))
     with mock.patch.object(dataio, "_parse_lines", side_effect=AssertionError("per-line reader")):
-        for source in (io.StringIO(text), rows, [row + "\n" for row in rows]):
+        for source in (io.StringIO(text), rows, [row + "\n" for row in rows], text):
             assert same_dataset(parse_libsvm(source), want)
 
 
 @st.composite
 def _one_near_miss(draw):
-    """Lines of the fast grammar with one near miss put in: a label, value or index, a
+    """Lines the fast path takes with one near miss put in: a label, value or index, a
     separator, a repeated index, or two lines in one item."""
     items = draw(st.lists(_row(), min_size=1, max_size=5))
     i = draw(st.integers(0, len(items) - 1))
@@ -265,6 +267,7 @@ def test_one_near_miss_gives_the_readers_result(items, final_newline):
     text = "\n".join(items) + ("\n" if final_newline else "")
     _same_result(lambda: io.StringIO(text))
     _same_result(lambda: items)
+    _same_result(lambda: text)
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,6 +20,8 @@ from proxrestart import (
     spmv,
 )
 from proxrestart import linalg
+from proxrestart.diagnostics import CHECK_TOL
+from proxrestart.solver import SolverTrace
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,20 @@ def test_single_period_trace_still_checks_rate(small_quadratic):
     assert by_name["period_descent"].location == "no data"
     assert by_name["cumulative_rate"].passed
     assert report.passed
+
+
+def test_subdiff_bound_squares_the_distance_correctly_rounded():
+    # libm's pow (np.float_power) squares this distance to 91.20315939383002; x * x is
+    # correctly rounded to 91.20315939383, and the margin carries that form
+    dist = 9.550034523174773
+    two = [1.0, 1.0]
+    trace = SolverTrace("apg_restart", "theory", 1.0, F=two, grad_map_norm=[0.0, 0.0],
+                        step_norm=[0.0, 0.0], restart_flags=[True, True], lam=two, beta=two,
+                        alpha_next=[0.0, 0.0], checkpoints=[0, 1], subdiff_dist=[0.0, dist],
+                        final_x=[0.0], final_F=1.0, prox_calls=2)
+    subdiff = {c.name: c for c in check_invariants(trace, 1.0).checks}["subdiff_bound"]
+    assert subdiff.worst_margin == 91.20315939383 - CHECK_TOL
+    assert subdiff.worst_margin != float(np.float_power(dist, 2)) - CHECK_TOL
 
 
 def test_report_serialization(lasso_trace):
