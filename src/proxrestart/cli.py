@@ -418,7 +418,15 @@ def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=
 
 
 def check_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=False):
-    """Run cells and verify the theory-mode invariants. Returns 0 iff all pass."""
+    """Run cells and verify the theory-mode invariants. Returns 0 iff all pass.
+
+    ``path_lengths.csv`` is written as the cells finish: each cell's rows
+    go out as one block while the grid runs, in a temporary file
+    ``path_lengths.csv.<pid>.tmp`` that is renamed into place after the
+    last cell, so only one cell's path-length rows are held at a time.
+    ``report.csv`` is written after the last cell. A cell that raises
+    writes neither table and leaves no temporary file.
+    """
     for i, spec in enumerate(config.solvers):
         mode = spec.config.stepsize_mode
         if mode != "theory":
@@ -426,29 +434,33 @@ def check_experiment(config: ExperimentConfig, out_dir, seed_override=None, quie
                               f"(got {mode!r}; experiment stepsizes carry no descent guarantee)")
     _open_out(out_dir, ["report.csv", "path_lengths.csv"])
     report_rows = []
-    path_rows = []
     all_passed = True
-    for spec, seed, trace, status in _cells(config, seed_override):
-        report = check_invariants(trace, trace.lipschitz)
-        report_rows.extend((spec.name, seed, c.name, c.worst_margin, c.passed, c.location)
-                           for c in report.checks)
-        path_rows.extend((spec.name, seed, t, l, cum) for t, l, cum in path_length_summary(trace))
-        # a diverged cell fails whatever its partial trace's checks say
-        failures = [] if status == "ok" else [f"{status} after {len(trace)} iterations"]
-        failures += [f"{c.name} at {c.location} (margin {c.worst_margin:.3e})"
-                     for c in report.checks if not c.passed]
-        all_passed = all_passed and not failures
-        if not quiet:
-            for failure in failures:
-                print(f"FAIL {spec.name} seed={seed}: {failure}", file=sys.stderr)
-            print(f"{spec.name} seed={seed}: {'FAIL' if failures else 'pass'}")
-        del trace  # before the next cell runs
+
+    def path_blocks():
+        nonlocal all_passed
+        for spec, seed, trace, status in _cells(config, seed_override):
+            report = check_invariants(trace, trace.lipschitz)
+            report_rows.extend((spec.name, seed, c.name, c.worst_margin, c.passed, c.location)
+                               for c in report.checks)
+            # a diverged cell fails whatever its partial trace's checks say
+            failures = [] if status == "ok" else [f"{status} after {len(trace)} iterations"]
+            failures += [f"{c.name} at {c.location} (margin {c.worst_margin:.3e})"
+                         for c in report.checks if not c.passed]
+            all_passed = all_passed and not failures
+            if not quiet:
+                for failure in failures:
+                    print(f"FAIL {spec.name} seed={seed}: {failure}", file=sys.stderr)
+                print(f"{spec.name} seed={seed}: {'FAIL' if failures else 'pass'}")
+            rows = path_length_summary(trace)
+            del trace  # before the next cell runs
+            yield zip(*((spec.name, seed, t, l, cum) for t, l, cum in rows))
+
+    _write_atomic(os.path.join(out_dir, "path_lengths.csv"),
+                  _csv_lines(("solver", "seed", "period", "path_length", "cumulative"),
+                             path_blocks()))
     _write_atomic(os.path.join(out_dir, "report.csv"),
                   _csv_lines(("solver", "seed", "check", "worst_margin", "passed", "location"),
                              [zip(*report_rows)]))
-    _write_atomic(os.path.join(out_dir, "path_lengths.csv"),
-                  _csv_lines(("solver", "seed", "period", "path_length", "cumulative"),
-                             [zip(*path_rows)]))
     return 0 if all_passed else 1
 
 

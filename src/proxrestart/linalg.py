@@ -550,7 +550,10 @@ def spectral_norm_sq(A: CsrMatrix) -> float:
         restarts), so this branch never raises.
 
       This branch builds the CSR copy of ``A.T`` that the gradients then
-      reuse, and it alone imports ``scipy.sparse.linalg``.
+      reuse, and it alone imports ``scipy.sparse.linalg``. It runs slower
+      with two OpenBLAS threads than with one: on a 50 000 x 5 000 matrix
+      with 5e5 nonzeros on 2 vCPUs, ``eigsh`` took 0.16-0.18 s against
+      0.10-0.11 s, its 81 Gram products 0.13-0.15 s against 0.08-0.09 s.
 
     Deterministic: the same matrix gives the same bits on every call.
     Returns exactly ``0.0`` (a Python float) for a matrix whose stored

@@ -5,20 +5,41 @@ the predicate fires, the next iteration begins a new period (the momentum
 coefficient resets and the two solver sequences are re-synchronized). Each
 scheme is an immutable descriptor; all per-run state lives in the solver.
 
-The adaptive predicates come in a strict and a relaxed form:
+The adaptive predicates read the solver's sequences at iteration ``k``:
+``x`` and ``y`` (``x_k``, ``y_k``), the query point ``z = y + alpha (x - y)``
+at which the gradient is taken, the prox iterate ``x_next = prox(x - lam
+grad f(z))``, the gradient mapping ``G = (x - x_next) / lam`` and the new
+anchor ``y_next = z - beta G``; ``F_prev = F(x)`` and ``F_curr = F(x_next)``.
 
-* function value -- fire when ``F_curr > rho * F_prev``; ``rho = 1`` is the
-  strict "the objective went up" test, ``rho = 0.8`` the relaxed default
-  (fire unless the value dropped by at least 20%). The relaxed comparison
-  assumes nonnegative objective values, which all bundled objectives and
-  regularizers have: for ``F_prev < 0`` it would let ``F`` rise by up to
-  ``(1 - rho) |F_prev|`` without a restart, so the relaxed test raises
-  ``ValueError`` when it meets a negative ``F_prev``.
-* gradient mapping -- fire when the momentum direction ``z - y`` and the
-  proximal step ``y_next - z`` make an angle of at most 90 degrees
-  (``tau = 0``), or at most ``arccos(tau)`` with the relaxed slack
-  ``tau = -0.2``.
-* non-monotone -- same cosine test against ``y_next - (z + x)/2``.
+* function value -- fire when ``F_curr > rho * F_prev``. With ``rho = 1``
+  this is the function scheme of O'Donoghue and Candes, "Adaptive restart
+  for accelerated gradient schemes" (2015): restart when the objective
+  went up. ``rho < 1`` (the default 0.8 fires unless the value dropped by
+  at least 20%) is this package's own relaxation. It assumes nonnegative
+  objective values, which all bundled objectives and regularizers have:
+  for ``F_prev < 0`` it would let ``F`` rise by up to ``(1 - rho)
+  |F_prev|`` without a restart, so the relaxed test raises ``ValueError``
+  when it meets a negative ``F_prev``.
+* gradient mapping -- fire when
+  ``<z - y, y_next - z> >= tau * ||z - y|| * ||y_next - z||``, i.e. when
+  the momentum ``z - y`` and the step ``y_next - z = -beta G`` make an
+  angle of at most ``arccos(tau)``. It is modelled on O'Donoghue and
+  Candes's gradient scheme; ``tau = 0`` is the strict test and ``tau <
+  0`` (default -0.2) this package's own relaxation.
+* non-monotone -- the same cosine test with ``y_next - (z + x) / 2`` in
+  place of ``y_next - z``. It resembles the tests studied by Giselsson and
+  Boyd, "Monotonicity and restart in fast gradient methods" (2014).
+
+``PAPER.md`` holds only the source paper's abstract, so the paper's own
+restart conditions cannot be checked here. The sense of the cosine tests is not the one a
+reading of O'Donoghue and Candes suggests. They restart when the
+momentum points uphill, ``grad f(y_k)^T (x_{k+1} - x_k) > 0``; with ``G``
+for the gradient and ``y_next`` for their ``x_{k+1}`` that reads
+``<y_next - z, y_next - y> < 0``, a step that opposes the momentum,
+whereas the coded test fires when the step and the momentum agree. The
+coded sense is pinned by ``test_gradient_mapping_boundary_fires_at_right_angle``
+and ``test_non_monotone_uses_midpoint_target`` (``tests/test_restart.py``),
+so a flip is a visible change.
 
 The adaptive schemes do not fire before a period has ``min_period``
 iterations (default 2: right after a restart ``z - y`` vanishes and the

@@ -6,14 +6,17 @@ uses central finite differences. ``prefix_iterates`` recovers a run's
 iterates from the solver's determinism alone, ``same_dataset``
 compares two datasets bit for bit, and ``fit_rate`` classifies checkpoint
 gap sequences into the finite / linear / sublinear regimes that the local
-sharpness exponent of the objective induces.
+sharpness exponent of the objective induces. ``QuarticObjective`` is a
+test-only loss whose KL exponent is 3/4 at its minimizer, for the
+sublinear regime.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from proxrestart import ElasticNet, L1, SquaredL2, Zero
+from proxrestart import ElasticNet, L1, SquaredL2, Zero, spmv_transpose
+from proxrestart.objectives import _DataObjective
 
 _INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -172,3 +175,29 @@ def fit_rate(gaps) -> RateFit:
     if lin_r2 >= sub_r2:
         return RateFit("linear", -lin_slope, None, lin_r2, window)
     return RateFit("sublinear", None, -sub_slope, sub_r2, window)
+
+
+class QuarticObjective(_DataObjective):
+    """Averaged quartic-then-quadratic loss of the residuals.
+
+    f(x) = (1/n) sum_i h(<a_i, x> - b_i),  h(s) = s^4 / (1 + s^2)
+
+    ``h`` grows like ``s^4`` near 0 and like ``s^2`` far out, so with
+    ``b = 0`` and ``A`` of full column rank the minimizer is ``x = 0`` and
+    the Kurdyka-Lojasiewicz exponent there is 3/4: KL theory predicts
+    ``F(x_k) - F* ~ k^(-1/(2 theta - 1)) = k^-2``, a sublinear rate.
+    """
+
+    def value(self, x, Ax) -> float:
+        s2 = np.square(Ax - self.b)
+        return float(np.sum(s2 * s2 / (1.0 + s2))) / self.n
+
+    def gradient(self, x, Ax) -> np.ndarray:
+        s = Ax - self.b
+        s2 = s * s
+        # h'(s) = 2 s^3 (2 + s^2) / (1 + s^2)^2
+        return spmv_transpose(self.A, 2.0 * s * s2 * (2.0 + s2) / np.square(1.0 + s2)) / self.n
+
+    def _lipschitz_from_spectrum(self, spec_sq: float) -> float:
+        # h''(s) = 2 s^2 (s^4 + 3 s^2 + 6) / (1 + s^2)^3 lies in [0, 2.5]
+        return 2.5 * spec_sq / self.n

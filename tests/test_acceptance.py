@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import fd_gradient, fit_rate, prefix_iterates, prox_oracle, same_dataset
+from oracles import (QuarticObjective, fd_gradient, fit_rate, prefix_iterates, prox_oracle,
+                     same_dataset)
 from proxrestart import (
     CsrMatrix,
     ElasticNet,
@@ -316,3 +317,20 @@ def test_criterion_12_libsvm_round_trip():
             parse_libsvm(io.StringIO(text))
         ok = ok and fragment in str(info.value)
     verdict(12, "LIBSVM parse/serialize round-trip and malformed-line errors", ok)
+
+
+def test_criterion_13_sublinear_rate_regime():
+    # h(s) = s^4/(1 + s^2) on A = I has KL exponent 3/4 at its minimizer 0 (F* = 0):
+    # KL theory predicts F(x_k) ~ k^-(1/(2*3/4 - 1)) = k^-2 for every restart scheme
+    objective = QuarticObjective(CsrMatrix.from_dense(np.eye(30)), np.zeros(30))
+    x0 = np.random.default_rng(0).standard_normal(30)
+    fits = {}
+    for scheme in (FixedRestart(10), FunctionValueRestart(rho=1.0),
+                   GradientMappingRestart(tau=0.0)):
+        cfg = SolverConfig(max_iters=20_000, stepsize_mode="theory", scheme=scheme)
+        fits[scheme.label] = fit_rate(run(objective, Zero(), cfg, x0).F)
+    ok = all(f.regime == "sublinear" and f.r_squared >= 0.99 and 1.9 <= f.exponent <= 2.1
+             for f in fits.values())
+    verdict(13, "sublinear rate regime k^-2 where the KL exponent is 3/4", ok,
+            "(" + ", ".join(f"{label}: {f.regime}, exponent {f.exponent}, R^2 {f.r_squared:.7f}"
+                            for label, f in fits.items()) + ")")

@@ -680,6 +680,30 @@ def test_unexpected_cell_error_exit_code(tmp_path, capsys, monkeypatch, command)
     assert capsys.readouterr().err == "error: demo seed=1: RuntimeError: solver blew up second line\n"
 
 
+def test_check_cell_error_after_a_streamed_cell_leaves_no_table(tmp_path, capsys,
+                                                                monkeypatch):
+    # the first cell's path-length rows are already in the temporary file when
+    # the second cell raises: exit 4 on one line, and neither table nor .tmp is left
+    clean_run = cli.run
+    calls = []
+
+    def second_breaks(objective, regularizer, cfg, x_init):
+        calls.append(cfg)
+        if len(calls) == 2:
+            raise RuntimeError("solver blew up")
+        return clean_run(objective, regularizer, cfg, x_init)
+
+    monkeypatch.setattr(cli, "run", second_breaks)
+    doc = base_config()
+    doc["solvers"][0]["seeds"] = [1, 2]
+    out = tmp_path / "o"
+    assert main(["check", "--config", write_config(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == 4
+    assert capsys.readouterr().err == "error: demo seed=2: RuntimeError: solver blew up\n"
+    assert len(calls) == 2
+    assert os.listdir(out) == []
+
+
 def test_duplicate_solver_names_rejected(tmp_path):
     doc = base_config()
     doc["solvers"] = [doc["solvers"][0], dict(doc["solvers"][0])]
@@ -731,6 +755,33 @@ def test_check_outputs_are_pinned(tmp_path):
     assert main(["check", "--config", cfg, "--out", str(out), "--seed-override", "0",
                  "--quiet"]) == 0
     assert digests(out, CHECK_SEED0_DIGESTS) == CHECK_SEED0_DIGESTS
+
+
+def test_check_streams_path_lengths_as_cells_finish(tmp_path, monkeypatch):
+    # each cell's five path-length columns are formatted before the next cell
+    # runs, so check never holds more than one cell's path-length rows
+    formatted, at_run = [], []
+    format_column, clean_run = cli._format_column, cli.run
+
+    def counted(column):
+        formatted.append(len(column))
+        return format_column(column)
+
+    def recorded(objective, regularizer, cfg, x_init):
+        at_run.append(len(formatted))
+        return clean_run(objective, regularizer, cfg, x_init)
+
+    monkeypatch.setattr(cli, "_format_column", counted)
+    monkeypatch.setattr(cli, "run", recorded)
+    doc = base_config()
+    doc["solvers"][0]["seeds"] = [1, 2]
+    doc["solvers"].append(dict(doc["solvers"][0], name="b", seeds=[3]))
+    out = tmp_path / "out"
+    assert main(["check", "--config", write_config(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == 0
+    assert at_run == [0, 5, 10]
+    periods = len((out / "path_lengths.csv").read_text(encoding="utf-8").splitlines()) - 1
+    assert periods > 0 and sum(formatted[:15]) == 5 * periods
 
 
 def test_check_passes_on_seed_sweep(tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import fd_gradient
+from oracles import QuarticObjective, fd_gradient
 from proxrestart import (
     L1,
     CsrMatrix,
@@ -110,6 +110,19 @@ def test_lipschitz_bounds_gradient_variation(family, rng):
         if den > 0:
             worst = max(worst, num / den)
     assert worst <= L * (1 + 1e-6)
+
+
+def test_quartic_oracle_gradient_and_bound(rng):
+    # the test-only sublinear-regime loss: finite differences and L = 2.5 ||A||^2 / n
+    for _ in range(25):
+        A = np.where(rng.random((12, 5)) < 0.7, rng.standard_normal((12, 5)), 0.0)
+        obj = QuarticObjective(CsrMatrix.from_dense(A), rng.standard_normal(12))
+        x, y = rng.standard_normal((2, 5)) * 2
+        got = obj.gradient(x, spmv(obj.A, x))
+        want = fd_gradient(lambda v: obj.value(v, spmv(obj.A, v)), x)
+        assert np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)) <= 1e-5
+        variation = np.linalg.norm(got - obj.gradient(y, spmv(obj.A, y)))
+        assert variation <= obj.lipschitz() * np.linalg.norm(x - y) * (1 + 1e-6)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
