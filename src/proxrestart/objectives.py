@@ -49,6 +49,7 @@ it passes can differ from a fresh product in the last bits;
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -148,6 +149,8 @@ class LogisticObjective(_DataObjective):
             raise ValueError("logistic labels must be -1 or +1")
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha!r}")
         self.alpha = float(alpha)
         self._neg_b = -self.b  # t = -b * Ax has the bits of -(b * Ax)
 

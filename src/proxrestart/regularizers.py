@@ -18,6 +18,7 @@ logistic benchmark) are smooth and belong to the objective side, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,13 @@ def _check_eta(eta: float) -> float:
     if eta <= 0.0:
         raise ValueError(f"prox stepsize eta must be positive, got {eta}")
     return eta
+
+
+def _check_weights(name, *weights):
+    if any(w < 0 for w in weights):
+        raise ValueError(f"{name} must be nonnegative")
+    if not all(math.isfinite(w) for w in weights):
+        raise ValueError(f"{name} must be finite, got {', '.join(map(repr, weights))}")
 
 
 class _Separable:
@@ -86,8 +94,7 @@ class L1(_Separable):
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        _check_weights("mu", self.mu)
         self._set_weights(self.mu, None)
 
 
@@ -98,8 +105,7 @@ class SquaredL2(_Separable):
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
+        _check_weights("mu", self.mu)
         self._set_weights(None, self.mu)
 
 
@@ -111,8 +117,7 @@ class ElasticNet(_Separable):
     mu2: float
 
     def __post_init__(self):
-        if self.mu1 < 0 or self.mu2 < 0:
-            raise ValueError("weights must be nonnegative")
+        _check_weights("weights", self.mu1, self.mu2)
         self._set_weights(self.mu1, self.mu2)
 
 

@@ -91,6 +91,11 @@ class RestartObservation(NamedTuple):
     y_next: np.ndarray
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one (``True`` would count as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _cosine_fire(a: np.ndarray, b: np.ndarray, tau: float) -> bool:
     """True iff <a, b> >= tau * ||a|| * ||b|| with nonzero factors.
 
@@ -121,6 +126,8 @@ class _Adaptive(_Scheme):
     min_period: int
 
     def __post_init__(self):
+        if not _is_integer(self.min_period):
+            raise ValueError(f"min_period must be an integer, got {self.min_period!r}")
         if self.min_period < 1:
             raise ValueError("min_period must be >= 1")
 
@@ -139,6 +146,8 @@ class FixedRestart(_Scheme):
     q: int
 
     def __post_init__(self):
+        if not _is_integer(self.q):
+            raise ValueError(f"period length q must be an integer, got {self.q!r}")
         if self.q < 1:
             raise ValueError("period length q must be >= 1")
 

@@ -6,13 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxrestart import (
+    CsrMatrix,
+    ElasticNet,
     FixedRestart,
     FunctionValueRestart,
     GradientMappingRestart,
+    L1,
+    LogisticObjective,
     NeverRestart,
     NonMonotoneRestart,
     RestartObservation,
     SolverConfig,
+    SquaredL2,
     Zero,
     run,
 )
@@ -124,6 +129,43 @@ def test_parameter_validation():
         FixedRestart(5, min_period=2)
     with pytest.raises(TypeError):
         NeverRestart(min_period=2)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _logistic(alpha):
+    return LogisticObjective(CsrMatrix.from_dense(np.eye(2)), np.ones(2), alpha=alpha)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FixedRestart(2.5), "q must be an integer"),
+    (lambda: FixedRestart(True), "q must be an integer"),
+    (lambda: FixedRestart(np.float64(3.0)), "q must be an integer"),
+    (lambda: FunctionValueRestart(min_period=2.0), "min_period must be an integer"),
+    (lambda: GradientMappingRestart(min_period=True), "min_period must be an integer"),
+    (lambda: NonMonotoneRestart(min_period=3.5), "min_period must be an integer"),
+    (lambda: L1(NAN), "mu must be finite"),
+    (lambda: L1(INF), "mu must be finite"),
+    (lambda: SquaredL2(NAN), "mu must be finite"),
+    (lambda: ElasticNet(NAN, 0.1), "weights must be finite"),
+    (lambda: ElasticNet(0.1, INF), "weights must be finite"),
+    (lambda: _logistic(NAN), "alpha must be finite"),
+    (lambda: _logistic(INF), "alpha must be finite"),
+], ids=["fixed_float", "fixed_bool", "fixed_numpy_float", "function_value_float_min_period",
+        "gradient_mapping_bool_min_period", "non_monotone_float_min_period", "l1_nan", "l1_inf",
+        "squared_l2_nan", "elastic_net_nan", "elastic_net_inf", "logistic_nan_alpha",
+        "logistic_inf_alpha"])
+def test_constructors_refuse_non_integer_periods_and_nonfinite_weights(make, message):
+    # FixedRestart(2.5) would build a scheme that never fires, and nan or inf
+    # weights would pass a nonnegativity check
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_periods_take_numpy_integers():
+    assert FixedRestart(np.int64(3)) == FixedRestart(3)
+    assert GradientMappingRestart(min_period=np.int32(4)).min_period == 4
 
 
 @pytest.mark.parametrize("scheme, label", [

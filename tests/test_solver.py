@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -197,8 +198,19 @@ def _solvers(objective, regularizer):
             *(partial(run_baseline, kind, objective, regularizer) for kind in solver.BASELINES)]
 
 
-def _assert_period_arrays(trace):
+ITERATION_COLUMNS = {"F": np.float64, "grad_map_norm": np.float64, "step_norm": np.float64,
+                     "restart_flags": np.bool_, "lam": np.float64, "beta": np.float64,
+                     "alpha_next": np.float64}
+
+
+def _assert_trace_arrays(trace, n):
+    """Every column of an ``n``-iteration trace has its dtype and length, and is writable."""
+    assert len(trace) == n
+    for name, dtype in ITERATION_COLUMNS.items():
+        column = getattr(trace, name)
+        assert column.dtype == dtype and column.shape == (n,) and column.flags.writeable, name
     assert trace.checkpoints.dtype == np.int64 and trace.subdiff_dist.dtype == np.float64
+    assert trace.checkpoints.flags.writeable and trace.subdiff_dist.flags.writeable
     assert len(trace.checkpoints) == len(trace.subdiff_dist)
     assert trace.checkpoints[0] == 0
     if len(trace):
@@ -214,7 +226,7 @@ def test_zero_iterations_returns_init(small_quadratic):
         assert len(trace.checkpoints) == 1
         assert np.array_equal(trace.final_x, x0)
         # the one period opens at x0, whose objective is final_F
-        _assert_period_arrays(trace)
+        _assert_trace_arrays(trace, 0)
         assert trace.final_F == small_quadratic.value(x0, spmv(small_quadratic.A, x0))
 
 
@@ -223,6 +235,7 @@ def test_stopping_tolerance_cuts_run_short(small_quadratic):
     trace = run(small_quadratic, Zero(), cfg, np.zeros(6))
     assert len(trace) < 5000
     assert trace.grad_map_norm[-1] <= 1e-3
+    _assert_trace_arrays(trace, len(trace))
 
 
 def test_stepsizes_stay_in_admissible_interval(small_quadratic):
@@ -244,6 +257,7 @@ def test_divergence_guard_carries_partial_trace(small_quadratic, algorithm):
             run_baseline(algorithm, small_quadratic, Zero(), cfg, np.ones(6))
     assert len(info.value.trace) >= 1
     assert info.value.trace.algorithm == algorithm
+    _assert_trace_arrays(info.value.trace, len(info.value.trace))
 
 
 @pytest.mark.parametrize("algorithm", ["apg_restart", "ag"])
@@ -291,6 +305,46 @@ def test_config_validation():
     # never restarting is a scheme of run, not a baseline
     with pytest.raises(ValueError, match=re.escape("one of ('prox_grad', 'ag')")):
         run_baseline("apg_never", None, None, SolverConfig(max_iters=1), np.zeros(1))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"max_iters": 10.0}, "max_iters must be an integer"),
+    ({"max_iters": True}, "max_iters must be an integer"),
+    ({"max_iters": 10, "stepsize_mode": "custom", "beta": float("nan")}, "beta must be finite"),
+    ({"max_iters": 10, "stepsize_mode": "custom", "beta": float("inf")}, "beta must be finite"),
+    ({"max_iters": 10, "tolerance": float("nan")}, "tolerance must be finite"),
+    ({"max_iters": 10, "tolerance": float("inf")}, "tolerance must be finite"),
+], ids=["float_max_iters", "bool_max_iters", "nan_beta", "inf_beta", "nan_tolerance",
+        "inf_tolerance"])
+def test_config_refuses_a_value_that_fails_late(fields, message):
+    # each would otherwise fail only inside a run, or never stop one
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**fields)
+
+
+@pytest.mark.parametrize("max_iters", [3, np.int64(3), np.uint8(3)])
+def test_config_takes_python_and_numpy_integers(small_quadratic, max_iters):
+    cfg = SolverConfig(max_iters=max_iters, stepsize_mode="theory")
+    assert len(run(small_quadratic, Zero(), cfg, np.zeros(6))) == 3
+
+
+def test_trace_recording_stays_small_per_iteration():
+    # the columns hold 49 bytes an iteration and 16 a period (about 61 per
+    # iteration here, with their growth room); an object per iteration costs
+    # several hundred
+    ds = generate_synthetic("lasso_known", 200, 30, seed=0)
+    objective, regularizer = QuadraticObjective(ds.features, ds.labels), L1(lasso_l1_weight(ds))
+    cfg = SolverConfig(max_iters=5000, stepsize_mode="theory", scheme=FixedRestart(2))
+    run(objective, regularizer, replace(cfg, max_iters=3), np.zeros(30))  # caches L, imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = run(objective, regularizer, cfg, np.zeros(30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 5000 and len(trace.checkpoints) == 2500
+    assert (peak - base) / len(trace) < 128
 
 
 @pytest.mark.parametrize("rows", [[[0.0, 0.0]], [[1e308, 1e308], [-1e308, 5e307]]],
@@ -490,7 +544,7 @@ def test_subdiff_recorded_at_checkpoints(small_quadratic):
     cfg = SolverConfig(max_iters=60, stepsize_mode="theory", scheme=FixedRestart(15))
     for solve in _solvers(small_quadratic, reg):
         trace = solve(cfg, np.zeros(6))
-        _assert_period_arrays(trace)
+        _assert_trace_arrays(trace, 60)
         iterates = prefix_iterates(lambda c: solve(c, np.zeros(6)), cfg)
         for checkpoint, subdiff in zip(trace.checkpoints, trace.subdiff_dist, strict=True):
             point = iterates[checkpoint]
