@@ -22,7 +22,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections import Counter
@@ -129,6 +128,8 @@ def _csv_lines(header, blocks):
 
 _ALGORITHMS = ("apg_restart",) + BASELINES
 _NUM = (int, float)
+_TYPE_NAMES = {int: "an integer", _NUM: "a number", str: "a string", list: "a list",
+               dict: "a mapping", (dict, type(None)): "a mapping or null"}
 
 _ROOT = {"schema_version": (int, True), "problem": (dict, True), "solvers": (list, True)}
 _PROBLEM = {"regularizer": ((dict, type(None)), False), "dataset": (dict, True)}
@@ -168,9 +169,8 @@ def _require(mapping, key, path, types):
     value = mapping[key]
     # YAML booleans pass isinstance(value, int), and no field takes one
     if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be a finite number, got {value}")
+        raise ConfigError(f"{path}.{key}: expected {_TYPE_NAMES[types]}, "
+                          f"got {type(value).__name__}")
     return value
 
 
@@ -196,12 +196,18 @@ def _read(node, fields, path, tag=None):
     return values if tag is None else (target, values)
 
 
-def _make(cls, kwargs, path):
-    """Return ``cls(**kwargs)``, a ``ValueError`` it raises being a config error at ``path``."""
+def _make(build, kwargs, path):
+    """Return ``build(**kwargs)``, a ``ValueError`` it raises being a config error at ``path``.
+
+    A message ``"<name> must be ..."`` that names one of ``kwargs``, the
+    form of the library's parameter checks, is filed under that field.
+    """
     try:
-        return cls(**kwargs)
+        return build(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        name, _, rule = str(exc).partition(" must be ")
+        raise ConfigError(f"{path}.{name}: must be {rule}" if name in kwargs
+                          else f"{path}: {exc}") from None
 
 
 class SolverSpec:
@@ -237,27 +243,19 @@ class ProblemSpec:
         self.objective, fields = _read(node, _OBJECTIVES, path, tag="objective")
         reg, dataset = fields.pop("regularizer", None), fields.pop("dataset")
         self.objective_args = fields  # such as the logistic loss's alpha
-        if fields.get("alpha", 0) < 0:
-            raise ConfigError(f"{path}.alpha: must be nonnegative (got {fields['alpha']!r})")
+        # the library's own checks, so that a bad value fails before any cell runs
+        if "alpha" in fields:
+            _make(objectives._check_alpha, fields, path)
         self.regularizer = _make(*_read({"kind": "none"} if reg is None else reg, _REGULARIZERS,
                                         f"{path}.regularizer", tag="kind"), f"{path}.regularizer")
         dpath = f"{path}.dataset"
         self.source, self.data = _read(dataset, _DATASETS, dpath, tag="source")
-        if self.source == "synthetic":
-            if self.data["kind"] not in dataio.SYNTHETIC_KINDS:
-                raise ConfigError(f"{dpath}.kind: unknown kind {self.data['kind']!r}")
-            if self.data["n"] < 1 or self.data["d"] < 1:
-                raise ConfigError(f"{dpath}: n and d must be >= 1")
-            if self.data["kind"] == "lasso_known" and self.data["n"] < self.data["d"]:
-                raise ConfigError(f"{dpath}: lasso_known needs n >= d "
-                                  f"(got {self.data['n']}x{self.data['d']})")
-            if self.data.get("seed", 0) < 0:
-                raise ConfigError(f"{dpath}.seed: must be nonnegative (got {self.data['seed']})")
+        if self.source == "synthetic":  # a seed left out is the cell's, checked with its solver
+            _make(dataio._check_synthetic, {"seed": 0, **self.data}, dpath)
         elif not os.path.exists(self.data["path"]):
             raise ConfigError(f"{dpath}.path: file not found: {self.data['path']}")
-        elif self.data.get("expected_dim", 0) < 0:
-            raise ConfigError(f"{dpath}.expected_dim: must be nonnegative "
-                              f"(got {self.data['expected_dim']})")
+        elif "expected_dim" in self.data:
+            _make(dataio._check_expected_dim, {"expected_dim": self.data["expected_dim"]}, dpath)
 
     def describe(self, seed: int) -> str:
         """Name the data a cell with this seed runs on.
@@ -419,6 +417,10 @@ def run_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=
 
 def check_experiment(config: ExperimentConfig, out_dir, seed_override=None, quiet=False):
     """Run cells and verify the theory-mode invariants. Returns 0 iff all pass.
+
+    Each cell is checked against its own trace's ``lipschitz``, the bound
+    its stepsizes were set from, so a verdict holds relative to that
+    bound: a wrong bound would not be noticed here.
 
     ``path_lengths.csv`` is written as the cells finish: each cell's rows
     go out as one block while the grid runs, in a temporary file

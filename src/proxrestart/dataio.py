@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import number
 from .linalg import CsrMatrix
 
 __all__ = [
@@ -97,14 +98,13 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
     Raises
     ------
     ValueError
-        If ``expected_dim`` is negative.
+        If ``expected_dim`` is not a nonnegative integer.
     ParseError
         On a nonnumeric or nonfinite label or value, a nonincreasing feature index, an index
         below 1, or a ``_`` (which Python's number syntax would read as a digit separator)
         -- the message carries the 1-based line number and token.
     """
-    if expected_dim is not None and expected_dim < 0:
-        raise ValueError(f"expected_dim must be nonnegative, got {expected_dim}")
+    expected_dim = None if expected_dim is None else _check_expected_dim(expected_dim)
     if isinstance(lines, str):
         lines = io.StringIO(lines)
     # a tuple is true, so the reader runs only where the vectorised parse gives up
@@ -116,6 +116,11 @@ def parse_libsvm(lines, expected_dim: int | None = None, name: str = "libsvm") -
     np.cumsum(lengths, out=row_ptr[1:])
     dim = max(int(col_idx.max(initial=-1)) + 1, expected_dim or 0)
     return Dataset(CsrMatrix(len(labels), dim, row_ptr, col_idx, vals), labels, name)
+
+
+def _check_expected_dim(expected_dim) -> int:
+    """:func:`parse_libsvm`'s rule for ``expected_dim``; the CLI checks a config's by it too."""
+    return number("expected_dim", expected_dim, 0, integer=True)
 
 
 # Text is parsed in blocks of whole lines of about this many characters.
@@ -356,15 +361,22 @@ def generate_synthetic(kind: str, n: int, d: int, seed: int) -> Dataset:
         ``[1/100, 1]`` (regression), which needs ``n >= d``;
         :func:`lasso_l1_weight` gives its default L1 weight.
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
+    n, d, seed = _check_synthetic(kind, n, d, seed)
+    features, labels = _MAKERS[kind](np.random.default_rng(seed), n, d)
+    return Dataset(CsrMatrix.from_dense(features), labels, f"{kind}-{n}x{d}-seed{seed}")
+
+
+def _check_synthetic(kind, n, d, seed):
+    """Check :func:`generate_synthetic`'s arguments; return ``n``, ``d`` and ``seed`` as ints.
+
+    The CLI checks a synthetic dataset's config by it too.
+    """
+    if kind not in _MAKERS:
+        raise ValueError(f"kind must be one of {SYNTHETIC_KINDS}, got {kind!r}")
+    n, d = number("n", n, 1, integer=True), number("d", d, 1, integer=True)
     if kind == "lasso_known" and n < d:  # its n x d QR factor would have rank n < d
         raise ValueError(f"lasso_known needs n >= d for its spectrum, got {n}x{d}")
-    rng = np.random.default_rng(seed)
-    if kind not in _MAKERS:
-        raise ValueError(f"unknown synthetic kind {kind!r}; expected one of {SYNTHETIC_KINDS}")
-    features, labels = _MAKERS[kind](rng, n, d)
-    return Dataset(CsrMatrix.from_dense(features), labels, f"{kind}-{n}x{d}-seed{seed}")
+    return n, d, number("seed", seed, 0, integer=True)
 
 
 def lasso_l1_weight(dataset: Dataset) -> float:

@@ -88,6 +88,11 @@ def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
     A pure function of ``(trace, lipschitz)``. Refuses experiment-mode
     traces: with ``beta = 1`` the stepsize premise behind the guarantees
     does not hold, so a verdict would be meaningless.
+
+    Each verdict holds relative to the ``lipschitz`` passed in, not to the
+    objective's true gradient-Lipschitz constant: given the same wrong
+    bound the solver's stepsizes were set from (``trace.lipschitz``), the
+    checks cannot tell that it is wrong.
     """
     if trace.stepsize_mode != "theory":
         raise ValueError(

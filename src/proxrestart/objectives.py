@@ -49,10 +49,10 @@ it passes can differ from a fresh product in the last bits;
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
+from ._checks import number
 from .linalg import CsrMatrix, _row_pass, spectral_norm_sq, spmv_transpose
 
 __all__ = [
@@ -127,6 +127,11 @@ def _logistic_weights(expit, neg_b, Ax, w=None):
     return w
 
 
+def _check_alpha(alpha) -> float:
+    """The logistic penalty weight's rule; the CLI checks a config's ``alpha`` by it too."""
+    return number("alpha", alpha, 0.0)
+
+
 class LogisticObjective(_DataObjective):
     """Averaged logistic loss with a bounded nonconvex coordinate penalty.
 
@@ -147,11 +152,7 @@ class LogisticObjective(_DataObjective):
         super().__init__(A, labels)
         if not np.all(np.isin(self.b, (-1.0, 1.0))):
             raise ValueError("logistic labels must be -1 or +1")
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if not math.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha!r}")
-        self.alpha = float(alpha)
+        self.alpha = _check_alpha(alpha)
         self._neg_b = -self.b  # t = -b * Ax has the bits of -(b * Ax)
 
     def value(self, x, Ax) -> float:

@@ -18,11 +18,11 @@ logistic benchmark) are smooth and belong to the objective side, not here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import number_field
 from .linalg import _norm
 
 __all__ = ["Zero", "L1", "SquaredL2", "ElasticNet", "gradient_mapping"]
@@ -33,13 +33,6 @@ def _check_eta(eta: float) -> float:
     if eta <= 0.0:
         raise ValueError(f"prox stepsize eta must be positive, got {eta}")
     return eta
-
-
-def _check_weights(name, *weights):
-    if any(w < 0 for w in weights):
-        raise ValueError(f"{name} must be nonnegative")
-    if not all(math.isfinite(w) for w in weights):
-        raise ValueError(f"{name} must be finite, got {', '.join(map(repr, weights))}")
 
 
 class _Separable:
@@ -94,8 +87,7 @@ class L1(_Separable):
     mu: float
 
     def __post_init__(self):
-        _check_weights("mu", self.mu)
-        self._set_weights(self.mu, None)
+        self._set_weights(number_field(self, "mu", 0.0), None)
 
 
 @dataclass(frozen=True)
@@ -105,8 +97,7 @@ class SquaredL2(_Separable):
     mu: float
 
     def __post_init__(self):
-        _check_weights("mu", self.mu)
-        self._set_weights(None, self.mu)
+        self._set_weights(None, number_field(self, "mu", 0.0))
 
 
 @dataclass(frozen=True)
@@ -117,8 +108,7 @@ class ElasticNet(_Separable):
     mu2: float
 
     def __post_init__(self):
-        _check_weights("weights", self.mu1, self.mu2)
-        self._set_weights(self.mu1, self.mu2)
+        self._set_weights(number_field(self, "mu1", 0.0), number_field(self, "mu2", 0.0))
 
 
 def gradient_mapping(reg, eta: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:

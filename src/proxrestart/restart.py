@@ -61,6 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import number_field
 from .linalg import _norm
 
 __all__ = [
@@ -89,11 +90,6 @@ class RestartObservation(NamedTuple):
     y_k: np.ndarray
     z_k: np.ndarray
     y_next: np.ndarray
-
-
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; a bool is not one (``True`` would count as 1)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _cosine_fire(a: np.ndarray, b: np.ndarray, tau: float) -> bool:
@@ -126,10 +122,7 @@ class _Adaptive(_Scheme):
     min_period: int
 
     def __post_init__(self):
-        if not _is_integer(self.min_period):
-            raise ValueError(f"min_period must be an integer, got {self.min_period!r}")
-        if self.min_period < 1:
-            raise ValueError("min_period must be >= 1")
+        number_field(self, "min_period", 1, integer=True)
 
     def should_restart(self, obs: RestartObservation) -> bool:
         """Decide whether the next iteration begins a new period."""
@@ -146,10 +139,7 @@ class FixedRestart(_Scheme):
     q: int
 
     def __post_init__(self):
-        if not _is_integer(self.q):
-            raise ValueError(f"period length q must be an integer, got {self.q!r}")
-        if self.q < 1:
-            raise ValueError("period length q must be >= 1")
+        number_field(self, "q", 1, integer=True)
 
     def should_restart(self, obs: RestartObservation) -> bool:
         return obs.since_restart + 1 == self.q
@@ -162,9 +152,7 @@ class FunctionValueRestart(_Adaptive):
     min_period: int = 2
 
     def __post_init__(self):
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError("rho must be in (0, 1]")
-        object.__setattr__(self, "rho", float(self.rho))  # rho=1 labels as rho=1.0
+        number_field(self, "rho", 0.0, 1.0, low_open=True)  # rho=1 labels as rho=1.0
         super().__post_init__()
 
     def _fire(self, obs: RestartObservation) -> bool:
@@ -182,9 +170,7 @@ class _Cosine(_Adaptive):
     min_period: int = 2
 
     def __post_init__(self):
-        if not -1.0 <= self.tau <= 0.0:
-            raise ValueError("tau must be in [-1, 0]")
-        object.__setattr__(self, "tau", float(self.tau))  # tau=0 labels as tau=0.0
+        number_field(self, "tau", -1.0, 0.0)  # tau=0 labels as tau=0.0
         super().__post_init__()
 
 

@@ -87,9 +87,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import number_field
 from .linalg import _norm, _row_pass, spmv
 from .regularizers import gradient_mapping
-from .restart import NeverRestart, RestartObservation, _is_integer
+from .restart import NeverRestart, RestartObservation
 
 __all__ = [
     "SolverConfig",
@@ -120,24 +121,15 @@ class SolverConfig:
     scheme: object = field(default_factory=NeverRestart)
 
     def __post_init__(self):
-        if not _is_integer(self.max_iters):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        number_field(self, "max_iters", 0, integer=True)
         if self.stepsize_mode not in _MODES:
-            raise ValueError(f"stepsize_mode must be one of {_MODES}")
-        if not 0.0 <= self.lambda_factor <= 1.0:
-            raise ValueError("lambda_factor must lie in [0, 1]")
-        if self.stepsize_mode == "custom" and (self.beta is None or self.beta <= 0):
-            raise ValueError("custom stepsize mode requires beta > 0")
-        if self.stepsize_mode != "custom" and self.beta is not None:
+            raise ValueError(f"stepsize_mode must be one of {_MODES}, got {self.stepsize_mode!r}")
+        number_field(self, "lambda_factor", 0.0, 1.0)
+        if self.stepsize_mode == "custom":
+            number_field(self, "beta", 0.0, low_open=True)
+        elif self.beta is not None:
             raise ValueError(f"beta applies in custom stepsize mode only, not {self.stepsize_mode}")
-        if self.beta is not None and not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta!r}")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-        if not math.isfinite(self.tolerance):
-            raise ValueError(f"tolerance must be finite, got {self.tolerance!r}")
+        number_field(self, "tolerance", 0.0)
 
 
 class SolverTrace:
@@ -360,7 +352,7 @@ def _resolve_beta(algorithm, objective, cfg: SolverConfig):
     """Return ``(beta, lipschitz-or-None)``, ``algorithm``'s base stepsize (see module doc)."""
     rule = "prox_grad" if algorithm == "prox_grad" else cfg.stepsize_mode
     if rule == "custom":
-        return float(cfg.beta), None
+        return cfg.beta, None
     L = objective.lipschitz()
     if not 0.0 <= L < math.inf or (L == 0.0 and rule != "experiment"):
         need = "finite" if rule == "experiment" else "positive finite"

@@ -450,6 +450,14 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
      "solvers[0].scheme.rho"),
     (lambda d: d["solvers"][0].update(scheme={"kind": "function_value", "min_period": "x"}),
      "solvers[0].scheme.min_period"),
+    # a value of the wrong YAML type is named in words
+    (lambda d: d["solvers"][0].update(scheme={"kind": "gradient_mapping", "tau": "fast"}),
+     "solvers[0].scheme.tau: expected a number, got str"),
+    (lambda d: d["solvers"][0].update(max_iters=3.0),
+     "solvers[0].max_iters: expected an integer, got float"),
+    (lambda d: d["problem"]["dataset"].update(n=float("nan")),
+     "problem.dataset.n: expected an integer, got float"),
+    (lambda d: d["solvers"][0].update(seeds=3), "solvers[0].seeds: expected a list, got int"),
     (lambda d: d["solvers"][0].update(seeds=[True]), "solvers[0].seeds: must be"),
     (lambda d: d["solvers"][0].update(seeds=[1, -1]), "solvers[0].seeds: must be a nonempty"),
     (lambda d: d["solvers"][0].update(seeds=[0, 3, 0, 3]), "solvers[0].seeds: seed 0 is repeated"),
@@ -461,8 +469,10 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
     (lambda d: d["problem"]["regularizer"].pop("mu"), "problem.regularizer.mu"),
     (lambda d: d["problem"]["dataset"].update(kind="surprise"), "problem.dataset.kind"),
     (lambda d: d["problem"]["dataset"].update(n=0), "problem.dataset"),
+    (lambda d: d["problem"]["dataset"].update(d=0),
+     "problem.dataset.d: must be an integer >= 1, got 0"),
     (lambda d: d["problem"]["dataset"].update(kind="lasso_known", n=20, d=30),
-     "problem.dataset: lasso_known needs n >= d (got 20x30)"),
+     "problem.dataset: lasso_known needs n >= d for its spectrum, got 20x30"),
     (lambda d: d["problem"].update(dataset={"source": "libsvm", "path": "/nope.libsvm"}),
      "file not found"),
     (lambda d: d["solvers"][0].update(scheme={"kind": "fixed"}), "solvers[0].scheme.q"),
@@ -477,7 +487,7 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
     (lambda d: d["solvers"][0].update(beta=0.5), "solvers[0]: beta applies in custom"),
     (lambda d: d["problem"].update(dataset={"source": "libsvm", "expected_dim": -5,
                                             "path": "logistic_sep.libsvm"}),
-     "problem.dataset.expected_dim: must be nonnegative"),
+     "problem.dataset.expected_dim: must be a nonnegative integer, got -5"),
     # a key no section reads is refused, not ignored
     (lambda d: d.update(extra_root=1), "<root>.extra_root: unknown field"),
     (lambda d: d["problem"].update(alpha=0.01), "problem.alpha: unknown field"),
@@ -561,7 +571,13 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     (None, r"cannot read config: .*No such file.*cfg\.yaml'"),
     (lambda d: d["solvers"][0].update(name="../x"), r"solvers\[0\]\.name: must be .*'\.\./x'\)"),
     (lambda d: d["solvers"][0].update(seeds=[0, 0]), r"solvers\[0\]\.seeds: seed 0 is repeated"),
-], ids=["yaml_syntax", "missing_file", "name_outside_out", "repeated_seed"])
+    # the library's rules for a dataset, read before --out is made
+    (lambda d: d["problem"]["dataset"].update(seed=-3),
+     r"problem\.dataset\.seed: must be a nonnegative integer, got -3"),
+    (lambda d: d["problem"]["dataset"].update(kind="lasso_known", n=20, d=30),
+     r"problem\.dataset: lasso_known needs n >= d for its spectrum, got 20x30"),
+], ids=["yaml_syntax", "missing_file", "name_outside_out", "repeated_seed", "negative_seed",
+        "lasso_shape"])
 def test_refused_config_exits_2_on_one_line_and_writes_nothing(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.yaml"
     if isinstance(text, str):
@@ -579,19 +595,26 @@ def test_refused_config_exits_2_on_one_line_and_writes_nothing(tmp_path, capsys,
     assert sorted(os.listdir(tmp_path)) == before
 
 
-# each number field, set to v in a config that reads it
+# each number field: how to set it to v in a config that reads it, and the library's rule for it
 NUMBER_FIELDS = {
-    "alpha": lambda d, v: d["problem"].update(objective="logistic_ncvx", alpha=v),
-    "mu": lambda d, v: d["problem"]["regularizer"].update(mu=v),
-    "mu1": lambda d, v: d["problem"].update(regularizer={"kind": "elastic_net", "mu1": v,
-                                                         "mu2": 0.1}),
-    "mu2": lambda d, v: d["problem"].update(regularizer={"kind": "elastic_net", "mu1": 0.1,
-                                                         "mu2": v}),
-    "beta": lambda d, v: d["solvers"][0].update(stepsize_mode="custom", beta=v),
-    "tolerance": lambda d, v: d["solvers"][0].update(tolerance=v),
-    "lambda_factor": lambda d, v: d["solvers"][0].update(lambda_factor=v),
-    "rho": lambda d, v: d["solvers"][0].update(scheme={"kind": "function_value", "rho": v}),
-    "tau": lambda d, v: d["solvers"][0].update(scheme={"kind": "gradient_mapping", "tau": v}),
+    "alpha": (lambda d, v: d["problem"].update(objective="logistic_ncvx", alpha=v),
+              "a nonnegative finite number"),
+    "mu": (lambda d, v: d["problem"]["regularizer"].update(mu=v), "a nonnegative finite number"),
+    "mu1": (lambda d, v: d["problem"].update(regularizer={"kind": "elastic_net", "mu1": v,
+                                                          "mu2": 0.1}),
+            "a nonnegative finite number"),
+    "mu2": (lambda d, v: d["problem"].update(regularizer={"kind": "elastic_net", "mu1": 0.1,
+                                                          "mu2": v}),
+            "a nonnegative finite number"),
+    "beta": (lambda d, v: d["solvers"][0].update(stepsize_mode="custom", beta=v),
+             "a positive finite number"),
+    "tolerance": (lambda d, v: d["solvers"][0].update(tolerance=v), "a nonnegative finite number"),
+    "lambda_factor": (lambda d, v: d["solvers"][0].update(lambda_factor=v),
+                      "a finite number in [0, 1]"),
+    "rho": (lambda d, v: d["solvers"][0].update(scheme={"kind": "function_value", "rho": v}),
+            "a finite number in (0, 1]"),
+    "tau": (lambda d, v: d["solvers"][0].update(scheme={"kind": "gradient_mapping", "tau": v}),
+            "a finite number in [-1, 0]"),
 }
 
 
@@ -600,11 +623,13 @@ NUMBER_FIELDS = {
 def test_nonfinite_numbers_are_config_errors(tmp_path, capsys, field, value):
     doc = base_config()
     doc["problem"]["dataset"].update(kind="logistic_sep")  # labels the logistic loss takes
-    NUMBER_FIELDS[field](doc, value)
+    mutate, rule = NUMBER_FIELDS[field]
+    mutate(doc, value)
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and f".{field}: must be a finite number" in err
+    assert err.startswith("config error: ")
+    assert err.endswith(f".{field}: must be {rule}, got {value}\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -73,9 +73,9 @@ def test_parse_expected_dim_is_a_floor(libsvm_file):
     assert ds2.n_cols == 12
     assert parse_text("1 1:0.5\n", expected_dim=0).n_cols == 1
     # a negative floor is a mistake, not a floor of 0
-    with pytest.raises(ValueError, match="expected_dim must be nonnegative, got -5"):
+    with pytest.raises(ValueError, match="expected_dim must be a nonnegative integer, got -5"):
         parse_text("1 1:0.5\n", expected_dim=-5)
-    with pytest.raises(ValueError, match="expected_dim must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="expected_dim must be a nonnegative integer, got -1"):
         load_libsvm(libsvm_file, expected_dim=-1)
 
 

@@ -168,7 +168,7 @@ def test_label_validation():
 
 
 def test_logistic_refuses_negative_alpha():
-    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+    with pytest.raises(ValueError, match="alpha must be a nonnegative finite number, got -0.1"):
         LogisticObjective(CsrMatrix.from_dense(np.eye(2)), np.ones(2), alpha=-0.1)
 
 

@@ -145,13 +145,13 @@ def _logistic(alpha):
     (lambda: FunctionValueRestart(min_period=2.0), "min_period must be an integer"),
     (lambda: GradientMappingRestart(min_period=True), "min_period must be an integer"),
     (lambda: NonMonotoneRestart(min_period=3.5), "min_period must be an integer"),
-    (lambda: L1(NAN), "mu must be finite"),
-    (lambda: L1(INF), "mu must be finite"),
-    (lambda: SquaredL2(NAN), "mu must be finite"),
-    (lambda: ElasticNet(NAN, 0.1), "weights must be finite"),
-    (lambda: ElasticNet(0.1, INF), "weights must be finite"),
-    (lambda: _logistic(NAN), "alpha must be finite"),
-    (lambda: _logistic(INF), "alpha must be finite"),
+    (lambda: L1(NAN), "mu must be a nonnegative finite number, got nan"),
+    (lambda: L1(INF), "mu must be a nonnegative finite number, got inf"),
+    (lambda: SquaredL2(NAN), "mu must be a nonnegative finite number, got nan"),
+    (lambda: ElasticNet(NAN, 0.1), "mu1 must be a nonnegative finite number, got nan"),
+    (lambda: ElasticNet(0.1, INF), "mu2 must be a nonnegative finite number, got inf"),
+    (lambda: _logistic(NAN), "alpha must be a nonnegative finite number, got nan"),
+    (lambda: _logistic(INF), "alpha must be a nonnegative finite number, got inf"),
 ], ids=["fixed_float", "fixed_bool", "fixed_numpy_float", "function_value_float_min_period",
         "gradient_mapping_bool_min_period", "non_monotone_float_min_period", "l1_nan", "l1_inf",
         "squared_l2_nan", "elastic_net_nan", "elastic_net_inf", "logistic_nan_alpha",

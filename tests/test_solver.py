@@ -308,12 +308,16 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"max_iters": 10.0}, "max_iters must be an integer"),
-    ({"max_iters": True}, "max_iters must be an integer"),
-    ({"max_iters": 10, "stepsize_mode": "custom", "beta": float("nan")}, "beta must be finite"),
-    ({"max_iters": 10, "stepsize_mode": "custom", "beta": float("inf")}, "beta must be finite"),
-    ({"max_iters": 10, "tolerance": float("nan")}, "tolerance must be finite"),
-    ({"max_iters": 10, "tolerance": float("inf")}, "tolerance must be finite"),
+    ({"max_iters": 10.0}, "max_iters must be a nonnegative integer, got 10.0"),
+    ({"max_iters": True}, "max_iters must be a nonnegative integer, got True"),
+    ({"max_iters": 10, "stepsize_mode": "custom", "beta": float("nan")},
+     "beta must be a positive finite number, got nan"),
+    ({"max_iters": 10, "stepsize_mode": "custom", "beta": float("inf")},
+     "beta must be a positive finite number, got inf"),
+    ({"max_iters": 10, "tolerance": float("nan")},
+     "tolerance must be a nonnegative finite number, got nan"),
+    ({"max_iters": 10, "tolerance": float("inf")},
+     "tolerance must be a nonnegative finite number, got inf"),
 ], ids=["float_max_iters", "bool_max_iters", "nan_beta", "inf_beta", "nan_tolerance",
         "inf_tolerance"])
 def test_config_refuses_a_value_that_fails_late(fields, message):
