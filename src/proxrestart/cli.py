@@ -30,6 +30,7 @@ import numpy as np
 import yaml
 
 from . import dataio, objectives, regularizers, restart
+from ._checks import number
 from .diagnostics import check_invariants, path_length_summary
 from .solver import (BASELINES, DivergenceError, LipschitzError, SolverConfig, run,
                      run_baseline)
@@ -210,6 +211,14 @@ def _make(build, kwargs, path):
                           else f"{path}: {exc}") from None
 
 
+def _check_seed(seed, path) -> None:
+    """Check ``seed`` by dataio's rule: numpy generators take nonnegative integers only."""
+    try:
+        number("seed", seed, 0, integer=True)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 class SolverSpec:
     """One solver entry: its name, algorithm, seeds and the one config every cell runs."""
 
@@ -227,10 +236,10 @@ class SolverSpec:
         scheme = _make(*_read(fields.pop("scheme", {"kind": "never"}), _SCHEMES,
                               f"{path}.scheme", tag="kind"), f"{path}.scheme")
         self.seeds = fields.pop("seeds")
-        # numpy generators take nonnegative seeds only
-        if not self.seeds or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                                     for s in self.seeds):
-            raise ConfigError(f"{path}.seeds: must be a nonempty list of nonnegative integers")
+        if not self.seeds:
+            raise ConfigError(f"{path}.seeds: must be a nonempty list")
+        for seed in self.seeds:
+            _check_seed(seed, f"{path}.seeds")
         repeated = [seed for seed, count in Counter(self.seeds).items() if count > 1]
         if repeated:  # the cell would run, and write its trace, twice
             raise ConfigError(f"{path}.seeds: seed {repeated[0]} is repeated")
@@ -483,8 +492,11 @@ def main(argv=None) -> int:
                        help="run every solver with this single seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
-    if args.seed_override is not None and args.seed_override < 0:
-        parser.error(f"--seed-override: must be nonnegative (got {args.seed_override})")
+    if args.seed_override is not None:
+        try:
+            _check_seed(args.seed_override, "--seed-override")
+        except ConfigError as exc:
+            parser.error(str(exc))
 
     try:
         config = load_config(args.config)

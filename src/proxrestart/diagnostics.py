@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import number
 from .solver import SolverTrace
 
 __all__ = [
@@ -92,7 +93,8 @@ def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
     Each verdict holds relative to the ``lipschitz`` passed in, not to the
     objective's true gradient-Lipschitz constant: given the same wrong
     bound the solver's stepsizes were set from (``trace.lipschitz``), the
-    checks cannot tell that it is wrong.
+    checks cannot tell that it is wrong. A ``lipschitz`` that is not a
+    positive finite number (or is a bool) raises a ``ValueError``.
     """
     if trace.stepsize_mode != "theory":
         raise ValueError(
@@ -100,7 +102,7 @@ def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
             f"with stepsize_mode={trace.stepsize_mode!r}, whose stepsizes carry "
             "no descent certificate"
         )
-    L = float(lipschitz)
+    L = number("lipschitz", lipschitz, 0.0, low_open=True)
 
     # checkpoint objectives come from the iteration rows: the verdict reads trace columns only
     cp = trace.checkpoints

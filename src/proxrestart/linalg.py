@@ -161,12 +161,23 @@ class CsrMatrix:
 
     @classmethod
     def from_dense(cls, dense) -> "CsrMatrix":
-        """Build from a dense 2-D array, dropping exact zeros."""
+        """Build from a dense 2-D array, dropping exact zeros (``-0.0`` included).
+
+        One numpy pass builds the CSR arrays: the row-major positions of
+        the nonzeros give each entry's column (so columns ascend within a
+        row) and value, and the per-row nonzero counts, summed, give
+        ``row_ptr``. They are the arrays ``scipy.sparse.csr_matrix(dense)``
+        holds, and ``__init__`` validates them as it does any others.
+        """
         a = np.asarray(dense, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("from_dense expects a 2-D array")
-        csr = sp.csr_matrix(a)  # built row by row, so its indices are sorted
-        return cls(a.shape[0], a.shape[1], csr.indptr, csr.indices, csr.data)
+        n_rows, n_cols = a.shape
+        pos = np.flatnonzero(a)
+        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(a, axis=1), out=row_ptr[1:])
+        # pos is empty whenever n_cols is 0, so the remainder never divides by it
+        return cls(n_rows, n_cols, row_ptr, pos % n_cols, a.ravel()[pos])
 
     def _transpose_csr(self) -> sp.csr_matrix:
         """CSR copy of ``A.T`` with sorted indices, built once on first use."""
@@ -511,6 +522,22 @@ def _kw_epsilon(m: int) -> float:
     return (math.log(1.648 * math.sqrt(m) / _LANCZOS_DELTA) / (2 * _LANCZOS_NCV - 1)) ** 2
 
 
+def _abs_norms(A: CsrMatrix) -> tuple[float, float]:
+    """``(||A||_1, ||A||_inf)``: the largest column and row sums of ``|A|``.
+
+    Read from ``|vals|`` and the index arrays, without the copy of the
+    matrix that ``abs(A)`` builds, by the reductions scipy's
+    ``abs(A).sum(axis=0)`` and ``.sum(axis=1)`` run, in the same order, so
+    the bits are theirs: a ``bincount`` over ``col_idx`` and an
+    ``add.reduceat`` over the nonempty rows. ``A`` stores an entry.
+    """
+    w = np.abs(A.vals)
+    starts, ends = A.row_ptr[:-1], A.row_ptr[1:]
+    col_sums = np.bincount(A.col_idx, weights=w, minlength=A.n_cols)
+    row_sums = np.add.reduceat(w, starts[starts < ends])
+    return float(col_sums.max()), float(row_sums.max())
+
+
 def spectral_norm_sq(A: CsrMatrix) -> float:
     """Upper bound on ``||A||_2^2``, the largest eigenvalue of ``A.T A``.
 
@@ -544,7 +571,8 @@ def spectral_norm_sq(A: CsrMatrix) -> float:
         in the next Krylov space, so the largest Ritz value never drops
         below the one from the first space.
       - The result is capped by ``min(||A||_F^2, ||A||_1 ||A||_inf)``,
-        rounded up by ``1 + 2 (nnz + 1) eps``. The cap is returned
+        rounded up by ``1 + 2 (nnz + 1) eps``. The cap reads ``|vals|``
+        without copying the matrix (:func:`_abs_norms`). It is returned
         outright for a single row or column, where it is exact, and when
         ARPACK fails (no convergence to ``tol = 1e-6`` within 10
         restarts), so this branch never raises.
@@ -567,9 +595,8 @@ def spectral_norm_sq(A: CsrMatrix) -> float:
         sigma = float(np.linalg.norm(A.to_dense(), 2))
         return _round_up(sigma * sigma, max(n_rows, n_cols))
 
-    abs_A = abs(A._csr)
-    cap = _round_up(min(float(A.vals.dot(A.vals)),
-                        float(abs_A.sum(axis=0).max()) * float(abs_A.sum(axis=1).max())), A.nnz)
+    norm_1, norm_inf = _abs_norms(A)
+    cap = _round_up(min(float(A.vals.dot(A.vals)), norm_1 * norm_inf), A.nnz)
     if m == 1:
         return cap
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh

@@ -22,13 +22,20 @@ from proxrestart import (
     L1,
     LogisticObjective,
     NonMonotoneRestart,
+    QuadraticObjective,
     SolverConfig,
     SquaredL2,
+    Zero,
+    check_invariants,
     generate_synthetic,
     parse_libsvm,
+    run,
 )
 
 _A = CsrMatrix.from_dense(np.eye(2))
+_THEORY_TRACE = run(QuadraticObjective(_A, np.ones(2)), Zero(),
+                    SolverConfig(max_iters=4, stepsize_mode="theory", scheme=FixedRestart(2)),
+                    np.zeros(2))
 
 # (entry, argument) -> (call with the argument set to v, a value outside its interval,
 # a value inside it)
@@ -58,15 +65,16 @@ ARGUMENTS = {
     ("generate_synthetic", "seed"):
         (lambda v: generate_synthetic("logistic_sep", 10, 3, v), -1, 5),
     ("parse_libsvm", "expected_dim"): (lambda v: parse_libsvm(["1 1:1"], expected_dim=v), -1, 3),
+    ("check_invariants", "lipschitz"): (lambda v: check_invariants(_THEORY_TRACE, v), 0.0, 1),
 }
 INTEGER_ARGUMENTS = {"max_iters", "q", "min_period", "n", "d", "seed", "expected_dim"}
 
 # public numbers the rule does not cover: per-call inputs on the iteration path, records
-# the solver fills in, the post-hoc check's L and a loader that forwards to parse_libsvm
+# the solver fills in and a loader that forwards to parse_libsvm
 NOT_CHECKED = {
     ("gradient_mapping", "eta"), ("momentum_coefficient", "k"),
     ("momentum_coefficient", "checkpoint"), ("apg_restart_step", "beta"),
-    ("check_invariants", "lipschitz"), ("load_libsvm", "expected_dim"),
+    ("load_libsvm", "expected_dim"),
     *(("RestartObservation", f) for f in ("k", "since_restart", "F_curr", "F_prev")),
     *(("SolverState", f) for f in ("F", "k", "checkpoint")),
     *(("StepRecord", f) for f in ("F", "grad_map_norm", "step_norm", "lam", "beta",

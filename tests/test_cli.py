@@ -404,17 +404,19 @@ def test_libsvm_source_through_cli(tmp_path, monkeypatch, libsvm_file):
     assert len(loaded) == 1
 
 
-def test_seed_override(tmp_path):
+def test_seed_override(tmp_path, capsys):
     doc = base_config()
     doc["solvers"][0]["seeds"] = [1, 2, 3]
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--seed-override", "9", "--quiet"]) == 0
     assert sorted(f for f in os.listdir(out) if f.startswith("demo")) == ["demo_seed9.csv"]
-    for bad in ("-1", "x"):
+    for bad, message in (("-1", "--seed-override: seed must be a nonnegative integer, got -1"),
+                         ("x", "argument --seed-override: invalid int value: 'x'")):
         with pytest.raises(SystemExit) as info:
             main(["run", "--config", cfg, "--out", str(out), "--seed-override", bad, "--quiet"])
         assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solver):
@@ -458,8 +460,16 @@ def libsvm_config(tmp_path, path, objective="logistic_ncvx", seeds=(1,), **solve
     (lambda d: d["problem"]["dataset"].update(n=float("nan")),
      "problem.dataset.n: expected an integer, got float"),
     (lambda d: d["solvers"][0].update(seeds=3), "solvers[0].seeds: expected a list, got int"),
-    (lambda d: d["solvers"][0].update(seeds=[True]), "solvers[0].seeds: must be"),
-    (lambda d: d["solvers"][0].update(seeds=[1, -1]), "solvers[0].seeds: must be a nonempty"),
+    pytest.param(lambda d: d["solvers"][0].update(seeds=[]),
+                 "solvers[0].seeds: must be a nonempty list", id="seeds_empty"),
+    # each seed by dataio's rule
+    pytest.param(lambda d: d["solvers"][0].update(seeds=[True]),
+                 "solvers[0].seeds: seed must be a nonnegative integer, got True", id="seeds_true"),
+    pytest.param(lambda d: d["solvers"][0].update(seeds=[1, -1]),
+                 "solvers[0].seeds: seed must be a nonnegative integer, got -1",
+                 id="seeds_negative"),
+    pytest.param(lambda d: d["solvers"][0].update(seeds=[0, 2.0]),
+                 "solvers[0].seeds: seed must be a nonnegative integer, got 2.0", id="seeds_float"),
     (lambda d: d["solvers"][0].update(seeds=[0, 3, 0, 3]), "solvers[0].seeds: seed 0 is repeated"),
     (lambda d: d["solvers"][0]["scheme"].update(kind="Fixed"), "unknown kind 'Fixed'; expected one "
      "of ('fixed', 'function_value', 'gradient_mapping', 'non_monotone', 'never')"),

@@ -68,6 +68,13 @@ def test_refuses_experiment_mode_trace(small_quadratic):
         check_invariants(trace, 1.0)
 
 
+@pytest.mark.parametrize("L", [np.nan, np.inf, 0.0, -1.0, True], ids=repr)
+def test_refuses_a_lipschitz_bound_that_is_not_a_positive_number(lasso_trace, L):
+    # unchecked, nan would pass two of the four checks and True would run as L = 1
+    with pytest.raises(ValueError, match=f"^lipschitz must be a positive finite number, got {L!r}$"):
+        check_invariants(lasso_trace, L)
+
+
 def test_report_is_pure_function_of_inputs(lasso_trace):
     a = check_invariants(lasso_trace, lasso_trace.lipschitz)
     b = check_invariants(lasso_trace, lasso_trace.lipschitz)

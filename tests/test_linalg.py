@@ -7,12 +7,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import _sparsetools
 
 from proxrestart import (L1, CsrMatrix, FixedRestart, LogisticObjective, SolverConfig, SolverState,
-                         apg_restart_step, generate_synthetic, linalg, objectives,
+                         apg_restart_step, dataio, generate_synthetic, linalg, objectives,
                          run, solver, spectral_norm_sq, spmv, spmv_transpose)
 
 
@@ -86,6 +87,70 @@ def test_csr_invariants_rejected(bad, message):
 def test_from_dense_refuses_a_1d_array():
     with pytest.raises(ValueError, match="2-D"):
         CsrMatrix.from_dense(np.ones(3))
+
+
+def _dense_cases():
+    rng = np.random.default_rng(34)
+    signed_zeros = np.where(rng.random((7, 5)) < 0.5, rng.standard_normal((7, 5)), -0.0)
+    signed_zeros[2] = -0.0  # a row of -0.0 only
+    cases = {f"{kind}-seed{seed}": dataio._MAKERS[kind](np.random.default_rng(seed), 200, 30)[0]
+             for kind in dataio.SYNTHETIC_KINDS for seed in range(5)}
+    cases.update({
+        "1x1": np.array([[2.5]]), "1x1_zero": np.zeros((1, 1)),
+        "nx1": rng.standard_normal((6, 1)), "1xd": rng.standard_normal((1, 6)),
+        "0xd": np.zeros((0, 4)), "nx0": np.zeros((4, 0)), "0x0": np.zeros((0, 0)),
+        "all_zero": np.zeros((5, 3)), "signed_zeros": signed_zeros,
+        "fortran_order": np.asfortranarray(signed_zeros), "int_list": [[0, 3], [-1, 0]],
+    })
+    return cases
+
+
+DENSE = _dense_cases()
+
+
+@pytest.mark.parametrize("name", DENSE)
+def test_from_dense_holds_scipys_csr_arrays(name):
+    # byte for byte, index dtypes included; a division warning would fail (pyproject)
+    dense = DENSE[name]
+    A = CsrMatrix.from_dense(dense)
+    ref = sp.csr_matrix(np.asarray(dense, dtype=np.float64))
+    assert A.shape == ref.shape
+    for ours, theirs in ((A.row_ptr, ref.indptr), (A.col_idx, ref.indices), (A.vals, ref.data)):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("dense, message", [
+    (np.array([[1.0, np.nan]]), "^matrix values contain NaN or Inf$"),
+    (np.array([[0.0], [-np.inf]]), "^matrix values contain NaN or Inf$"),
+    (np.ones(3), "^from_dense expects a 2-D array$"),
+    (np.ones((2, 2, 2)), "^from_dense expects a 2-D array$"),
+], ids=["nan", "inf", "1d", "3d"])
+def test_from_dense_refuses_what_it_refused(dense, message):
+    with pytest.raises(ValueError, match=message):
+        CsrMatrix.from_dense(dense)
+
+
+def _abs_norm_cases():
+    rng = np.random.default_rng(35)
+    cases = [rng.standard_normal((1, 9)), rng.standard_normal((9, 1)), np.array([[-4.0]])]
+    for _ in range(40):
+        n, d = rng.integers(2, 40, size=2)
+        dense = np.where(rng.random((n, d)) < rng.uniform(0.05, 0.9),
+                         rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d)), 0.0)
+        dense[rng.integers(n)] = 0.0     # an empty row
+        dense[:, rng.integers(d)] = 0.0  # an empty column
+        dense[rng.integers(n), rng.integers(d)] = 1.5  # at least one stored entry
+        cases.append(dense)
+    return cases
+
+
+@pytest.mark.parametrize("dense", _abs_norm_cases(),
+                         ids=["row", "column", "1x1"] + [f"random{i}" for i in range(40)])
+def test_abs_norms_are_the_bits_of_scipys_abs_sums(dense):
+    A = CsrMatrix.from_dense(dense)
+    abs_A = abs(A._csr)
+    expected = (float(abs_A.sum(axis=0).max()), float(abs_A.sum(axis=1).max()))
+    assert np.array(linalg._abs_norms(A)).tobytes() == np.array(expected).tobytes()
 
 
 def test_csr_accepts_decrease_across_rows_and_empty_rows():
