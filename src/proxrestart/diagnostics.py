@@ -107,7 +107,7 @@ def check_invariants(trace: SolverTrace, lipschitz: float) -> InvariantReport:
     # checkpoint objectives come from the iteration rows: the verdict reads trace columns only
     cp = trace.checkpoints
     F_prev, F_curr = trace.F[cp[:-1]], trace.F[cp[1:]]
-    path_sq = np.array([trace.period_step_sq_sum(t) for t in range(len(cp) - 1)])
+    path_sq = trace.period_step_sq_sums()[:-1]
     slack = CHECK_TOL * np.maximum(1.0, np.abs(F_prev))
     descent_m = F_curr - (F_prev - 0.25 * L * path_sq) - slack
     dist = trace.subdiff_dist[1:]
@@ -139,6 +139,6 @@ def path_length_summary(trace: SolverTrace) -> tuple[tuple[int, float, float], .
     A running sum that stops growing is the empirical signature of a
     finite total path, and hence of iterate convergence.
     """
-    lengths = [np.sqrt(trace.period_step_sq_sum(t)) for t in range(len(trace.checkpoints))]
+    lengths = np.sqrt(trace.period_step_sq_sums())
     return tuple((t, float(length), float(total))
                  for t, (length, total) in enumerate(zip(lengths, np.cumsum(lengths))))

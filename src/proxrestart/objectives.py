@@ -74,6 +74,8 @@ class _DataObjective:
         if A.n_rows == 0:
             raise ValueError("matrix has no rows; the averaged loss needs at least one")
         b = np.ascontiguousarray(b, dtype=np.float64)
+        if b.ndim != 1:
+            raise ValueError(f"labels/targets must be one-dimensional, got shape {b.shape}")
         if len(b) != A.n_rows:
             raise ValueError(f"matrix has {A.n_rows} rows but got {len(b)} labels/targets")
         self.A = A

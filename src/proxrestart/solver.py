@@ -130,6 +130,9 @@ class SolverConfig:
         elif self.beta is not None:
             raise ValueError(f"beta applies in custom stepsize mode only, not {self.stepsize_mode}")
         number_field(self, "tolerance", 0.0)
+        if not callable(getattr(self.scheme, "should_restart", None)):
+            raise ValueError("scheme must be a restart scheme (an object with should_restart), "
+                             f"got {self.scheme!r}")
 
 
 class SolverTrace:
@@ -146,15 +149,16 @@ class SolverTrace:
 
     Period arrays (one entry per period, the last possibly partial):
 
-    ``checkpoints``    iteration that opened the period; the first is 0
+    ``checkpoints``    iteration that opened the period, one whose
+                       restart flag is set; the first is 0
     ``subdiff_dist``   exact distance from zero to the composite
                        subdifferential at that iteration's iterate
 
-    Period ``t``'s path length is ``sqrt(period_step_sq_sum(t))``. Of the
-    iterates the trace keeps only the last, ``final_x``: rerun with a
-    smaller ``max_iters`` (runs are deterministic) or step
-    :func:`apg_restart_step` by hand to see others, a checkpoint's
-    included. The solver never touches a trace after returning it; its
+    A zero-iteration run has no periods. Period ``t``'s path length is
+    ``sqrt(period_step_sq_sums()[t])``. Of the iterates the trace keeps
+    only the last, ``final_x``: rerun with a smaller ``max_iters`` (runs
+    are deterministic) or step :func:`apg_restart_step` by hand to see
+    others, a checkpoint's included. The solver never touches a trace after returning it; its
     arrays are ordinary writable numpy arrays, so a caller that writes
     into one changes it for every holder. ``final_F`` is the objective at
     ``final_x``, except after a divergence (see :class:`DivergenceError`).
@@ -167,8 +171,8 @@ class SolverTrace:
     """
 
     def __init__(self, algorithm, stepsize_mode, lipschitz, F, grad_map_norm,
-                 step_norm, restart_flags, lam, beta, alpha_next, checkpoints,
-                 subdiff_dist, final_x, final_F, prox_calls):
+                 step_norm, restart_flags, lam, beta, alpha_next, subdiff_dist,
+                 final_x, final_F, prox_calls):
         self.algorithm = algorithm
         self.stepsize_mode = stepsize_mode
         self.lipschitz = lipschitz
@@ -179,7 +183,7 @@ class SolverTrace:
         self.lam = np.asarray(lam, dtype=np.float64)
         self.beta = np.asarray(beta, dtype=np.float64)
         self.alpha_next = np.asarray(alpha_next, dtype=np.float64)
-        self.checkpoints = np.asarray(checkpoints, dtype=np.int64)
+        self.checkpoints = np.flatnonzero(self.restart_flags)
         self.subdiff_dist = np.asarray(subdiff_dist, dtype=np.float64)
         self.final_x = np.asarray(final_x, dtype=np.float64)
         self.final_F = float(final_F)
@@ -193,13 +197,10 @@ class SolverTrace:
         """Restarts after the initial checkpoint at iteration 0."""
         return int(self.restart_flags[1:].sum())
 
-    def period_step_sq_sum(self, t: int) -> float:
-        """Sum of squared step norms over period ``t``, ``0 <= t < len(checkpoints)``."""
-        if not 0 <= t < len(self.checkpoints):
-            raise IndexError(f"period {t} out of range for {len(self.checkpoints)} periods")
-        end = self.checkpoints[t + 1] if t + 1 < len(self.checkpoints) else len(self)
-        seg = self.step_norm[self.checkpoints[t]:end]
-        return float(np.dot(seg, seg))
+    def period_step_sq_sums(self) -> np.ndarray:
+        """Sum of squared step norms over each period, one float64 per checkpoint."""
+        periods = np.split(self.step_norm, self.checkpoints)[1:]
+        return np.array([np.dot(seg, seg) for seg in periods], dtype=np.float64)
 
 
 class DivergenceError(RuntimeError):
@@ -372,9 +373,10 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
     update lives here: the divergence guard, the tolerance stop and
     period bookkeeping. Each record's seven trace values are appended to
     typed ``array.array`` columns (float64, and int8 for the restart
-    flag; 49 bytes an iteration) and each period's checkpoint and
-    subdifferential distance to int64/float64 ones (16 bytes); the trace
-    views them through ``np.asarray``, without a copy. So a 200 000-step
+    flag; 49 bytes an iteration) and each period's subdifferential
+    distance to a float64 one; the trace views them through
+    ``np.asarray``, without a copy, and finds the checkpoints from the
+    flags (16 bytes a period with the distance). So a 200 000-step
     200x30 run grows peak RSS by 11-13 MB (see :class:`SolverTrace`).
     """
     beta, lipschitz = _resolve_beta(algorithm, objective, cfg)
@@ -384,28 +386,24 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
     F_cap = 1e12 * (1.0 + abs(F_0))
     state = SolverState(x, x.copy(), F_0, Ax, Ax)
     F, gnorms, steps, lams, betas, alphas = (array("d") for _ in range(6))
-    flags = array("b")
-    checkpoints, subdiffs = array("q"), array("d")
+    flags, subdiffs = array("b"), array("d")
 
     def build(final_x, final_F):
         # views, not copies; a viewed buffer cannot grow, and none is appended to after
         return SolverTrace(algorithm, cfg.stepsize_mode, lipschitz, F, gnorms, steps,
                            np.asarray(flags).view(bool), lams, betas, alphas,
-                           checkpoints, subdiffs, final_x, final_F, prox_per_iter * len(F))
+                           subdiffs, final_x, final_F, prox_per_iter * len(F))
 
-    for k in range(cfg.max_iters):
+    for _ in range(cfg.max_iters):
         x = state.x
         state, (F_x, gnorm, step_norm, restarted, lam, step_beta, alpha, subdiff) = step(
             state, objective, regularizer, cfg, beta)
         F.append(F_x)
         gnorms.append(gnorm)
         steps.append(step_norm)
+        flags.append(1 if restarted else 0)  # a scheme may hand back a numpy bool
         if restarted:
-            flags.append(1)
-            checkpoints.append(k)
             subdiffs.append(subdiff)
-        else:
-            flags.append(0)
         lams.append(lam)
         betas.append(step_beta)
         alphas.append(alpha)
@@ -417,12 +415,6 @@ def _drive(algorithm, step, prox_per_iter, objective, regularizer, cfg: SolverCo
             )
         if cfg.tolerance > 0.0 and gnorm <= cfg.tolerance:
             break
-
-    if cfg.max_iters == 0:
-        # record the initial checkpoint anyway
-        grad = objective.gradient(state.x, state.Ax)
-        checkpoints.append(0)
-        subdiffs.append(regularizer.subdiff_distance(grad, state.x))
     return build(state.x, state.F)
 
 

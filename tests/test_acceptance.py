@@ -104,9 +104,10 @@ def test_criterion_01_period_descent(theory_grid):
     worst = -np.inf
     for (obj_kind, scheme, seed), (trace, L) in cells.items():
         values = checkpoint_values(trace)
+        path_sqs = trace.period_step_sq_sums()
         cell_worst = -np.inf
         for t in range(1, len(trace.checkpoints)):
-            path_sq = trace.period_step_sq_sum(t - 1)
+            path_sq = path_sqs[t - 1]
             slack = 1e-9 * max(1.0, abs(values[t - 1]))
             cell_worst = max(cell_worst, values[t] - (values[t - 1] - 0.25 * L * path_sq) - slack)
         assert cell_worst == reported_worst(trace, L, "period_descent")
@@ -121,9 +122,10 @@ def test_criterion_02_subdifferential_bound(theory_grid):
     worst = -np.inf
     for (_, _, _), (trace, L) in cells.items():
         dists = trace.subdiff_dist.tolist()
+        path_sqs = trace.period_step_sq_sums()
         cell_worst = -np.inf
         for t in range(1, len(dists)):
-            path_sq = trace.period_step_sq_sum(t - 1)
+            path_sq = path_sqs[t - 1]
             cell_worst = max(cell_worst, dists[t] ** 2 - 162.0 * L * L * path_sq - 1e-9)
         assert cell_worst == reported_worst(trace, L, "subdiff_bound")
         worst = max(worst, cell_worst)
@@ -147,7 +149,7 @@ def test_criterion_04_finite_path_length():
     objective = QuadraticObjective(ds.features, ds.labels)
     cfg = SolverConfig(max_iters=50000, stepsize_mode="theory", scheme=FixedRestart(10))
     trace = run(objective, L1(lasso_l1_weight(ds)), cfg, np.zeros(D))
-    lengths = [np.sqrt(trace.period_step_sq_sum(t)) for t in range(len(trace.checkpoints))]
+    lengths = np.sqrt(trace.period_step_sq_sums())
     tail_increment = float(np.sum(lengths[-50:]))
     elapsed = time.perf_counter() - t0
     ok = tail_increment < 1e-8 and elapsed < 30.0

@@ -820,13 +820,51 @@ def test_check_streams_path_lengths_as_cells_finish(tmp_path, monkeypatch):
 
 
 def test_check_passes_on_seed_sweep(tmp_path, capsys):
-    # 200 theory cells; the carried products A y and A z must not cost a check
-    cfg = os.path.join(CONFIGS, "check_seeds.yaml")
+    # 200 theory cells, configs/check.yaml at seeds 0-39; the carried
+    # products A y and A z must not cost a check
+    with open(os.path.join(CONFIGS, "check.yaml"), encoding="utf-8") as fh:
+        doc = yaml.safe_load(fh)
+    for solver in doc["solvers"]:
+        solver["seeds"] = list(range(40))
+    cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["check", "--config", cfg, "--out", str(out), "--quiet"]) == 0, \
         capsys.readouterr().err
     report = (out / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert len(report) == 200 * 4 and all(row.split(",")[4] == "1" for row in report)
+
+
+def test_check_on_zero_iterations_has_no_periods(tmp_path):
+    doc = base_config()
+    doc["solvers"][0]["max_iters"] = 0
+    out = tmp_path / "out"
+    assert main(["check", "--config", write_config(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == 0
+    assert (out / "path_lengths.csv").read_text(encoding="utf-8") == \
+        "solver,seed,period,path_length,cumulative\n"
+    assert (out / "report.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "demo,1,period_descent,-inf,1,no data",
+        "demo,1,subdiff_bound,-inf,1,no data",
+        "demo,1,cumulative_rate,-inf,1,iterations 0..0",
+        "demo,1,stepsize_interval,-inf,1,no data",
+    ]
+
+
+def test_run_prints_one_line_per_cell(tmp_path, capsys):
+    doc = base_config()
+    doc["solvers"][0]["seeds"] = [2, 1]
+    doc["solvers"].append(dict(doc["solvers"][0], name="never", scheme={"kind": "never"},
+                               max_iters=4, seeds=[3]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["solver"], row["seed"]) for row in rows] == [("demo", "2"), ("demo", "1"),
+                                                              ("never", "3")]
+    assert capsys.readouterr().out.splitlines() == [
+        f"{row['solver']} seed={row['seed']}: ok, {row['iterations']} iterations, "
+        f"{row['restarts']} restarts, final F={row['final_F']}" for row in rows]
+    assert [row["iterations"] for row in rows] == ["6", "6", "4"]
 
 
 def test_module_runs_as_a_script():

@@ -98,7 +98,7 @@ def test_subdiff_bound_squares_the_distance_correctly_rounded():
     two = [1.0, 1.0]
     trace = SolverTrace("apg_restart", "theory", 1.0, F=two, grad_map_norm=[0.0, 0.0],
                         step_norm=[0.0, 0.0], restart_flags=[True, True], lam=two, beta=two,
-                        alpha_next=[0.0, 0.0], checkpoints=[0, 1], subdiff_dist=[0.0, dist],
+                        alpha_next=[0.0, 0.0], subdiff_dist=[0.0, dist],
                         final_x=[0.0], final_F=1.0, prox_calls=2)
     subdiff = {c.name: c for c in check_invariants(trace, 1.0).checks}["subdiff_bound"]
     assert subdiff.worst_margin == 91.20315939383 - CHECK_TOL

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -165,6 +166,15 @@ def test_label_validation():
     mat = CsrMatrix.from_dense(np.eye(2))
     with pytest.raises(ValueError, match="labels"):
         LogisticObjective(mat, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("cls", [LogisticObjective, RobustRegressionObjective, QuadraticObjective])
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3), (3, 1, 1)])
+def test_labels_must_be_one_dimensional(cls, shape):
+    # a column of labels would fail only at the first step, inside the loss
+    with pytest.raises(ValueError, match=rf"^labels/targets must be one-dimensional, "
+                                         rf"got shape {re.escape(str(shape))}$"):
+        cls(CsrMatrix.from_dense(np.eye(3)), np.ones(shape))
 
 
 def test_logistic_refuses_negative_alpha():

@@ -178,18 +178,21 @@ def test_checkpoint_values_strictly_decrease_on_lasso():
     assert np.all(values[:-1] > values[1:])
 
 
-def test_period_step_sq_sum_refuses_a_period_out_of_range():
+def test_period_step_sq_sums_dot_each_periods_steps():
     ds = generate_synthetic("lasso_known", 200, 30, seed=0)
     cfg = SolverConfig(max_iters=30, stepsize_mode="theory", scheme=FixedRestart(10))
     trace = run(QuadraticObjective(ds.features, ds.labels), L1(lasso_l1_weight(ds)), cfg,
                 np.zeros(30))
     assert trace.checkpoints.tolist() == [0, 10, 20]
-    last = trace.step_norm[20:]
-    assert trace.period_step_sq_sum(2) == float(np.dot(last, last)) > 0.0
-    # numpy would read a negative t from the end; a period index never does
-    for t in (-1, -2, 3):
-        with pytest.raises(IndexError, match=rf"period {t} out of range for 3 periods"):
-            trace.period_step_sq_sum(t)
+    sums = trace.period_step_sq_sums()
+    segments = (trace.step_norm[0:10], trace.step_norm[10:20], trace.step_norm[20:])
+    expected = np.array([np.dot(seg, seg) for seg in segments])
+    assert sums.dtype == np.float64 and sums.tobytes() == expected.tobytes()
+    assert np.all(sums > 0.0)
+    empty = run(QuadraticObjective(ds.features, ds.labels), L1(lasso_l1_weight(ds)),
+                replace(cfg, max_iters=0), np.zeros(30))
+    assert empty.period_step_sq_sums().dtype == np.float64
+    assert empty.period_step_sq_sums().shape == (0,)
 
 
 def _solvers(objective, regularizer):
@@ -212,20 +215,24 @@ def _assert_trace_arrays(trace, n):
     assert trace.checkpoints.dtype == np.int64 and trace.subdiff_dist.dtype == np.float64
     assert trace.checkpoints.flags.writeable and trace.subdiff_dist.flags.writeable
     assert len(trace.checkpoints) == len(trace.subdiff_dist)
-    assert trace.checkpoints[0] == 0
     if len(trace):
+        assert trace.checkpoints[0] == 0
         assert np.array_equal(trace.checkpoints, np.flatnonzero(trace.restart_flags))
 
 
-def test_zero_iterations_returns_init(small_quadratic):
+def test_zero_iterations_returns_init(small_quadratic, monkeypatch):
+    def no_gradient(self, x, Ax):
+        raise AssertionError("a zero-iteration run needs no gradient")
+
+    monkeypatch.setattr(type(small_quadratic), "gradient", no_gradient)
     x0 = np.full(6, 0.3)
     cfg = SolverConfig(max_iters=0, stepsize_mode="theory")
     for solve in _solvers(small_quadratic, Zero()):
         trace = solve(cfg, x0)
         assert len(trace) == 0
-        assert len(trace.checkpoints) == 1
+        # no rows, so no periods
+        assert len(trace.checkpoints) == len(trace.subdiff_dist) == 0
         assert np.array_equal(trace.final_x, x0)
-        # the one period opens at x0, whose objective is final_F
         _assert_trace_arrays(trace, 0)
         assert trace.final_F == small_quadratic.value(x0, spmv(small_quadratic.A, x0))
 
@@ -305,6 +312,14 @@ def test_config_validation():
     # never restarting is a scheme of run, not a baseline
     with pytest.raises(ValueError, match=re.escape("one of ('prox_grad', 'ag')")):
         run_baseline("apg_never", None, None, SolverConfig(max_iters=1), np.zeros(1))
+
+
+@pytest.mark.parametrize("scheme", ["fixed", None, 3])
+def test_config_refuses_a_scheme_that_cannot_restart(scheme):
+    # a string would fail only at step 0, with an AttributeError
+    message = f"scheme must be a restart scheme (an object with should_restart), got {scheme!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SolverConfig(max_iters=3, scheme=scheme)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -554,6 +569,25 @@ def test_subdiff_recorded_at_checkpoints(small_quadratic):
             point = iterates[checkpoint]
             grad = small_quadratic.gradient(point, spmv(small_quadratic.A, point))
             assert subdiff == pytest.approx(reg.subdiff_distance(grad, point), rel=1e-12)
+
+
+class NumpyBoolRestart:
+    """``FixedRestart(q)``'s schedule, answered with numpy bools."""
+
+    def __init__(self, q):
+        self.q = q
+
+    def should_restart(self, obs):
+        return np.bool_(obs.since_restart + 1 == self.q)
+
+
+def test_a_scheme_may_answer_with_numpy_bools(small_quadratic):
+    traces = [run(small_quadratic, L1(0.05),
+                  SolverConfig(max_iters=40, stepsize_mode="theory", scheme=scheme), np.zeros(6))
+              for scheme in (NumpyBoolRestart(7), FixedRestart(7))]
+    assert traces[0].checkpoints.tolist() == [0, 7, 14, 21, 28, 35]
+    for name in (*ITERATION_COLUMNS, "checkpoints", "subdiff_dist", "final_x"):
+        assert getattr(traces[0], name).tobytes() == getattr(traces[1], name).tobytes(), name
 
 
 def _count_matvecs(monkeypatch):
